@@ -11,6 +11,12 @@ word -- no trivial returns ``... t, partner(t) ...`` -- is a complete
 invariant of free homotopy (rel endpoints for arcs): the only moves between
 taut positions are bigon cancellations, which the reduction performs.
 
+The canonical form of a closed curve is the least rotation of its reduced
+word, comparing tokens in ``slot_key`` order (``Scheme.rank``); unoriented,
+it is the lesser of that and the least rotation of the reversed word.
+Booth's algorithm finds a least rotation in time and memory linear in the
+word length, and a curve, which is never mutated, computes each form once.
+
 A :class:`TautConfig` places several curves/arcs simultaneously in tight
 position: crossing points are ordered along each glued edge by comparing
 the rays the strands trace away from the edge, chords inside each polygon
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import CurveError, NotSimpleError
-from .schemes import Scheme, SlotId, slot_key
+from .schemes import Scheme, SlotId
 
 TokenWord = Tuple[SlotId, ...]
 
@@ -51,15 +57,36 @@ def _reduce_cyclic(partner: Dict[SlotId, SlotId], tokens: Iterable[SlotId]) -> L
     return toks
 
 
-def _word_key(word: Sequence[SlotId]):
-    return tuple(slot_key(t) for t in word)
+def _booth(seq: Sequence[int]) -> int:
+    """Start of the lexicographically least rotation of ``seq`` (Booth 1980).
+
+    A Knuth-Morris-Pratt failure function over ``seq`` doubled, restarted at
+    each smaller candidate start: linear time.
+    """
+    s = list(seq) * 2
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:  # i == -1: no border of the candidate extends
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
-def _min_rotation(word: TokenWord) -> TokenWord:
-    if not word:
-        return word
-    rots = [word[i:] + word[:i] for i in range(len(word))]
-    return min(rots, key=_word_key)
+def _least_rotation(rank: Dict[SlotId, int], word: TokenWord) -> Tuple[List[int], TokenWord]:
+    """The least rotation of ``word`` under ``rank``, with its rank sequence."""
+    seq = [rank[t] for t in word]
+    k = _booth(seq)
+    return seq[k:] + seq[:k], word[k:] + word[:k]
 
 
 def _reverse_word(partner: Dict[SlotId, SlotId], word: TokenWord) -> TokenWord:
@@ -82,6 +109,8 @@ class ClosedCurve:
                     f"tokens {prev!r} -> {t!r} do not share a polygon"
                 )
         self.tokens: TokenWord = reduced
+        self._canonical: Dict[bool, TokenWord] = {}
+        self._simple: Optional[bool] = None
 
     @property
     def is_null(self) -> bool:
@@ -91,11 +120,15 @@ class ClosedCurve:
         return ClosedCurve(self.scheme, _reverse_word(self.scheme.partner, self.tokens))
 
     def canonical(self, oriented: bool = True) -> TokenWord:
-        fwd = _min_rotation(self.tokens)
-        if oriented:
-            return fwd
-        bwd = _min_rotation(_reverse_word(self.scheme.partner, self.tokens))
-        return min(fwd, bwd, key=_word_key)
+        """The least rotation of the word, or of it and its reverse if unoriented."""
+        if oriented not in self._canonical:
+            rank = self.scheme.rank
+            key, fwd = _least_rotation(rank, self.tokens)
+            self._canonical[True] = fwd
+            if not oriented:
+                bkey, bwd = _least_rotation(rank, _reverse_word(self.scheme.partner, self.tokens))
+                self._canonical[False] = bwd if bkey < key else fwd
+        return self._canonical[oriented]
 
     def primitive_root(self) -> Tuple["ClosedCurve", int]:
         """Return (root, power) with self = root^power as a cyclic word."""
@@ -165,11 +198,8 @@ class Arc:
         if oriented:
             return fwd
         bwd = (self.end, _reverse_word(self.scheme.partner, self.tokens), self.start)
-        return min(
-            fwd,
-            bwd,
-            key=lambda c: (c[0], _word_key(c[1]), c[2]),
-        )
+        rank = self.scheme.rank
+        return min(fwd, bwd, key=lambda c: (c[0], [rank[t] for t in c[1]], c[2]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -366,6 +396,8 @@ class TautConfig:
                         scheme.polygon_of(xslots[i]),
                     ))
 
+        self._passage_at = {(p.item, p.index): p for p in self.passages}
+
         # order crossing points along each edge (primary-slot parameter)
         self._edge_order: Dict[Tuple[SlotId, SlotId], List[Tuple[str, int]]] = {}
         for e, pts in edge_points.items():
@@ -539,7 +571,7 @@ class TautConfig:
         to be pairwise disjoint (``c`` simple), which makes the order along
         the chord the order of the near endpoints.
         """
-        px = next(p for p in self.passages if p.item == x_name and p.index == k)
+        px = self._passage_at[(x_name, k)]
         n = self._poly_size[px.polygon]
         ax, bx = self._chord_positions(px)
         found = []
@@ -574,39 +606,18 @@ def geometric_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
     return pu * pv * len(cfg.crossings("u", "v"))
 
 
-def arc_intersection(a: Arc, v: ClosedCurve) -> int:
-    if v.is_null:
-        return 0
-    rv, pv = v.primitive_root()
-    cfg = TautConfig(a.scheme, {"a": a, "v": rv})
-    return pv * len(cfg.crossings("a", "v"))
-
-
 def is_simple(c: ClosedCurve) -> bool:
-    if c.is_null:
-        return False
-    _, power = c.primitive_root()
-    if power != 1:
-        return False
-    cfg = TautConfig(c.scheme, {"c": c})
-    return cfg.self_crossings("c") == 0
+    """Is ``c`` an embedded essential curve?  Decided once per curve."""
+    if c._simple is None:
+        c._simple = (
+            not c.is_null
+            and c.primitive_root()[1] == 1
+            and TautConfig(c.scheme, {"c": c}).self_crossings("c") == 0
+        )
+    return c._simple
 
 
 def require_simple(c: ClosedCurve) -> None:
     if not is_simple(c):
         raise NotSimpleError(f"{c!r} is not an embedded closed curve")
 
-
-# -- reporting -------------------------------------------------------------
-
-
-def normal_coordinates(items: Dict[str, Item], scheme: Scheme) -> Dict[str, Dict[str, int]]:
-    """Chord counts per polygon and slot pair, for reporting and rendering."""
-    cfg = TautConfig(scheme, items)
-    out: Dict[str, Dict[str, int]] = {}
-    for p in cfg.passages:
-        rec = out.setdefault(p.item, {})
-        a, b = sorted((p.entry_slot, p.exit_slot), key=slot_key)
-        key = f"P{p.polygon}:{a}-{b}"
-        rec[key] = rec.get(key, 0) + 1
-    return out

@@ -98,7 +98,6 @@ IDENTITY = FreeAutomorphism(((1,), (2,), (3,)))
 
 # right-handed twist along the curve a (the hexagon curve C)
 TWIST_C = FreeAutomorphism(((1,), (-1, 2), (-1, 3)))
-TWIST_C_INV = FreeAutomorphism(((1,), (1, 2), (1, 3)))
 
 # right-handed twist along the first vanishing cycle C1
 TWIST_C1 = FreeAutomorphism(((3,), (3, -1, 2, -1, 3), (3, -1, 3)))

@@ -28,7 +28,7 @@ from .curves import (
     curves_isotopic,
 )
 from .schemes import Relabeling, Scheme, antipodal_polygon_scheme
-from .surgery import Projection, SurgeryResult, project, round_surgery
+from .surgery import Projection, project, round_surgery
 from .twists import TwistWord, dehn_twist, relabel_curve
 
 
@@ -252,26 +252,25 @@ class ReducedMonodromyReport:
         }
 
 
-def verify_reduced_monodromy(sc: Scenario) -> ReducedMonodromyReport:
-    """Cut along the surgered curve and identify the leftover monodromy.
+def reduce_twist_word(
+    scheme: Scheme, curve: ClosedCurve, word: TwistWord, arc: Arc
+) -> Tuple[str, Projection, ClosedCurve]:
+    """Cut along ``curve`` and identify what ``word`` leaves behind.
 
     The reference arc is pushed into the cut surface before and after the
-    monodromy; the leftover mapping class is matched against a single
-    right- or left-handed twist along the boundary-parallel curve through
-    the arc's component of the boundary.
+    word; the leftover mapping class is matched against a single right- or
+    left-handed twist along the boundary-parallel curve ``gamma`` through
+    the arc's component of the boundary.  Returns the handedness ("none",
+    "left", "right" or "other"), the projected image of the arc and
+    ``gamma``.
     """
-    if sc.arc is None:
-        raise ValueError(f"scenario {sc.name!r} has no reference arc")
-    sr = round_surgery(sc.scheme, sc.curves[sc.surgery_name])
-    annulus = sr.scheme
-    chi = annulus.euler_characteristic()
-    circles = annulus.boundary_circles()
+    sr = round_surgery(scheme, curve)
+    cut = sr.scheme
+    before = project(sr, arc)
+    after = project(sr, word.apply(arc))
 
-    before = project(sr, sc.arc)
-    after = project(sr, sc.monodromy.apply(sc.arc))
-
-    circle = next(c for c in circles if sc.arc.start.slot in c)
-    gamma = ClosedCurve(annulus, annulus.boundary_parallel_tokens(circle))
+    circle = next(c for c in cut.boundary_circles() if arc.start.slot in c)
+    gamma = ClosedCurve(cut, cut.boundary_parallel_tokens(circle))
 
     if arcs_isotopic(after.item, before.item):
         handedness = "none"
@@ -281,6 +280,24 @@ def verify_reduced_monodromy(sc: Scenario) -> ReducedMonodromyReport:
         handedness = "right"
     else:
         handedness = "other"
+    return handedness, after, gamma
+
+
+def verify_reduced_monodromy(sc: Scenario) -> ReducedMonodromyReport:
+    """Cut along the surgered curve and identify the leftover monodromy.
+
+    The cut surface must be an annulus and the monodromy must reduce, by
+    :func:`reduce_twist_word`, to the expected twist along its
+    boundary-parallel curve.
+    """
+    if sc.arc is None:
+        raise ValueError(f"scenario {sc.name!r} has no reference arc")
+    handedness, after, gamma = reduce_twist_word(
+        sc.scheme, sc.curves[sc.surgery_name], sc.monodromy, sc.arc
+    )
+    annulus = gamma.scheme
+    chi = annulus.euler_characteristic()
+    circles = annulus.boundary_circles()
 
     expected_hand = sc.expected.get("reduced_handedness")
     expected_caps = sc.expected.get("cap_slides")

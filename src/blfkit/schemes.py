@@ -19,7 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .errors import SchemeError
@@ -139,6 +139,10 @@ class Scheme:
                 if slot in self._index:
                     raise SchemeError(f"slot {slot!r} appears twice")
                 self._index[slot] = (pi, pos)
+        #: position of each slot in ``slot_key`` order
+        self.rank: Dict[SlotId, int] = {
+            s: i for i, s in enumerate(sorted(self._index, key=slot_key))
+        }
         for s, t in self.partner.items():
             if s not in self._index or t not in self._index:
                 raise SchemeError(f"pairing references unknown slot {s!r}/{t!r}")
@@ -158,7 +162,7 @@ class Scheme:
 
     @property
     def slots(self) -> List[SlotId]:
-        return sorted(self._index, key=slot_key)
+        return list(self.rank)
 
     @property
     def boundary_slots(self) -> List[SlotId]:
@@ -170,7 +174,7 @@ class Scheme:
         out = []
         for s in self.slots:
             t = self.partner.get(s)
-            if t is not None and slot_key(s) < slot_key(t):
+            if t is not None and self.rank[s] < self.rank[t]:
                 out.append((s, t))
         return out
 
@@ -178,7 +182,7 @@ class Scheme:
         t = self.partner.get(slot)
         if t is None:
             raise SchemeError(f"{slot!r} is a boundary slot")
-        return slot if slot_key(slot) < slot_key(t) else t
+        return slot if self.rank[slot] < self.rank[t] else t
 
     # -- topology ----------------------------------------------------------
 

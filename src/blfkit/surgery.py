@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .curves import Arc, ClosedCurve, Item, TautConfig, is_simple
 from .errors import (

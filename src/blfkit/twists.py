@@ -12,20 +12,18 @@ twist by a relabeling is the twist along the relabeled curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from .curves import (
     Arc,
     ClosedCurve,
     Item,
     TautConfig,
-    homology_basis,
     homology_class,
     intersection_form,
     pair_homology,
     require_simple,
 )
-from .errors import CurveError
 from .schemes import Relabeling, Scheme, SlotId
 
 
@@ -127,11 +125,6 @@ def _matmul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
         [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
-
-
-def apply_matrix(mat: List[List[int]], v: Sequence[int]) -> Tuple[int, ...]:
-    n = len(mat)
-    return tuple(sum(mat[i][k] * v[k] for k in range(n)) for i in range(n))
 
 
 def relabel_curve(r: Relabeling, x: Item) -> Item:

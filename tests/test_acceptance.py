@@ -19,9 +19,7 @@ from blfkit import (
     arcs_isotopic,
     curves_isotopic,
     dehn_twist,
-    project,
     relabel_curve,
-    round_surgery,
 )
 from blfkit.curves import homology_class
 from blfkit.handles import (
@@ -36,6 +34,7 @@ from blfkit.handles import (
 from blfkit.oracle import run_agreement_suite
 from blfkit.scenarios import (
     get_scenario,
+    reduce_twist_word,
     verify_reduced_monodromy,
     verify_round_invariance,
     verify_vertex_joining,
@@ -92,14 +91,11 @@ def test_criterion_3_positive_modification():
     left_ok = reduced.handedness == "left" == negative.handedness
 
     # The right-handed twist belongs to the achiral mirror, the inverse word,
-    # pushed through surgery and projection as the verifier does.
+    # reduced by the verifier's own surgery and projection.
     mirror = TwistWord(tuple((cv[n], -1) for n in ("D1", "D2", "D3")))
     mirror_fixes = curves_isotopic(mirror.apply(curve), curve, oriented=True)
-    sr = round_surgery(sc.scheme, curve)
-    before, after = project(sr, arc), project(sr, mirror.apply(arc))
-    circle = next(c for c in sr.scheme.boundary_circles() if arc.start.slot in c)
-    gamma = ClosedCurve(sr.scheme, sr.scheme.boundary_parallel_tokens(circle))
-    mirror_right = arcs_isotopic(after.item, dehn_twist(before.item, gamma, 1))
+    mirror_hand, after, _ = reduce_twist_word(sc.scheme, curve, mirror, arc)
+    mirror_right = mirror_hand == "right"
 
     ok = (
         round_ok and joining.ok and reversed_ok and same_class and left_ok

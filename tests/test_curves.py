@@ -1,11 +1,16 @@
 """Curves and arcs: reduction, canonical forms, intersection numbers."""
 
+import random
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blfkit import (
     Anchor,
     Arc,
     ClosedCurve,
+    TwistWord,
     algebraic_intersection,
     arcs_isotopic,
     curves_isotopic,
@@ -14,6 +19,7 @@ from blfkit import (
     is_simple,
     square_torus_scheme,
 )
+from blfkit import curves
 from blfkit.curves import (
     TautConfig,
     homology_class,
@@ -21,6 +27,8 @@ from blfkit.curves import (
     pair_homology,
 )
 from blfkit.errors import CurveError
+from blfkit.scenarios import SCENARIOS, get_scenario
+from blfkit.schemes import Scheme, slot_key
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +65,135 @@ class TestCanonical:
 
     def test_reversal_word(self, hexagon):
         assert ClosedCurve(hexagon, (3, 2)).reversed().tokens in {(5, 0), (0, 5)}
+
+
+def _slot_order(word):
+    return [slot_key(t) for t in word]
+
+
+def brute_canonical(curve, oriented=True):
+    """Reference canonical form: every rotation listed, least under ``slot_key``."""
+    def least(word):
+        return min((word[i:] + word[:i] for i in range(len(word))), key=_slot_order, default=())
+
+    fwd = least(curve.tokens)
+    if oriented:
+        return fwd
+    partner = curve.scheme.partner
+    bwd = least(tuple(partner[t] for t in reversed(curve.tokens)))
+    return min(fwd, bwd, key=_slot_order)
+
+
+def random_twist_images(count, seed, max_steps=3):
+    """Seeded images of the hexagon's scenario curves and reference arc."""
+    sc = get_scenario("negative-modification")
+    names = sorted(sc.curves)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        steps = tuple(
+            (sc.curves[rng.choice(names)], rng.choice((1, -1)))
+            for _ in range(rng.randint(1, max_steps))
+        )
+        word = TwistWord(steps)
+        out.append(word.apply(sc.curves[rng.choice(names)]))
+        out.append(word.apply(sc.arc))
+    return out
+
+
+def mixed_scheme():
+    """One polygon whose glued slots mix int and str ids (0 < 1 < "a" < "b")."""
+    return Scheme([(0, "a", 1, "b", "c")], {0: "a", "a": 0, 1: "b", "b": 1})
+
+
+class TestCanonicalForm:
+    """The linear-time canonical form against the all-rotations reference."""
+
+    def test_twist_images_match_reference(self):
+        items = random_twist_images(40, seed=3)
+        closed = [x for x in items if isinstance(x, ClosedCurve)]
+        assert max(len(c.tokens) for c in closed) > 20
+        for c in closed:
+            for oriented in (True, False):
+                assert c.canonical(oriented) == brute_canonical(c, oriented)
+        for a in items:
+            if isinstance(a, Arc):
+                rev = a.reversed()
+                key = lambda x: (x[0], _slot_order(x[1]), x[2])
+                ref = min((a.start, a.tokens, a.end), (rev.start, rev.tokens, rev.end), key=key)
+                assert a.canonical(oriented=False) == ref
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            (0, 1) * 7,
+            (1, 0) * 6,
+            (0, 1, 2) * 5 + (0, 1),
+            (2, 2, 2, 0, 2, 2, 0, 2),
+            (1, 1, 0, 1, 1, 0, 1, 1, 0, 1),
+            (0, 0, 1) * 3 + (0, 0, 0, 1),
+            (5, 5, 5, 5, 4, 5, 5, 5, 4),
+            (0,) * 9,
+        ],
+    )
+    def test_periodic_and_repeated_runs(self, hexagon, word):
+        c = ClosedCurve(hexagon, word)
+        assert c.tokens == word
+        for oriented in (True, False):
+            assert c.canonical(oriented) == brute_canonical(c, oriented)
+
+    def test_mixed_slot_ids_follow_slot_key(self):
+        sch = mixed_scheme()
+        assert sorted(sch.rank, key=sch.rank.get) == sch.slots
+        rng = random.Random(5)
+        for _ in range(200):
+            c = ClosedCurve(sch, [rng.choice((0, 1, "a", "b")) for _ in range(rng.randint(1, 12))])
+            for oriented in (True, False):
+                assert c.canonical(oriented) == brute_canonical(c, oriented)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        word=st.lists(st.integers(0, 5), min_size=1, max_size=40),
+        shift=st.integers(0, 10_000),
+    )
+    def test_invariant_under_rotation_and_reversal(self, word, shift):
+        h = hexagon_scheme().build()
+        c = ClosedCurve(h, word)
+        k = shift % max(1, len(c.tokens))
+        rotated = ClosedCurve(h, c.tokens[k:] + c.tokens[:k])
+        assert rotated.canonical() == c.canonical()
+        assert rotated.canonical(oriented=False) == c.canonical(oriented=False)
+        assert c.reversed().canonical(oriented=False) == c.canonical(oriented=False)
+
+    def test_long_curve_is_fast(self, hexagon):
+        # listing every rotation of a word this long ran out of memory
+        rng = random.Random(11)
+        word = [0]
+        while len(word) < 50_100:
+            word.append(rng.choice([t for t in range(6) if t != (word[-1] + 3) % 6]))
+        periodic = (0, 1) * 25_000 + (2,)
+        for tokens in (word, periodic):
+            c = ClosedCurve(hexagon, tokens)
+            assert len(c.tokens) >= 50_000
+            start = time.perf_counter()
+            fwd, unoriented = c.canonical(), c.canonical(oriented=False)
+            assert time.perf_counter() - start < 1.0
+            # hexagon tokens are 0..5, so bytes order is slot_key order
+            assert bytes(fwd) in bytes(c.tokens * 2)
+            for k in rng.sample(range(len(c.tokens)), 50):
+                assert bytes(fwd) <= bytes(c.tokens[k:] + c.tokens[:k])
+            assert unoriented in (fwd, c.reversed().canonical())
+        assert ClosedCurve(hexagon, periodic).canonical(oriented=False) == periodic
+
+    def test_equality_and_hash_follow_reference(self):
+        closed = [x for x in random_twist_images(30, seed=8) if isinstance(x, ClosedCurve)]
+        for a in closed:
+            k = len(a.tokens) // 2
+            turned = ClosedCurve(a.scheme, a.tokens[k:] + a.tokens[:k])
+            assert a == turned and hash(a) == hash(turned)
+            assert hash(a) == hash(brute_canonical(a))
+            for b in closed + [a.reversed()]:
+                assert (a == b) == (brute_canonical(a) == brute_canonical(b))
 
 
 class TestArcs:
@@ -148,6 +285,21 @@ class TestSimplicity:
 
     def test_figure_eight_not_simple(self, hexagon):
         assert not is_simple(ClosedCurve(hexagon, (0, 1, 3, 1)))
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_stored_verdict_matches_fresh_config(self, name, monkeypatch):
+        sc = get_scenario(name)
+        fresh = {
+            n: c.primitive_root()[1] == 1
+            and TautConfig(c.scheme, {"c": c}).self_crossings("c") == 0
+            for n, c in sc.curves.items()
+        }
+        assert {n: is_simple(c) for n, c in sc.curves.items()} == fresh
+        # asked again, each curve answers from its stored verdict
+        builds = []
+        monkeypatch.setattr(curves, "TautConfig", lambda *a: builds.append(a))
+        assert {n: is_simple(c) for n, c in sc.curves.items()} == fresh
+        assert builds == []
 
 
 class TestTautConfigDeterminism:
