@@ -18,11 +18,15 @@ Booth's algorithm finds a least rotation in time and memory linear in the
 word length, and a curve, which is never mutated, computes each form once.
 
 A :class:`TautConfig` places several curves/arcs simultaneously in tight
-position: crossing points are ordered along each glued edge by comparing
-the rays the strands trace away from the edge, chords inside each polygon
-connect consecutive crossing points, and intersections are exactly the
-interleaving chord pairs.  Crossing signs follow the counterclockwise
-orientation of the polygons.
+position.  Crossing points are ordered along each glued edge by a key: the
+rays the strand traces away from the edge on either side, each read as
+the sequence of counterclockwise offsets of its steps (an arc's ray ends
+at its anchor, which adds the anchor index).  Points sort by their ray on
+the primary side descending, then their ray on the other side ascending,
+then by (name, token index); prefix doubling ranks every ray once, and
+equal rays tie.  Chords inside each polygon connect consecutive crossing
+points, and intersections are exactly the interleaving chord pairs.
+Crossing signs follow the counterclockwise orientation of the polygons.
 """
 
 from __future__ import annotations
@@ -90,7 +94,10 @@ def _least_rotation(rank: Dict[SlotId, int], word: TokenWord) -> Tuple[List[int]
 
 
 def _reverse_word(partner: Dict[SlotId, SlotId], word: TokenWord) -> TokenWord:
-    return tuple(partner[t] for t in reversed(word))
+    # from a list, not a generator: ``tuple(generator)`` resizes its result,
+    # and every such tuple adds one to CPython's free list of its size, which
+    # only a full garbage collection empties
+    return tuple([partner[t] for t in reversed(word)])
 
 
 class ClosedCurve:
@@ -111,6 +118,7 @@ class ClosedCurve:
         self.tokens: TokenWord = reduced
         self._canonical: Dict[bool, TokenWord] = {}
         self._simple: Optional[bool] = None
+        self._steps: Optional[Tuple[List[int], List[int]]] = None
 
     @property
     def is_null(self) -> bool:
@@ -189,6 +197,7 @@ class Arc:
             if scheme.polygon_of(e) != scheme.polygon_of(x):
                 raise CurveError(f"passage {e!r} -> {x!r} does not stay in one polygon")
         self.tokens: TokenWord = reduced
+        self._steps: Optional[Tuple[List[int], List[int]]] = None
 
     def reversed(self) -> "Arc":
         return Arc(self.scheme, self.end, _reverse_word(self.scheme.partner, self.tokens), self.start)
@@ -286,8 +295,11 @@ def intersection_form(scheme: Scheme) -> List[List[int]]:
     """Algebraic intersection pairing of the edge-class basis curves.
 
     Requires each edge class to carry a one-token closed curve (both sides
-    of the edge in the same polygon).
+    of the edge in the same polygon).  Computed once per scheme; every call
+    returns a fresh copy.
     """
+    if scheme._intersection_form is not None:
+        return [list(row) for row in scheme._intersection_form]
     basis = homology_basis(scheme)
     curves = []
     for s in basis:
@@ -303,6 +315,7 @@ def intersection_form(scheme: Scheme) -> List[List[int]]:
             v = algebraic_intersection(curves[i], curves[j])
             form[i][j] = v
             form[j][i] = -v
+    scheme._intersection_form = tuple(tuple(row) for row in form)
     return form
 
 
@@ -313,7 +326,67 @@ def pair_homology(form: List[List[int]], u: Sequence[int], v: Sequence[int]) -> 
 # -- taut configurations ---------------------------------------------------
 
 
-_STOP = ("stop",)
+def _ray_steps(item: Item) -> Tuple[List[int], List[int]]:
+    """The first step of each strand leaving one of the item's crossing points.
+
+    Entry ``k`` of the first list is the step of the strand leaving point
+    ``k`` along the word (into the polygon of ``partner(tokens[k])``), of
+    the second against it (into the polygon of ``tokens[k]``).  A step
+    from source slot ``s`` to target ``t`` of one polygon is the integer
+    ``offset * S + rank[t] + 1``: ``offset`` is the counterclockwise
+    distance from ``s`` to ``t`` and ``S`` the number of slots, so steps
+    from one source order by offset, a step determines its source and
+    target, and 0 is left free for the end of a ray.  An arc's last forward
+    and first backward steps reach its anchors.  Computed once per item;
+    items are never mutated.
+    """
+    if item._steps is None:
+        scheme = item.scheme
+        partner, location, rank = scheme.partner, scheme.location, scheme.rank
+        polygons = scheme.polygons
+        width = len(rank)
+        toks = item.tokens
+        if isinstance(item, ClosedCurve):
+            nexts = toks[1:] + toks[:1]
+            prevs = [partner[t] for t in toks[-1:] + toks[:-1]]
+        else:
+            nexts = toks[1:] + (item.end.slot,)
+            prevs = [item.start.slot] + [partner[t] for t in toks[:-1]]
+
+        def step(s: SlotId, t: SlotId) -> int:
+            pi, ps = location[s]
+            return (location[t][1] - ps) % len(polygons[pi]) * width + rank[t] + 1
+
+        item._steps = (
+            [step(partner[s], t) for s, t in zip(toks, nexts)],
+            [step(s, t) for s, t in zip(toks, prevs)],
+        )
+    return item._steps
+
+
+def _rank_rays(steps: List[int], nxt: List[int]) -> List[int]:
+    """Ranks of the sequences ``steps[i], steps[nxt[i]], steps[nxt[nxt[i]]], ...``.
+
+    Prefix doubling (Manber and Myers 1993): after round ``j`` the ranks
+    order the first ``2**j`` steps lexicographically.  A round that splits
+    no class proves every tied pair equal for ever, so the ranks are final;
+    two rays of items of lengths ``m1`` and ``m2`` that agree for
+    ``m1 + m2`` steps agree for ever (Fine and Wilf 1965), so this takes
+    at most ``log2(2 * max length) + 2`` rounds.  Equal rays tie.
+    """
+    r = steps
+    classes = len(set(r))
+    width = max(r) + 1
+    while classes < len(r):
+        keys = [a * width + r[b] for a, b in zip(r, nxt)]
+        levels = sorted(set(keys))
+        if len(levels) == classes:
+            break
+        at = {v: i for i, v in enumerate(levels)}
+        r = [at[k] for k in keys]
+        classes = width = len(levels)
+        nxt = [nxt[j] for j in nxt]
+    return r
 
 
 @dataclass(frozen=True)
@@ -328,7 +401,15 @@ class Passage:
 
 
 class TautConfig:
-    """Several curves/arcs in tight position on one scheme."""
+    """Several curves/arcs in tight position on one scheme.
+
+    Crossing point ``(name, k)`` is where strand ``name`` exits through its
+    token ``k``; it appears on both sides of its edge, as the points
+    ``("cp", name, k, slot)``.  An arc's ends are the points ``("anchor",
+    name, "start")`` and ``("anchor", name, "end")``.  Passage ``i`` of an
+    item is the chord from its entry point to its exit point (its token
+    ``i``, or the end anchor) in one polygon.
+    """
 
     def __init__(self, scheme: Scheme, items: Dict[str, Item]):
         self.scheme = scheme
@@ -339,227 +420,190 @@ class TautConfig:
         self._names = sorted(self.items)
         self._build()
 
-    # each crossing point is (name, token_index); its incarnation in a
-    # polygon is keyed ("cp", name, k, slot).  Anchors: ("anchor", name, end).
-
-    def _tokens(self, name: str) -> TokenWord:
-        return self.items[name].tokens
-
-    def _is_closed(self, name: str) -> bool:
-        return isinstance(self.items[name], ClosedCurve)
-
     def _build(self) -> None:
         scheme = self.scheme
-        partner = scheme.partner
+        edge_of, location = scheme.edge_of, scheme.location
+        names = self._names
+        items = [self.items[n] for n in names]
 
-        self.passages: List[Passage] = []
-        anchors_by_slot: Dict[SlotId, List[Tuple[int, str, str]]] = {}
-        edge_points: Dict[Tuple[SlotId, SlotId], List[Tuple[str, int]]] = {}
-
-        for name in self._names:
-            item = self.items[name]
-            toks = item.tokens
-            m = len(toks)
-            for k in range(m):
-                e = self._edge(toks[k])
-                edge_points.setdefault(e, []).append((name, k))
-            if isinstance(item, ClosedCurve):
-                for i in range(m):
-                    prev = toks[i - 1]
-                    self.passages.append(Passage(
-                        name, i,
-                        ("cp", name, (i - 1) % m, partner[prev]),
-                        ("cp", name, i, toks[i]),
-                        partner[prev], toks[i],
-                        scheme.polygon_of(toks[i]),
-                    ))
-            else:
-                sa, ea = item.start, item.end
-                for a, which in ((sa, "start"), (ea, "end")):
-                    lst = anchors_by_slot.setdefault(a.slot, [])
+        anchors: Dict[SlotId, List[Tuple[int, str, str]]] = {}
+        for name, item in zip(names, items):
+            if isinstance(item, Arc):
+                for a, which in ((item.start, "start"), (item.end, "end")):
+                    lst = anchors.setdefault(a.slot, [])
                     if any(x[0] == a.index and (x[1], x[2]) != (name, which) for x in lst):
                         raise CurveError(
                             f"anchor ({a.slot!r}, {a.index}) used by two items"
                         )
                     lst.append((a.index, name, which))
-                entries = [("anchor", name, "start")] + [
-                    ("cp", name, k, partner[toks[k]]) for k in range(m)
-                ]
-                exits = [("cp", name, k, toks[k]) for k in range(m)] + [
-                    ("anchor", name, "end")
-                ]
-                eslots = [sa.slot] + [partner[t] for t in toks]
-                xslots = list(toks) + [ea.slot]
-                for i in range(m + 1):
-                    self.passages.append(Passage(
-                        name, i, entries[i], exits[i], eslots[i], xslots[i],
-                        scheme.polygon_of(xslots[i]),
-                    ))
+        # steps to two anchors on one slot differ only by the anchor index,
+        # which is added to the steps, scaled, as its rank
+        indices = sorted({x[0] for lst in anchors.values() for x in lst})
+        scale = len(indices) + 1
+        index_rank = {index: i + 1 for i, index in enumerate(indices)}
 
-        self._passage_at = {(p.item, p.index): p for p in self.passages}
-
-        # order crossing points along each edge (primary-slot parameter)
-        self._edge_order: Dict[Tuple[SlotId, SlotId], List[Tuple[str, int]]] = {}
-        for e, pts in edge_points.items():
-            cmp = functools.cmp_to_key(lambda p, q, e=e: self._cmp_edge(e, p, q))
-            self._edge_order[e] = sorted(set(pts), key=cmp)
-
-        # global ccw position of every point incarnation, per polygon
-        self._pos: Dict[tuple, int] = {}
-        self._poly_size: Dict[int, int] = {}
-        for pi, poly in enumerate(scheme.polygons):
-            count = 0
-            for slot in poly:
-                if scheme.is_glued(slot):
-                    e = self._edge(slot)
-                    pts = self._edge_order.get(e, [])
-                    seq = pts if slot == e[0] else list(reversed(pts))
-                    for name, k in seq:
-                        self._pos[("cp", name, k, slot)] = count
-                        count += 1
-                else:
-                    for index, name, which in sorted(anchors_by_slot.get(slot, [])):
-                        self._pos[("anchor", name, which)] = count
-                        count += 1
-            self._poly_size[pi] = count
-
-        self._chords: Dict[int, List[Passage]] = {}
-        for p in self.passages:
-            self._chords.setdefault(p.polygon, []).append(p)
-
-    def _edge(self, slot: SlotId) -> Tuple[SlotId, SlotId]:
-        p = self.scheme.primary(slot)
-        return (p, self.scheme.partner[p])
-
-    # -- edge ordering -----------------------------------------------------
-
-    def _ray(self, name: str, k: int, forward: bool):
-        """Targets of the strand walking away from crossing point (name, k).
-
-        Forward walks in the direction of the word (into the polygon of
-        ``partner(tokens[k])``); backward walks against it (into the polygon
-        of ``tokens[k]``).
-        """
-        item = self.items[name]
-        toks = item.tokens
-        m = len(toks)
-        partner = self.scheme.partner
-        if isinstance(item, ClosedCurve):
-            j = k
-            while True:
-                if forward:
-                    j = (j + 1) % m
-                    yield ("slot", toks[j])
-                else:
-                    yield ("slot", partner[toks[(j - 1) % m]])
-                    j = (j - 1) % m
-        else:
-            j = k
-            while True:
-                if forward:
-                    j += 1
-                    if j >= m:
-                        yield ("anchor", item.end.slot, item.end.index)
-                        return
-                    yield ("slot", toks[j])
-                else:
-                    if j == 0:
-                        yield ("anchor", item.start.slot, item.start.index)
-                        return
-                    yield ("slot", partner[toks[j - 1]])
-                    j -= 1
-
-    def _ray_for_side(self, cp: Tuple[str, int], side_slot: SlotId):
-        name, k = cp
-        t = self._tokens(name)[k]
-        if t == side_slot:
-            return self._ray(name, k, forward=False)
-        if self.scheme.partner[t] == side_slot:
-            return self._ray(name, k, forward=True)
-        raise CurveError("crossing point not on this edge")
-
-    def _cmp_rays(self, cp1, cp2, side_slot: SlotId) -> int:
-        scheme = self.scheme
-        g1 = self._ray_for_side(cp1, side_slot)
-        g2 = self._ray_for_side(cp2, side_slot)
-        poly = scheme.polygon_of(side_slot)
-        source = side_slot
-        cap = 2 * (len(self._tokens(cp1[0])) + len(self._tokens(cp2[0]))) + 4
-        for _ in range(cap):
-            a = next(g1, _STOP)
-            b = next(g2, _STOP)
-            if a == b:
-                if a[0] != "slot":
-                    return 0
-                source = scheme.partner[a[1]]
-                poly = scheme.polygon_of(source)
+        # ray nodes: item ii's forward ray from point k is node bases[ii] + k,
+        # its backward ray node bases[ii] + m + k; ``end`` follows an anchor
+        end = 2 * sum(len(item.tokens) for item in items)
+        steps: List[int] = []
+        nxt: List[int] = []
+        bases: List[int] = []
+        for item in items:
+            fwd, bwd = _ray_steps(item)
+            m = len(fwd)
+            b = len(steps)
+            bases.append(b)
+            if not m:
                 continue
-            size = len(scheme.polygons[poly])
-            ka = (scheme.position_of(a[1]) - scheme.position_of(source)) % size
-            kb = (scheme.position_of(b[1]) - scheme.position_of(source)) % size
-            if ka != kb:
-                # the strand darting to the nearer-counterclockwise slot sits
-                # closer to the end corner, i.e. at a larger edge parameter
-                return 1 if ka < kb else -1
-            ia = a[2] if a[0] == "anchor" else None
-            ib = b[2] if b[0] == "anchor" else None
-            if ia is not None and ib is not None and ia != ib:
-                return -1 if ia > ib else 1
-            return 0
-        return 0
+            closed = isinstance(item, ClosedCurve)
+            if scale > 1:
+                fwd = [s * scale for s in fwd]
+                bwd = [s * scale for s in bwd]
+                if not closed:
+                    fwd[-1] += index_rank[item.end.index]
+                    bwd[0] += index_rank[item.start.index]
+            steps += fwd
+            steps += bwd
+            nxt += range(b + 1, b + m)
+            nxt.append(b if closed else end)
+            nxt.append(b + 2 * m - 1 if closed else end)
+            nxt += range(b + m, b + 2 * m - 1)
+        steps.append(0)
+        nxt.append(end)
+        ranks = _rank_rays(steps, nxt)
 
-    def _cmp_edge(self, e: Tuple[SlotId, SlotId], cp1, cp2) -> int:
-        if cp1 == cp2:
-            return 0
-        r = self._cmp_rays(cp1, cp2, e[0])
-        if r:
-            return r
-        r = self._cmp_rays(cp1, cp2, e[1])
-        if r:
-            return -r
-        return -1 if cp1 < cp2 else 1
+        # along each edge: the rays on side e[0] descending, then those on
+        # side e[1] ascending, then (name, k)
+        width = max(ranks) + 1
+        groups: Dict[Tuple[SlotId, SlotId], List[Tuple[int, int, int]]] = {}
+        for ii, (item, b) in enumerate(zip(items, bases)):
+            m = len(item.tokens)
+            for k, t in enumerate(item.tokens):
+                e = edge_of[t]
+                fwd, bwd = ranks[b + k], ranks[b + m + k]
+                # the backward ray runs into the polygon of the token's own slot
+                r0, r1 = (bwd, fwd) if t == e[0] else (fwd, bwd)
+                groups.setdefault(e, []).append(((width - r0) * width + r1, ii, k))
+        for group in groups.values():
+            group.sort()
+        self._groups = groups
+
+        # counterclockwise position of every point in its polygon
+        first: Dict[SlotId, int] = {}
+        self._anchor_pos: Dict[Tuple[str, str], int] = {}
+        self._poly_size: List[int] = []
+        for poly in scheme.polygons:
+            n = 0
+            for s in poly:
+                e = edge_of.get(s)
+                if e is not None:
+                    first[s] = n
+                    n += len(groups.get(e, ()))
+                elif s in anchors:
+                    for _, name, which in sorted(anchors[s]):
+                        self._anchor_pos[(name, which)] = n
+                        n += 1
+            self._poly_size.append(n)
+        exit_pos = [[0] * len(item.tokens) for item in items]
+        cross_pos = [[0] * len(item.tokens) for item in items]
+        for (s0, s1), group in groups.items():
+            lo, hi = first[s0], first[s1] + len(group) - 1
+            for i, (_, ii, k) in enumerate(group):
+                if items[ii].tokens[k] == s0:
+                    exit_pos[ii][k], cross_pos[ii][k] = lo + i, hi - i
+                else:
+                    exit_pos[ii][k], cross_pos[ii][k] = hi - i, lo + i
+        self._exit_pos = dict(zip(names, exit_pos))
+        self._cross_pos = dict(zip(names, cross_pos))
+
+        # chords (polygon, entry position, exit position) by passage, and by
+        # polygon as (passage, entry position, exit position)
+        self._chords: Dict[str, List[Tuple[int, int, int]]] = {}
+        self._by_polygon: Dict[str, Dict[int, List[Tuple[int, int, int]]]] = {}
+        for name, item, xp, cp in zip(names, items, exit_pos, cross_pos):
+            polys = [location[t][0] for t in item.tokens]
+            if isinstance(item, ClosedCurve):
+                entries, exits = cp[-1:] + cp[:-1], xp
+            else:
+                polys.append(location[item.end.slot][0])
+                entries = [self._anchor_pos[(name, "start")]] + cp
+                exits = xp + [self._anchor_pos[(name, "end")]]
+            chords = list(zip(polys, entries, exits))
+            by_polygon: Dict[int, List[Tuple[int, int, int]]] = {}
+            for i, (pi, a, b) in enumerate(chords):
+                by_polygon.setdefault(pi, []).append((i, a, b))
+            self._chords[name] = chords
+            self._by_polygon[name] = by_polygon
+
+    # -- points and passages -----------------------------------------------
+
+    @functools.cached_property
+    def _edge_order(self) -> Dict[Tuple[SlotId, SlotId], List[Tuple[str, int]]]:
+        """The crossing points (name, k) along each edge, in its primary slot's order."""
+        return {
+            e: [(self._names[ii], k) for _, ii, k in group]
+            for e, group in self._groups.items()
+        }
+
+    def position(self, point: tuple) -> int:
+        """Counterclockwise position of a point among the points of its polygon."""
+        if point[0] == "anchor":
+            return self._anchor_pos[(point[1], point[2])]
+        _, name, k, slot = point
+        if slot == self.items[name].tokens[k]:
+            return self._exit_pos[name][k]
+        return self._cross_pos[name][k]
+
+    @functools.cached_property
+    def passages(self) -> List[Passage]:
+        """Every passage, items in name order, each in passage order."""
+        partner = self.scheme.partner
+        out = []
+        for name in self._names:
+            item = self.items[name]
+            toks = item.tokens
+            exits = [("cp", name, k, t) for k, t in enumerate(toks)]
+            entries = [("cp", name, k, partner[t]) for k, t in enumerate(toks)]
+            xslots = list(toks)
+            eslots = [partner[t] for t in toks]
+            if isinstance(item, ClosedCurve):
+                entries = entries[-1:] + entries[:-1]
+                eslots = eslots[-1:] + eslots[:-1]
+            else:
+                entries.insert(0, ("anchor", name, "start"))
+                eslots.insert(0, item.start.slot)
+                exits.append(("anchor", name, "end"))
+                xslots.append(item.end.slot)
+            for i, (pi, _, _) in enumerate(self._chords[name]):
+                out.append(Passage(name, i, entries[i], exits[i], eslots[i], xslots[i], pi))
+        return out
 
     # -- crossings ---------------------------------------------------------
 
-    def _chord_positions(self, p: Passage) -> Tuple[int, int]:
-        return (self._pos[p.entry_point], self._pos[p.exit_point])
-
-    @staticmethod
-    def _strictly_between(x: int, a: int, b: int, n: int) -> bool:
-        d = (x - a) % n
-        return 0 < d < (b - a) % n
-
-    def _cross(self, p: Passage, q: Passage) -> Optional[int]:
-        """Sign of the crossing of chords p, q, or None if disjoint."""
-        if p.polygon != q.polygon:
-            return None
-        n = self._poly_size[p.polygon]
-        a1, b1 = self._chord_positions(p)
-        a2, b2 = self._chord_positions(q)
-        if len({a1, b1, a2, b2}) < 4:
-            return None
-        in1 = self._strictly_between(a2, a1, b1, n)
-        in2 = self._strictly_between(b2, a1, b1, n)
-        if in1 == in2:
-            return None
-        # counterclockwise order (p-entry, q-entry, p-exit, q-exit) is +1
-        return 1 if in1 else -1
-
     def crossings(self, name1: str, name2: str) -> List[Tuple[int, int, int]]:
-        """All crossings as (passage index of name1, of name2, sign)."""
+        """All crossings as (passage index of name1, of name2, sign).
+
+        Counterclockwise order (entry 1, entry 2, exit 1, exit 2) is sign +1.
+        Two chords of one polygon cross when exactly one endpoint of the
+        second lies on the counterclockwise way from entry to exit of the
+        first; no two passages share an endpoint.
+        """
         out = []
-        for p in self.passages:
-            if p.item != name1:
+        same = name1 == name2
+        others = self._by_polygon.get(name2, {})
+        for pi, chords in self._by_polygon.get(name1, {}).items():
+            theirs = others.get(pi)
+            if not theirs:
                 continue
-            for q in self._chords.get(p.polygon, []):
-                if q.item != name2:
-                    continue
-                if name1 == name2 and q.index <= p.index:
-                    continue
-                s = self._cross(p, q)
-                if s is not None:
-                    out.append((p.index, q.index, s))
-        return sorted(out)
+            n = self._poly_size[pi]
+            for x, (i, a1, b1) in enumerate(chords):
+                span = (b1 - a1) % n
+                for j, a2, b2 in chords[x + 1:] if same else theirs:
+                    inside = (a2 - a1) % n < span
+                    if inside != ((b2 - a1) % n < span):
+                        out.append((i, j, 1 if inside else -1))
+        out.sort()
+        return out
 
     def self_crossings(self, name: str) -> int:
         return len(self.crossings(name, name))
@@ -571,20 +615,17 @@ class TautConfig:
         to be pairwise disjoint (``c`` simple), which makes the order along
         the chord the order of the near endpoints.
         """
-        px = self._passage_at[(x_name, k)]
-        n = self._poly_size[px.polygon]
-        ax, bx = self._chord_positions(px)
+        pi, ax, bx = self._chords[x_name][k]
+        n = self._poly_size[pi]
+        span = (bx - ax) % n
         found = []
-        for q in self._chords.get(px.polygon, []):
-            if q.item != c_name:
-                continue
-            s = self._cross(px, q)
-            if s is None:
-                continue
-            aq, bq = self._chord_positions(q)
-            near = aq if self._strictly_between(aq, ax, bx, n) else bq
-            found.append(((near - ax) % n, q.index, s))
-        return [(kc, s) for _, kc, s in sorted(found)]
+        for j, a, b in self._by_polygon[c_name].get(pi, ()):
+            da, db = (a - ax) % n, (b - ax) % n
+            inside = 0 < da < span
+            if inside != (0 < db < span):
+                found.append((da if inside else db, j, 1 if inside else -1))
+        found.sort()
+        return [(j, s) for _, j, s in found]
 
 
 # -- intersection numbers --------------------------------------------------

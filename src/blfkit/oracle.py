@@ -36,7 +36,8 @@ def reduce_word(word: Iterable[int]) -> Word:
 
 
 def invert_word(word: Sequence[int]) -> Word:
-    return tuple(-x for x in reversed(word))
+    # tuples from lists: see ``curves._reverse_word``
+    return tuple([-x for x in reversed(word)])
 
 
 def cyclically_reduce(word: Sequence[int]) -> Word:
@@ -141,11 +142,11 @@ def token_to_letter(token: int) -> int:
 
 
 def tokens_to_word(tokens: Sequence[int]) -> Word:
-    return tuple(token_to_letter(t) for t in tokens)
+    return tuple([token_to_letter(t) for t in tokens])
 
 
 def word_to_tokens(word: Sequence[int]) -> Tuple[int, ...]:
-    return tuple(letter_to_token(x) for x in word)
+    return tuple([letter_to_token(x) for x in word])
 
 
 # -- agreement suite -------------------------------------------------------

@@ -28,6 +28,14 @@ def render_svg(scheme: Scheme, items: Dict[str, Item]) -> str:
     height = 2 * radius + 80.0
     width = spacing * len(scheme.polygons) + 20.0
 
+    # the points on each slot, counterclockwise
+    slot_points: Dict[object, List[tuple]] = {}
+    for p in cfg.passages:
+        slot_points.setdefault(p.entry_slot, []).append(p.entry_point)
+        slot_points.setdefault(p.exit_slot, []).append(p.exit_point)
+    for pts in slot_points.values():
+        pts.sort(key=cfg.position)
+
     # vertex and point coordinates per polygon
     point_xy: Dict[tuple, Tuple[float, float]] = {}
     lines: List[str] = [
@@ -48,16 +56,6 @@ def render_svg(scheme: Scheme, items: Dict[str, Item]) -> str:
         )
         lines.append(f'<path d="{path} Z" fill="none" stroke="#555" stroke-width="1.5"/>')
         # side labels and strand points
-        slot_points: Dict[object, List[tuple]] = {}
-        for key, pos in sorted(cfg._pos.items(), key=lambda kv: kv[1]):
-            slot = key[3] if key[0] == "cp" else None
-            if key[0] == "anchor":
-                name = key[1]
-                arc = items[name]
-                anchor = arc.start if key[2] == "start" else arc.end
-                slot = anchor.slot
-            if slot in poly:
-                slot_points.setdefault(slot, []).append(key)
         for k, slot in enumerate(poly):
             (x0, y0), (x1, y1) = verts[k], verts[k + 1]
             mx, my = (x0 + x1) / 2, (y0 + y1) / 2

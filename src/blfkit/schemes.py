@@ -20,7 +20,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import SchemeError
 
@@ -131,23 +131,31 @@ class Scheme:
             tuple(p) for p in polygons
         )
         self.partner: Dict[SlotId, SlotId] = dict(partner)
-        self._index: Dict[SlotId, Tuple[int, int]] = {}
+        #: (polygon, position) of each slot
+        self.location: Dict[SlotId, Tuple[int, int]] = {}
         for pi, poly in enumerate(self.polygons):
             if not poly:
                 raise SchemeError("empty polygon")
             for pos, slot in enumerate(poly):
-                if slot in self._index:
+                if slot in self.location:
                     raise SchemeError(f"slot {slot!r} appears twice")
-                self._index[slot] = (pi, pos)
+                self.location[slot] = (pi, pos)
         #: position of each slot in ``slot_key`` order
         self.rank: Dict[SlotId, int] = {
-            s: i for i, s in enumerate(sorted(self._index, key=slot_key))
+            s: i for i, s in enumerate(sorted(self.location, key=slot_key))
         }
         for s, t in self.partner.items():
-            if s not in self._index or t not in self._index:
+            if s not in self.location or t not in self.location:
                 raise SchemeError(f"pairing references unknown slot {s!r}/{t!r}")
             if s == t or self.partner.get(t) != s:
                 raise SchemeError("partner map must be a fixed-point-free involution")
+        #: edge class of each glued slot, as (primary, partner of primary)
+        self.edge_of: Dict[SlotId, Tuple[SlotId, SlotId]] = {
+            s: (s, t) if self.rank[s] < self.rank[t] else (t, s)
+            for s, t in self.partner.items()
+        }
+        #: the intersection form, once ``curves.intersection_form`` computed it
+        self._intersection_form: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -155,10 +163,10 @@ class Scheme:
         return slot in self.partner
 
     def polygon_of(self, slot: SlotId) -> int:
-        return self._index[slot][0]
+        return self.location[slot][0]
 
     def position_of(self, slot: SlotId) -> int:
-        return self._index[slot][1]
+        return self.location[slot][1]
 
     @property
     def slots(self) -> List[SlotId]:
@@ -179,10 +187,10 @@ class Scheme:
         return out
 
     def primary(self, slot: SlotId) -> SlotId:
-        t = self.partner.get(slot)
-        if t is None:
+        e = self.edge_of.get(slot)
+        if e is None:
             raise SchemeError(f"{slot!r} is a boundary slot")
-        return slot if self.rank[slot] < self.rank[t] else t
+        return e[0]
 
     # -- topology ----------------------------------------------------------
 
@@ -198,8 +206,8 @@ class Scheme:
         ]
         ds = _DisjointSets(corners)
         for s, t in self.glued_classes:
-            ps, qs = self._index[s]
-            pt, qt = self._index[t]
+            ps, qs = self.location[s]
+            pt, qt = self.location[t]
             ns, nt = len(self.polygons[ps]), len(self.polygons[pt])
             ds.union((ps, qs), (pt, (qt + 1) % nt))          # start(s) ~ end(t)
             ds.union((ps, (qs + 1) % ns), (pt, qt))          # end(s) ~ start(t)
@@ -230,15 +238,15 @@ class Scheme:
 
     def _next_boundary_slot(self, u: SlotId) -> SlotId:
         """Walk from boundary slot ``u`` across its end corner to the next one."""
-        pi, pos = self._index[u]
-        for _ in range(2 * len(self._index) + 2):
+        pi, pos = self.location[u]
+        for _ in range(2 * len(self.location) + 2):
             poly = self.polygons[pi]
             pos = (pos + 1) % len(poly)
             s = poly[pos]
             if s not in self.partner:
                 return s
             t = self.partner[s]
-            pi, pos = self._index[t]
+            pi, pos = self.location[t]
         raise SchemeError("boundary walk failed to close up")
 
     def boundary_parallel_tokens(self, circle: Tuple[SlotId, ...]) -> Tuple[SlotId, ...]:
@@ -249,8 +257,8 @@ class Scheme:
         """
         tokens: List[SlotId] = []
         for u in circle:
-            pi, pos = self._index[u]
-            for _ in range(2 * len(self._index) + 2):
+            pi, pos = self.location[u]
+            for _ in range(2 * len(self.location) + 2):
                 poly = self.polygons[pi]
                 pos = (pos + 1) % len(poly)
                 s = poly[pos]
@@ -258,7 +266,7 @@ class Scheme:
                     break
                 tokens.append(s)
                 t = self.partner[s]
-                pi, pos = self._index[t]
+                pi, pos = self.location[t]
             else:
                 raise SchemeError("boundary walk failed to close up")
         return tuple(tokens)

@@ -27,7 +27,7 @@ from .errors import (
     StandardizationError,
 )
 from .schemes import Scheme, SlotId
-from .twists import TwistWord, dehn_twist
+from .twists import TwistWord, dehn_twist, insert_copies
 
 
 @dataclass
@@ -152,8 +152,10 @@ def _resolve_bands(sr: SurgeryResult, item: Item) -> Tuple[Item, int]:
             return item, slides
         count = len(crossings)
         best = None
+        k, kc, _ = crossings[0]
         for direction in (1, -1):
-            cand = _band_move(cfg, item, c, crossings[0], direction)
+            # one copy of c at that crossing alone: a slide over the handle
+            cand = insert_copies(cfg, lambda i, j, _s: direction if (i, j) == (k, kc) else 0)
             ccount = len(TautConfig(scheme, {"c": c, "x": cand}).crossings("x", "c"))
             if ccount < count and (best is None or ccount < best[0]):
                 best = (ccount, cand)
@@ -164,24 +166,3 @@ def _resolve_bands(sr: SurgeryResult, item: Item) -> Tuple[Item, int]:
         item = best[1]
         slides += 1
     raise ProjectionObstructedError("band resolution did not terminate")
-
-
-def _band_move(cfg: TautConfig, item: Item, c: ClosedCurve, crossing, direction: int) -> Item:
-    """Insert one copy of ``c`` at a single crossing (a slide over the handle)."""
-    from .twists import _insertion
-
-    k, kc, _sign = crossing
-    scheme = item.scheme
-    new_tokens: List[SlotId] = []
-    closed = isinstance(item, ClosedCurve)
-    m = len(item.tokens)
-    passages = range(m) if closed else range(m + 1)
-    for i in passages:
-        for kcc, sign in cfg.crossings_on_passage("x", i, "c"):
-            if i == k and kcc == kc:
-                new_tokens.extend(_insertion(c, kcc, direction))
-        if closed or i < m:
-            new_tokens.append(item.tokens[i])
-    if closed:
-        return ClosedCurve(scheme, new_tokens)
-    return Arc(scheme, item.start, new_tokens, item.end)

@@ -12,7 +12,7 @@ twist by a relabeling is the twist along the relabeled curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .curves import (
     Arc,
@@ -41,6 +41,31 @@ def _insertion(c: ClosedCurve, kc: int, direction: int) -> List[SlotId]:
     return [partner[t] for t in reversed(rot)]
 
 
+def insert_copies(cfg: TautConfig, copies: Callable[[int, int, int], int]) -> Item:
+    """Insert copies of ``cfg``'s item ``"c"`` into its item ``"x"`` at their crossings.
+
+    At the crossing of passage ``k`` of ``x`` with passage ``kc`` of ``c``,
+    of sign ``sign``, the strand picks up ``abs(n)`` copies of ``c`` for
+    ``n = copies(k, kc, sign)``: followed forward if ``n > 0``, backward if
+    ``n < 0``.
+    """
+    x, c = cfg.items["x"], cfg.items["c"]
+    closed = isinstance(x, ClosedCurve)
+    m = len(x.tokens)
+    new_tokens: List[SlotId] = []
+    # an arc has one passage more than tokens: the last ends at its anchor
+    for k in range(m if closed else m + 1):
+        for kc, sign in cfg.crossings_on_passage("x", k, "c"):
+            n = copies(k, kc, sign)
+            if n:
+                new_tokens.extend(_insertion(c, kc, n) * abs(n))
+        if k < m:
+            new_tokens.append(x.tokens[k])
+    if closed:
+        return ClosedCurve(x.scheme, new_tokens)
+    return Arc(x.scheme, x.start, new_tokens, x.end)
+
+
 def dehn_twist(x: Item, c: ClosedCurve, power: int = 1, *, check_simple: bool = True) -> Item:
     """Apply ``power`` right-handed twists along ``c`` (negative = left)."""
     if power == 0:
@@ -49,26 +74,10 @@ def dehn_twist(x: Item, c: ClosedCurve, power: int = 1, *, check_simple: bool = 
         return x
     if check_simple:
         require_simple(c)
-    scheme = x.scheme
     if isinstance(x, ClosedCurve) and x.is_null:
         return x
-    cfg = TautConfig(scheme, {"c": c, "x": x})
-    direction = 1 if power > 0 else -1
-    reps = abs(power)
-    new_tokens: List[SlotId] = []
-    closed = isinstance(x, ClosedCurve)
-    m = len(x.tokens)
-    passages = range(m) if closed else range(m + 1)
-    for k in passages:
-        for kc, sign in cfg.crossings_on_passage("x", k, "c"):
-            ins = _insertion(c, kc, sign * direction)
-            for _ in range(reps):
-                new_tokens.extend(ins)
-        if closed or k < m:
-            new_tokens.append(x.tokens[k])
-    if closed:
-        return ClosedCurve(scheme, new_tokens)
-    return Arc(scheme, x.start, new_tokens, x.end)
+    cfg = TautConfig(x.scheme, {"c": c, "x": x})
+    return insert_copies(cfg, lambda k, kc, sign: sign * power)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from blfkit import (
     dehn_twist,
     relabel_curve,
 )
-from blfkit.curves import homology_class
 from blfkit.handles import (
     expected_final_profile,
     fibration_presentation,

@@ -4,8 +4,6 @@ import pytest
 
 from blfkit.errors import HandleMoveError
 from blfkit.handles import (
-    HandlePresentation,
-    Step,
     expected_final_profile,
     fibration_presentation,
     is_ball_profile,

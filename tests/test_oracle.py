@@ -6,13 +6,10 @@ from blfkit import ClosedCurve, TwistWord, curves_isotopic, dehn_twist, hexagon_
 from blfkit.oracle import (
     BASE_WORDS,
     GENERATORS,
-    IDENTITY,
     RHO,
     RHO_INV,
     TWIST_C,
     TWIST_C1,
-    TWIST_C1_INV,
-    FreeAutomorphism,
     conjugacy_key,
     conjugate_words,
     cyclically_reduce,
