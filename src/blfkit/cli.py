@@ -12,12 +12,14 @@ Subcommands::
 
 Exit status: 0 when all checks pass, 1 when a verification fails, 2 on
 usage errors.  All output is deterministic; the cross-check seed defaults
-to the ``BLFKIT_SEED`` environment variable (or 0).
+to the ``BLFKIT_SEED`` environment variable (or 0), read when the command
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -63,31 +65,16 @@ def _cmd_family(args) -> int:
 
 def _cmd_handles(args) -> int:
     if args.localized:
-        pres = handles.localized_presentation()
-        trace = handles.run_script(pres, [])
-        profile = pres.homology_profile()
-        ok = handles.is_ball_profile(profile)
-        out = {"presentation": "localized", "trace": trace, "ball": ok}
+        out = handles.localized_report()
     else:
-        pres = handles.fibration_presentation(args.genus)
-        trace = handles.run_script(pres, handles.simplification_script())
-        profiles = [t["profile"] for t in trace]
-        constant = all(p == profiles[0] for p in profiles)
-        standard = handles.is_standard_form(pres, args.genus)
-        ok = constant and standard and profiles[0] == handles.expected_final_profile(args.genus)
-        out = {
-            "presentation": f"fibration-genus-{args.genus}",
-            "trace": trace,
-            "profile_constant": constant,
-            "standard_form": standard,
-        }
-    out["ok"] = ok
+        out = handles.fibration_report(args.genus)
     sys.stdout.write(_dump(out))
-    return 0 if ok else 1
+    return 0 if out["ok"] else 1
 
 
 def _cmd_oracle(args) -> int:
-    report = oracle.run_agreement_suite(args.count, args.seed, args.max_length)
+    seed = _default_seed() if args.seed is None else args.seed
+    report = oracle.run_agreement_suite(args.count, seed, args.max_length)
     sys.stdout.write(_dump(report.to_json()))
     return 0 if report.ok else 1
 
@@ -137,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-crosscheck", help="engine vs fundamental-group oracle")
     p.add_argument("--count", type=int, default=200)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-length", type=int, default=5)
     p.set_defaults(fn=_cmd_oracle)
 
@@ -149,8 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parsing leaves a parser as it was, so one serves every call in a process
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -105,13 +105,14 @@ class ClosedCurve:
 
     def __init__(self, scheme: Scheme, tokens: Sequence[SlotId]):
         self.scheme = scheme
+        partner, location = scheme.partner, scheme.location
         for t in tokens:
-            if not scheme.is_glued(t):
+            if t not in partner:
                 raise CurveError(f"token {t!r} is not a glued slot")
-        reduced = tuple(_reduce_cyclic(scheme.partner, tokens))
+        reduced = tuple(_reduce_cyclic(partner, tokens))
         for i, t in enumerate(reduced):
             prev = reduced[i - 1]
-            if scheme.polygon_of(scheme.partner[prev]) != scheme.polygon_of(t):
+            if location[partner[prev]][0] != location[t][0]:
                 raise CurveError(
                     f"tokens {prev!r} -> {t!r} do not share a polygon"
                 )
@@ -182,19 +183,20 @@ class Arc:
         self.scheme = scheme
         self.start = start
         self.end = end
+        partner, location = scheme.partner, scheme.location
         for a in (start, end):
-            if scheme.is_glued(a.slot):
+            if a.slot in partner:
                 raise CurveError(f"anchor slot {a.slot!r} is not a boundary slot")
-            if a.slot not in scheme.boundary_slots:
+            if a.slot not in location:
                 raise CurveError(f"anchor slot {a.slot!r} unknown")
         for t in tokens:
-            if not scheme.is_glued(t):
+            if t not in partner:
                 raise CurveError(f"token {t!r} is not a glued slot")
-        reduced = tuple(_reduce_linear(scheme.partner, tokens))
-        entries = [start.slot] + [scheme.partner[t] for t in reduced]
+        reduced = tuple(_reduce_linear(partner, tokens))
+        entries = [start.slot] + [partner[t] for t in reduced]
         exits = list(reduced) + [end.slot]
         for e, x in zip(entries, exits):
-            if scheme.polygon_of(e) != scheme.polygon_of(x):
+            if location[e][0] != location[x][0]:
                 raise CurveError(f"passage {e!r} -> {x!r} does not stay in one polygon")
         self.tokens: TokenWord = reduced
         self._steps: Optional[Tuple[List[int], List[int]]] = None
@@ -282,9 +284,10 @@ def homology_basis(scheme: Scheme) -> List[SlotId]:
 
 
 def homology_class(scheme: Scheme, tokens: Sequence[SlotId]) -> Tuple[int, ...]:
-    basis = homology_basis(scheme)
-    pos = {s: i for i, s in enumerate(basis)}
-    vec = [0] * len(basis)
+    if scheme._basis_index is None:
+        scheme._basis_index = {s: i for i, s in enumerate(homology_basis(scheme))}
+    pos = scheme._basis_index
+    vec = [0] * len(pos)
     for t in tokens:
         p = scheme.primary(t)
         vec[pos[p]] += 1 if t == p else -1

@@ -413,3 +413,35 @@ def is_ball_profile(profile: dict) -> bool:
         and profile["H2"] == {"betti": 0, "torsion": []}
         and profile["H3"] == {"betti": 0, "torsion": []}
     )
+
+
+# -- handle-sim reports ----------------------------------------------------
+
+
+def fibration_report(genus: int) -> dict:
+    """Run the simplification script on the genus-``genus`` picture.
+
+    ``ok`` holds when the homology profile stays constant through every
+    move, equals ``expected_final_profile(genus)`` and the picture ends in
+    standard form.
+    """
+    pres = fibration_presentation(genus)
+    trace = run_script(pres, simplification_script())
+    profiles = [t["profile"] for t in trace]
+    constant = all(p == profiles[0] for p in profiles)
+    standard = is_standard_form(pres, genus)
+    return {
+        "presentation": f"fibration-genus-{genus}",
+        "trace": trace,
+        "profile_constant": constant,
+        "standard_form": standard,
+        "ok": constant and standard and profiles[0] == expected_final_profile(genus),
+    }
+
+
+def localized_report() -> dict:
+    """Trace the localized piece; ``ok`` (and ``ball``) when it is a 4-ball."""
+    pres = localized_presentation()
+    trace = run_script(pres, [])
+    ok = is_ball_profile(pres.homology_profile())
+    return {"presentation": "localized", "trace": trace, "ball": ok, "ok": ok}

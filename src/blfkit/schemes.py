@@ -19,6 +19,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -156,6 +157,9 @@ class Scheme:
         }
         #: the intersection form, once ``curves.intersection_form`` computed it
         self._intersection_form: Optional[Tuple[Tuple[int, ...], ...]] = None
+        #: row of each primary slot in the homology basis, once
+        #: ``curves.homology_class`` computed it
+        self._basis_index: Optional[Dict[SlotId, int]] = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -325,8 +329,12 @@ class Relabeling:
             if tuple(poly[(k + d) % len(poly)] for d in range(len(poly))) != img:
                 raise SchemeError("relabeling does not preserve polygon order")
 
+    @functools.cached_property
+    def _table(self) -> Dict[SlotId, SlotId]:
+        return dict(self.mapping)
+
     def __call__(self, slot: SlotId) -> SlotId:
-        return self.as_dict()[slot]
+        return self._table[slot]
 
     def inverse(self) -> "Relabeling":
         return Relabeling.from_dict(self.scheme, {v: k for k, v in self.mapping})

@@ -2,13 +2,16 @@
 
 import pytest
 
+from blfkit import handles
 from blfkit.errors import HandleMoveError
 from blfkit.handles import (
     expected_final_profile,
     fibration_presentation,
+    fibration_report,
     is_ball_profile,
     is_standard_form,
     localized_presentation,
+    localized_report,
     run_script,
     simplification_script,
     smith_invariant_factors,
@@ -96,3 +99,24 @@ class TestLocalizedPiece:
 
     def test_validates(self):
         localized_presentation().validate()
+
+
+class TestHandleSimReports:
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    def test_fibration_report_passes(self, genus):
+        out = fibration_report(genus)
+        assert out["presentation"] == f"fibration-genus-{genus}"
+        assert out["ok"] is out["profile_constant"] is out["standard_form"] is True
+        assert len(out["trace"]) == len(simplification_script()) + 1
+
+    def test_fibration_report_fails_on_another_final_profile(self, monkeypatch):
+        monkeypatch.setattr(handles, "expected_final_profile", lambda genus: {})
+        out = fibration_report(1)
+        assert out["profile_constant"] is out["standard_form"] is True
+        assert out["ok"] is False
+
+    def test_localized_report_is_a_ball(self):
+        out = localized_report()
+        assert out["presentation"] == "localized"
+        assert out["ok"] is out["ball"] is True
+        assert len(out["trace"]) == 1

@@ -1,11 +1,15 @@
 """Free-group cross-check layer: word algebra and automorphism tables."""
 
+import json
+
 import pytest
 
-from blfkit import ClosedCurve, TwistWord, curves_isotopic, dehn_twist, hexagon_scheme
+from blfkit import ClosedCurve, TwistWord, cli, curves, curves_isotopic, dehn_twist, hexagon_scheme
+from blfkit import oracle
 from blfkit.oracle import (
     BASE_WORDS,
     GENERATORS,
+    IDENTITY,
     RHO,
     RHO_INV,
     TWIST_C,
@@ -13,7 +17,10 @@ from blfkit.oracle import (
     conjugacy_key,
     conjugate_words,
     cyclically_reduce,
+    AgreementReport,
+    _hexagon_fixture,
     invert_word,
+    random_twist_words,
     reduce_word,
     run_agreement_suite,
     tokens_to_word,
@@ -102,3 +109,139 @@ class TestAgreementSuite:
         a = run_agreement_suite(count=10, seed=3, max_length=3)
         b = run_agreement_suite(count=10, seed=3, max_length=3)
         assert a.to_json() == b.to_json()
+
+
+def reference_suite(count, seed, max_length):
+    """The suite as first written: a fresh scheme and restated generators on
+    every call, and ``conjugate_words`` for every pair of image and base word."""
+    scheme = hexagon_scheme().build()
+    engine_curves = {
+        name: ClosedCurve(scheme, word_to_tokens(w)) for name, w in BASE_WORDS.items()
+    }
+    engine_gens = {
+        ("c1", 1): (ClosedCurve(scheme, (3, 2)), 1),
+        ("c1", -1): (ClosedCurve(scheme, (3, 2)), -1),
+        ("c2", 1): (ClosedCurve(scheme, (5, 4)), 1),
+        ("c2", -1): (ClosedCurve(scheme, (5, 4)), -1),
+        ("c3", 1): (ClosedCurve(scheme, (1, 0)), 1),
+        ("c3", -1): (ClosedCurve(scheme, (1, 0)), -1),
+    }
+    base_names = sorted(BASE_WORDS)
+    words_ok = verdicts_ok = homology_ok = 0
+    failures = []
+    for idx, gens in enumerate(random_twist_words(count, seed, max_length)):
+        steps = tuple(reversed([engine_gens[g] for g in gens]))
+        tword = TwistWord(steps)
+        auto = IDENTITY
+        for g in gens:
+            auto = GENERATORS[g].compose(auto)
+
+        word_match = True
+        verdict_match = True
+        for name in base_names:
+            engine_img = tword.apply(engine_curves[name])
+            oracle_img = auto.apply(BASE_WORDS[name])
+            if conjugacy_key(tokens_to_word(engine_img.tokens)) != conjugacy_key(oracle_img):
+                word_match = False
+            for other in base_names:
+                engine_says = curves_isotopic(engine_img, engine_curves[other])
+                oracle_says = conjugate_words(oracle_img, BASE_WORDS[other], oriented=False)
+                if engine_says != oracle_says:
+                    verdict_match = False
+
+        engine_mat = tword.act_on_homology(scheme)
+        if engine_mat == auto.abelianization():
+            homology_ok += 1
+            h_match = True
+        else:
+            h_match = False
+
+        words_ok += word_match
+        verdicts_ok += verdict_match
+        if not (word_match and verdict_match and h_match):
+            failures.append({"index": idx, "twists": [list(g) for g in gens]})
+    return AgreementReport(
+        count=count,
+        seed=seed,
+        max_length=max_length,
+        word_agreements=words_ok,
+        verdict_agreements=verdicts_ok,
+        homology_agreements=homology_ok,
+        failures=failures,
+    ).to_json()
+
+
+class TestSuiteDoesNoRepeatedWork:
+    @pytest.mark.parametrize("count, seed, max_length", [(200, 0, 5), (25, 7, 4), (50, 11, 5)])
+    def test_report_equals_reference(self, count, seed, max_length):
+        got = run_agreement_suite(count, seed, max_length).to_json()
+        assert got == reference_suite(count, seed, max_length)
+
+    def test_report_equals_reference_for_a_wrong_engine(self, monkeypatch):
+        # every image reversed: the word check is oriented and must fail on
+        # every word, while the unoriented verdicts and homology still agree
+        apply = TwistWord.apply
+        monkeypatch.setattr(TwistWord, "apply", lambda self, x: apply(self, x).reversed())
+        got = run_agreement_suite(10, 3, 3).to_json()
+        assert got["word_agreements"] == 0
+        assert got["verdict_agreements"] == got["homology_agreements"] == 10
+        assert got == reference_suite(10, 3, 3)
+
+    def test_fixture_is_the_negative_modification_model(self):
+        from blfkit.scenarios import negative_modification_scenario
+
+        scheme, base, gens, base_keys = _hexagon_fixture()
+        assert _hexagon_fixture()[0] is scheme
+        sc = negative_modification_scenario()
+        assert scheme.polygons == sc.scheme.polygons
+        assert scheme.partner == sc.scheme.partner
+        assert sorted(base) == sorted(BASE_WORDS) == ["C", "C1", "C2", "C3"]
+        for name, curve in base.items():
+            assert curve.tokens == sc.curves[name].tokens
+            # the oracle's base word is the same oriented curve
+            assert curve == ClosedCurve(scheme, word_to_tokens(BASE_WORDS[name]))
+            assert base_keys[name] == conjugacy_key(BASE_WORDS[name], oriented=False)
+        assert set(gens) == set(GENERATORS)
+        for (name, power), (curve, p) in gens.items():
+            assert curve is base[name.upper()] and p == power
+
+    def test_second_call_builds_one_taut_config_per_twist(self, monkeypatch):
+        seed, max_length = 5, 5
+        (word,) = random_twist_words(1, seed, max_length)
+        assert len(word) > 1
+        run_agreement_suite(1, seed, max_length)
+        builds = []
+        keys = []
+        init, key = curves.TautConfig.__init__, oracle.conjugacy_key
+
+        def counting_init(self, *args, **kwargs):
+            builds.append(args)
+            init(self, *args, **kwargs)
+
+        def counting_key(*args, **kwargs):
+            keys.append(args)
+            return key(*args, **kwargs)
+
+        monkeypatch.setattr(curves.TautConfig, "__init__", counting_init)
+        monkeypatch.setattr(oracle, "conjugacy_key", counting_key)
+        report = run_agreement_suite(1, seed, max_length)
+        assert report.ok
+        # one build per twist of each of the four base curves: no form
+        # builds, no simplicity checks of the generators
+        assert len(builds) == 4 * len(word)
+        # an oriented key of both images and an unoriented key of the
+        # oracle's, per base curve
+        assert len(keys) == 3 * len(BASE_WORDS)
+
+
+class TestCrosscheckCommand:
+    def test_seed_read_from_environment_when_command_runs(self, monkeypatch, capsys):
+        for seed in (3, 11):
+            monkeypatch.setenv("BLFKIT_SEED", str(seed))
+            assert cli.main(["oracle-crosscheck", "--count", "2"]) == 0
+            assert json.loads(capsys.readouterr().out)["seed"] == seed
+
+    def test_seed_option_overrides_environment(self, monkeypatch, capsys):
+        monkeypatch.setenv("BLFKIT_SEED", "3")
+        assert cli.main(["oracle-crosscheck", "--count", "2", "--seed", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 4
