@@ -27,6 +27,14 @@ then by (name, token index); prefix doubling ranks every ray once, and
 equal rays tie.  Chords inside each polygon connect consecutive crossing
 points, and intersections are exactly the interleaving chord pairs.
 Crossing signs follow the counterclockwise orientation of the polygons.
+
+Twists and band slides need only where a curve ``x`` crosses one simple
+curve ``c``, and the order of x's points among themselves never changes
+which of c's chords an x chord crosses.  So :func:`passage_crossings`
+builds one configuration of ``c`` alone, kept on the curve with a table
+from chord ends to crossing lists, and places each point of ``x`` among
+c's points on its edge by the same key, comparing rays step by step:
+work linear in ``|x| * |c|`` at worst, and no configuration per twist.
 """
 
 from __future__ import annotations
@@ -55,10 +63,14 @@ def _reduce_linear(partner: Dict[SlotId, SlotId], tokens: Iterable[SlotId]) -> L
 
 
 def _reduce_cyclic(partner: Dict[SlotId, SlotId], tokens: Iterable[SlotId]) -> List[SlotId]:
+    # a reduced word stays reduced when both its ends are removed, so the
+    # matching ends are stripped by moving two indices inwards
     toks = _reduce_linear(partner, tokens)
-    while len(toks) >= 2 and toks[0] == partner.get(toks[-1]):
-        toks = _reduce_linear(partner, toks[1:-1])
-    return toks
+    i, j = 0, len(toks) - 1
+    while i < j and toks[i] == partner.get(toks[j]):
+        i += 1
+        j -= 1
+    return toks[i:j + 1]
 
 
 def _booth(seq: Sequence[int]) -> int:
@@ -120,6 +132,7 @@ class ClosedCurve:
         self._canonical: Dict[bool, TokenWord] = {}
         self._simple: Optional[bool] = None
         self._steps: Optional[Tuple[List[int], List[int]]] = None
+        self._crossing_data: Optional[tuple] = None
 
     @property
     def is_null(self) -> bool:
@@ -233,46 +246,9 @@ def curves_isotopic(a: ClosedCurve, b: ClosedCurve, oriented: bool = False) -> b
     return a.canonical(oriented) == b.canonical(oriented)
 
 
-def arcs_isotopic(a: Arc, b: Arc, slide_endpoints: bool = False) -> bool:
-    """Arc comparison, rel endpoints by default.
-
-    With ``slide_endpoints=True`` the endpoints may travel around their
-    boundary circles, which multiplies the word by powers of the
-    boundary-parallel loops based at the anchors.
-    """
-    if not slide_endpoints:
-        return a.canonical(oriented=False) == b.canonical(oriented=False)
-    for cand in (b, b.reversed()):
-        if a.start.slot == cand.start.slot and a.end.slot == cand.end.slot:
-            if _slide_equivalent(a, cand):
-                return True
-    return False
-
-
-def _boundary_loop_at(scheme: Scheme, slot: SlotId) -> TokenWord:
-    for circle in scheme.boundary_circles():
-        if slot in circle:
-            k = circle.index(slot)
-            return scheme.boundary_parallel_tokens(circle[k:] + circle[:k])
-    raise CurveError(f"{slot!r} is not on the boundary")
-
-
-def _slide_equivalent(a: Arc, b: Arc) -> bool:
-    scheme = a.scheme
-    gs = _boundary_loop_at(scheme, a.start.slot)
-    ge = _boundary_loop_at(scheme, a.end.slot)
-    span = len(a.tokens) + len(b.tokens)
-    ms = range(-2 - span // max(1, len(gs)), 3 + span // max(1, len(gs))) if gs else (0,)
-    ns = range(-2 - span // max(1, len(ge)), 3 + span // max(1, len(ge))) if ge else (0,)
-    inv = lambda w: _reverse_word(scheme.partner, w)
-    for m in ms:
-        pre = (gs if m > 0 else inv(gs)) * abs(m)
-        for n in ns:
-            post = (ge if n > 0 else inv(ge)) * abs(n)
-            word = tuple(_reduce_linear(scheme.partner, pre + a.tokens + post))
-            if word == b.tokens:
-                return True
-    return False
+def arcs_isotopic(a: Arc, b: Arc) -> bool:
+    """Arc comparison rel endpoints, either orientation."""
+    return a.canonical(oriented=False) == b.canonical(oriented=False)
 
 
 # -- homology --------------------------------------------------------------
@@ -611,24 +587,149 @@ class TautConfig:
     def self_crossings(self, name: str) -> int:
         return len(self.crossings(name, name))
 
-    def crossings_on_passage(self, x_name: str, k: int, c_name: str) -> List[Tuple[int, int]]:
-        """Crossings on passage ``k`` of ``x``, ordered from its entry point.
 
-        Returns (c-passage index, sign) pairs; requires the chords of ``c``
-        to be pairwise disjoint (``c`` simple), which makes the order along
-        the chord the order of the near endpoints.
-        """
-        pi, ax, bx = self._chords[x_name][k]
-        n = self._poly_size[pi]
-        span = (bx - ax) % n
-        found = []
-        for j, a, b in self._by_polygon[c_name].get(pi, ()):
-            da, db = (a - ax) % n, (b - ax) % n
-            inside = 0 < da < span
-            if inside != (0 < db < span):
-                found.append((da if inside else db, j, 1 if inside else -1))
-        found.sort()
-        return [(j, s) for _, j, s in found]
+# -- crossings with one curve ----------------------------------------------
+
+
+def _crossing_data(c: ClosedCurve):
+    """What ``passage_crossings`` keeps of ``c``, built once per curve.
+
+    Returns c's points along each edge in the configuration's order (as
+    token indices), the number of c's points counterclockwise before each
+    slot of its polygon, the number of c's points and its chords in each
+    polygon, and the table from (polygon, entry, exit) positions of a chord
+    to the crossings on it, filled as chords ask for it.
+    """
+    if c._crossing_data is None:
+        scheme = c.scheme
+        cfg = TautConfig(scheme, {"c": c})
+        order = {e: [k for _, _, k in group] for e, group in cfg._groups.items()}
+        before: Dict[SlotId, int] = {}
+        for poly in scheme.polygons:
+            n = 0
+            for s in poly:
+                before[s] = n
+                n += len(order.get(scheme.edge_of.get(s), ()))
+        c._crossing_data = (order, before, cfg._poly_size, cfg._by_polygon["c"], {})
+    return c._crossing_data
+
+
+def _gaps(x: Item, c: ClosedCurve, order) -> List[int]:
+    """The number of c's points before each point of ``x`` along its edge.
+
+    The order is ``TautConfig``'s key with ``c`` named before ``x``: the
+    ray on side ``e[0]`` descending, then the ray on side ``e[1]``
+    ascending, then a full tie puts c's point first.  Rays are compared
+    step by step.  Along a run where the two rays agree, every pair of
+    points on the run compares the same, so one walk decides them all;
+    rays that agree for ``2 * (|x| + |c|) + 4`` steps agree for ever
+    (Fine and Wilf 1965).  Each pair of rays is walked at most once.
+    """
+    xf, xb = _ray_steps(x)
+    cf, cb = _ray_steps(c)
+    m, mc = len(xf), len(cf)
+    cap = 2 * (m + mc) + 4
+    memo: Dict[Tuple[bool, bool], Dict[int, int]] = {}
+
+    def cmp(xfwd: bool, i: int, cfwd: bool, j: int) -> int:
+        # an arc's ray ends at an anchor, on a boundary slot, where no ray
+        # of c goes: the walk stops there and never wraps
+        xs, dx = (xf, 1) if xfwd else (xb, -1)
+        cs, dc = (cf, 1) if cfwd else (cb, -1)
+        seen = memo.setdefault((xfwd, cfwd), {})
+        path = []
+        while True:
+            key = i * mc + j
+            r = seen.get(key)
+            if r is not None:
+                break
+            path.append(key)
+            a, b = xs[i], cs[j]
+            if a != b:
+                r = -1 if a < b else 1
+                break
+            if len(path) > cap:
+                r = 0
+                break
+            i, j = (i + dx) % m, (j + dc) % mc
+        for key in path:
+            seen[key] = r
+        return r
+
+    edge_of, ctoks = x.scheme.edge_of, c.tokens
+    gaps = []
+    for k, t in enumerate(x.tokens):
+        e = edge_of[t]
+        row = order.get(e, ())
+        lo, hi = 0, len(row)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            j = row[mid]
+            # the forward ray runs into the polygon of the partner slot
+            x0, c0 = t != e[0], ctoks[j] != e[0]
+            r = cmp(x0, k, c0, j) or -cmp(not x0, k, not c0, j)
+            if r <= 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        gaps.append(lo)
+    return gaps
+
+
+def passage_crossings(x: Item, c: ClosedCurve) -> List[Tuple[Tuple[int, int], ...]]:
+    """The crossings of each passage of ``x`` with ``c``, ordered from its entry point.
+
+    Entry ``k`` lists the (c-passage index, sign) pairs of passage ``k``
+    as a ``TautConfig`` of ``c`` and ``x`` places them, with the signs of
+    ``TautConfig.crossings``.  Requires the chords of ``c`` to be pairwise
+    disjoint (``c`` simple), which makes the order along the chord the
+    order of the near endpoints.  Only the places of x's points among c's
+    decide the crossings, so what depends on ``c`` alone is kept on the
+    curve, and each chord of ``x`` is looked up by the number of c's points
+    counterclockwise before its two ends.
+    """
+    scheme = c.scheme
+    if x.scheme is not scheme:
+        raise CurveError(f"{x!r} lives on a different scheme from {c!r}")
+    order, before, sizes, chords, table = _crossing_data(c)
+    partner, edge_of, location = scheme.partner, scheme.edge_of, scheme.location
+    toks = x.tokens
+    gaps = _gaps(x, c, order)
+
+    def at(slot: SlotId, k: int) -> int:
+        e = edge_of[slot]
+        g = gaps[k]
+        return before[slot] + (g if slot == e[0] else len(order.get(e, ())) - g)
+
+    exits = [at(t, k) for k, t in enumerate(toks)]
+    entries = [at(partner[t], k) for k, t in enumerate(toks)]
+    polys = [location[t][0] for t in toks]
+    if isinstance(x, ClosedCurve):
+        entries = entries[-1:] + entries[:-1]
+    else:
+        entries.insert(0, before[x.start.slot])
+        exits.append(before[x.end.slot])
+        polys.append(location[x.end.slot][0])
+    out = []
+    for key in zip(polys, entries, exits):
+        found = table.get(key)
+        if found is None:
+            # x's ends sit just before c's points a and b: c's point p lies
+            # on the counterclockwise way from entry to exit iff it is one
+            # of a, a + 1, ..., b - 1
+            pi, a, b = key
+            n = sizes[pi]
+            span = (b - a) % n if n else 0
+            hits = []
+            for j, ca, cb in chords.get(pi, ()):
+                da, db = (ca - a) % n, (cb - a) % n
+                inside = da < span
+                if inside != (db < span):
+                    hits.append((da if inside else db, j, 1 if inside else -1))
+            hits.sort()
+            found = table[key] = tuple((j, sign) for _, j, sign in hits)
+        out.append(found)
+    return out
 
 
 # -- intersection numbers --------------------------------------------------

@@ -42,22 +42,44 @@ def invert_word(word: Sequence[int]) -> Word:
 
 
 def cyclically_reduce(word: Sequence[int]) -> Word:
-    w = list(reduce_word(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = list(reduce_word(w[1:-1]))
-    return tuple(w)
+    # a reduced word stays reduced when both its ends are removed, so the
+    # matching ends are stripped by moving two indices inwards
+    w = reduce_word(word)
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i += 1
+        j -= 1
+    return w[i:j + 1]
+
+
+def least_rotation(w: Word) -> Word:
+    """The lexicographically least rotation of ``w``, in linear time.
+
+    Duval's Lyndon factorization (Duval 1983) of ``w`` doubled: the last
+    Lyndon factor starting in the first copy starts the least rotation.
+    """
+    n = len(w)
+    s = w + w
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return s[start:start + n]
 
 
 def conjugacy_key(word: Sequence[int], oriented: bool = True) -> Word:
     w = cyclically_reduce(word)
     if not w:
         return w
-    best = min(w[i:] + w[:i] for i in range(len(w)))
+    best = least_rotation(w)
     if oriented:
         return best
-    v = cyclically_reduce(invert_word(w))
-    best_inv = min(v[i:] + v[:i] for i in range(len(v)))
-    return min(best, best_inv)
+    return min(best, least_rotation(invert_word(w)))
 
 
 def conjugate_words(w1: Sequence[int], w2: Sequence[int], oriented: bool = True) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import List, Optional, Tuple
 
-from .curves import Arc, ClosedCurve, Item, TautConfig, is_simple
+from .curves import Arc, ClosedCurve, Item, is_simple, passage_crossings
 from .errors import (
     InessentialCurveError,
     ProjectionObstructedError,
@@ -143,26 +143,27 @@ def project(sr: SurgeryResult, item: Item) -> Projection:
 def _resolve_bands(sr: SurgeryResult, item: Item) -> Tuple[Item, int]:
     """Slide the item over the round handle until it misses the cut curve."""
     c = sr.curve
-    scheme = sr.original
     slides = 0
+    table = passage_crossings(item, c)
     for _ in range(4 * (len(item.tokens) + 2)):
-        cfg = TautConfig(scheme, {"c": c, "x": item})
-        crossings = cfg.crossings("x", "c")
-        if not crossings:
+        count = sum(map(len, table))
+        if not count:
             return item, slides
-        count = len(crossings)
+        # the first crossing in (x passage, c passage) order
+        k = next(i for i, row in enumerate(table) if row)
+        kc = min(j for j, _ in table[k])
         best = None
-        k, kc, _ = crossings[0]
         for direction in (1, -1):
             # one copy of c at that crossing alone: a slide over the handle
-            cand = insert_copies(cfg, lambda i, j, _s: direction if (i, j) == (k, kc) else 0)
-            ccount = len(TautConfig(scheme, {"c": c, "x": cand}).crossings("x", "c"))
+            cand = insert_copies(item, c, table, lambda i, j, _s: direction if (i, j) == (k, kc) else 0)
+            cand_table = passage_crossings(cand, c)
+            ccount = sum(map(len, cand_table))
             if ccount < count and (best is None or ccount < best[0]):
-                best = (ccount, cand)
+                best = (ccount, cand, cand_table)
         if best is None:
             raise ProjectionObstructedError(
                 "no band slide reduces the crossings with the cut curve"
             )
-        item = best[1]
+        _, item, table = best
         slides += 1
     raise ProjectionObstructedError("band resolution did not terminate")

@@ -4,6 +4,8 @@ A right-handed (positive) twist along a simple closed curve ``c`` reroutes
 every strand crossing ``c``: at a crossing of sign ``s`` the strand picks
 up a copy of ``c`` traversed in direction ``s``.  On homology this is the
 transvection ``x -> x + <x, c> c``.  A left-handed twist is the inverse.
+The crossings come from ``curves.passage_crossings``, whose tables are kept
+on ``c``: twisting many curves along one curve builds one configuration.
 
 Relabelings (scheme symmetries) act on curves token-wise; conjugation of a
 twist by a relabeling is the twist along the relabeled curve.
@@ -18,10 +20,10 @@ from .curves import (
     Arc,
     ClosedCurve,
     Item,
-    TautConfig,
     homology_class,
     intersection_form,
     pair_homology,
+    passage_crossings,
     require_simple,
 )
 from .schemes import Relabeling, Scheme, SlotId
@@ -41,27 +43,30 @@ def _insertion(c: ClosedCurve, kc: int, direction: int) -> List[SlotId]:
     return [partner[t] for t in reversed(rot)]
 
 
-def insert_copies(cfg: TautConfig, copies: Callable[[int, int, int], int]) -> Item:
-    """Insert copies of ``cfg``'s item ``"c"`` into its item ``"x"`` at their crossings.
+def insert_copies(
+    x: Item,
+    c: ClosedCurve,
+    table: Sequence[Sequence[Tuple[int, int]]],
+    copies: Callable[[int, int, int], int],
+) -> Item:
+    """Insert copies of ``c`` into ``x`` at their crossings.
 
-    At the crossing of passage ``k`` of ``x`` with passage ``kc`` of ``c``,
-    of sign ``sign``, the strand picks up ``abs(n)`` copies of ``c`` for
-    ``n = copies(k, kc, sign)``: followed forward if ``n > 0``, backward if
-    ``n < 0``.
+    ``table`` is ``passage_crossings(x, c)``.  At the crossing of passage
+    ``k`` of ``x`` with passage ``kc`` of ``c``, of sign ``sign``, the
+    strand picks up ``abs(n)`` copies of ``c`` for ``n = copies(k, kc,
+    sign)``: followed forward if ``n > 0``, backward if ``n < 0``.
     """
-    x, c = cfg.items["x"], cfg.items["c"]
-    closed = isinstance(x, ClosedCurve)
     m = len(x.tokens)
     new_tokens: List[SlotId] = []
     # an arc has one passage more than tokens: the last ends at its anchor
-    for k in range(m if closed else m + 1):
-        for kc, sign in cfg.crossings_on_passage("x", k, "c"):
+    for k, row in enumerate(table):
+        for kc, sign in row:
             n = copies(k, kc, sign)
             if n:
                 new_tokens.extend(_insertion(c, kc, n) * abs(n))
         if k < m:
             new_tokens.append(x.tokens[k])
-    if closed:
+    if isinstance(x, ClosedCurve):
         return ClosedCurve(x.scheme, new_tokens)
     return Arc(x.scheme, x.start, new_tokens, x.end)
 
@@ -76,8 +81,7 @@ def dehn_twist(x: Item, c: ClosedCurve, power: int = 1, *, check_simple: bool = 
         require_simple(c)
     if isinstance(x, ClosedCurve) and x.is_null:
         return x
-    cfg = TautConfig(x.scheme, {"c": c, "x": x})
-    return insert_copies(cfg, lambda k, kc, sign: sign * power)
+    return insert_copies(x, c, passage_crossings(x, c), lambda k, kc, sign: sign * power)
 
 
 @dataclass(frozen=True)

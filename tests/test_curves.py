@@ -51,6 +51,28 @@ class TestReduction:
         with pytest.raises(CurveError):
             ClosedCurve(hexagon, ("u0",))
 
+    def test_cyclic_reduction_matches_loop(self, hexagon):
+        def loop(tokens):
+            # the reduction before the two-index strip: re-reduce after each one
+            toks = curves._reduce_linear(hexagon.partner, tokens)
+            while len(toks) >= 2 and toks[0] == hexagon.partner[toks[-1]]:
+                toks = curves._reduce_linear(hexagon.partner, toks[1:-1])
+            return toks
+
+        rng = random.Random(23)
+        for _ in range(2000):
+            u = [rng.randrange(6) for _ in range(rng.randint(0, 8))]
+            w = [rng.randrange(6) for _ in range(rng.randint(0, 6))]
+            word = u + w + [hexagon.partner[t] for t in reversed(u)]
+            assert curves._reduce_cyclic(hexagon.partner, word) == loop(word)
+
+    def test_long_conjugate_reduces_fast(self, hexagon):
+        u = (1, 2) * 10_000
+        word = u + (0,) + tuple(hexagon.partner[t] for t in reversed(u))
+        start = time.perf_counter()
+        assert ClosedCurve(hexagon, word).tokens == (0,)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestCanonical:
     def test_rotation_invariance(self, hexagon):

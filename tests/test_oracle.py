@@ -1,6 +1,8 @@
 """Free-group cross-check layer: word algebra and automorphism tables."""
 
 import json
+import random
+import time
 
 import pytest
 
@@ -45,6 +47,67 @@ class TestWordAlgebra:
     def test_conjugate_words(self):
         assert conjugate_words((1, 2), (3, 1, 2, -3))
         assert not conjugate_words((1, 2), (2, 1, 1))
+
+
+def loop_reduce(word):
+    """Cyclic reduction that re-reduces the whole word after each end strip."""
+    w = list(reduce_word(word))
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = list(reduce_word(w[1:-1]))
+    return tuple(w)
+
+
+def rotations_key(word, oriented=True):
+    """The conjugacy key as the least of every rotation."""
+    w = loop_reduce(word)
+    if not w:
+        return w
+    best = min(w[i:] + w[:i] for i in range(len(w)))
+    if oriented:
+        return best
+    v = invert_word(w)
+    return min(best, min(v[i:] + v[:i] for i in range(len(v))))
+
+
+def seeded_words(count, seed):
+    """Random words, periodic words and conjugates u w u^-1."""
+    rng = random.Random(seed)
+    letters = (1, -1, 2, -2, 3, -3)
+    out = []
+    for _ in range(count):
+        base = [rng.choice(letters) for _ in range(rng.randint(0, 6))]
+        u = [rng.choice(letters) for _ in range(rng.randint(0, 8))]
+        out += [
+            [rng.choice(letters) for _ in range(rng.randint(0, 30))],
+            base * rng.randint(2, 5),
+            u + base * rng.randint(1, 3) + list(invert_word(u)),
+        ]
+    return out
+
+
+class TestLinearWordKeys:
+    def test_keys_match_all_rotations(self):
+        for word in seeded_words(1500, 29):
+            for oriented in (True, False):
+                assert conjugacy_key(word, oriented) == rotations_key(word, oriented), word
+
+    def test_cyclic_reduction_matches_loop(self):
+        for word in seeded_words(1500, 31):
+            assert cyclically_reduce(word) == loop_reduce(word), word
+
+    def test_long_key_is_fast(self):
+        rng = random.Random(37)
+        word = tuple(rng.choice((1, -1, 2, -2, 3, -3)) for _ in range(50_000))
+        start = time.perf_counter()
+        key = conjugacy_key(word, oriented=False)
+        assert time.perf_counter() - start < 1.0
+        assert len(key) == len(cyclically_reduce(word))
+
+    def test_long_conjugate_reduces_fast(self):
+        u = (3, 1) * 10_000
+        start = time.perf_counter()
+        assert cyclically_reduce(u + (1, 2) + invert_word(u)) == (1, 2)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestLetterBridge:
@@ -205,7 +268,7 @@ class TestSuiteDoesNoRepeatedWork:
         for (name, power), (curve, p) in gens.items():
             assert curve is base[name.upper()] and p == power
 
-    def test_second_call_builds_one_taut_config_per_twist(self, monkeypatch):
+    def test_second_call_builds_no_taut_config(self, monkeypatch):
         seed, max_length = 5, 5
         (word,) = random_twist_words(1, seed, max_length)
         assert len(word) > 1
@@ -226,9 +289,9 @@ class TestSuiteDoesNoRepeatedWork:
         monkeypatch.setattr(oracle, "conjugacy_key", counting_key)
         report = run_agreement_suite(1, seed, max_length)
         assert report.ok
-        # one build per twist of each of the four base curves: no form
-        # builds, no simplicity checks of the generators
-        assert len(builds) == 4 * len(word)
+        # the generators' crossing tables were built by the first call: no
+        # twist, form or simplicity check builds a configuration
+        assert builds == []
         # an oriented key of both images and an unoriented key of the
         # oracle's, per base curve
         assert len(keys) == 3 * len(BASE_WORDS)

@@ -2,22 +2,43 @@
 
 ``ReferenceOrder`` is the pairwise ray comparator that ordered crossing
 points along each edge before the key-based sort; the key must give
-exactly its order.
+exactly its order.  The ``reference_*`` functions are the twist and band
+slide code that read crossings off a two-item configuration before the
+crossing table of ``curves.passage_crossings``; the table must give
+exactly their results.
 """
 
+import contextlib
 import functools
 import random
+import signal
 import time
 
 import pytest
 
-from blfkit import Anchor, Arc, ClosedCurve, TwistWord, dehn_twist, hexagon_scheme
-from blfkit import curves
-from blfkit.curves import TautConfig, intersection_form
-from blfkit.errors import CurveError
-from blfkit.scenarios import family_scenario, get_scenario
+from blfkit import Anchor, Arc, ClosedCurve, TwistWord, dehn_twist, hexagon_scheme, project, round_surgery
+from blfkit import curves, surgery
+from blfkit.curves import TautConfig, intersection_form, passage_crossings
+from blfkit.errors import CurveError, ProjectionObstructedError
+from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
+from blfkit.twists import _insertion
 
 _STOP = ("stop",)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the enclosed code with ``TimeoutError`` after ``seconds`` of wall time (SIGALRM)."""
+    def expire(*_):
+        raise TimeoutError(f"did not finish in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class ReferenceOrder:
@@ -273,18 +294,22 @@ class TestCrossingQueries:
                 assert cfg.self_crossings(a) == len(cfg.crossings(a, a))
         assert total > 100
 
-    def test_crossings_on_passage_match_all_pairs(self):
-        for items in self.configs():
+    def test_passage_crossings_match_all_pairs(self):
+        checked = 0
+        for items in self.configs() + parallel_copy_configs():
             if "c" not in items:
                 continue
             cfg = _config(items)
             for x_name in sorted(items):
                 if x_name == "c":
                     continue
-                count = sum(p.item == x_name for p in cfg.passages)
-                for k in range(count):
-                    assert cfg.crossings_on_passage(x_name, k, "c") == brute_on_passage(
-                        cfg, x_name, k, "c")
+                with deadline(2.0):
+                    got = passage_crossings(items[x_name], items["c"])
+                assert len(got) == sum(p.item == x_name for p in cfg.passages)
+                for k, row in enumerate(got):
+                    assert list(row) == brute_on_passage(cfg, x_name, k, "c"), (items, x_name, k)
+                checked += 1
+        assert checked > 150
 
 
 def ladder_rung(start, rungs):
@@ -294,6 +319,162 @@ def ladder_rung(start, rungs):
     for _ in range(rungs):
         x = dehn_twist(dehn_twist(x, sc.curves["C1"], -1), sc.curves["C"], 1)
     return sc, x
+
+
+def reference_on_passage(cfg, x_name, k, c_name):
+    """``TautConfig.crossings_on_passage``, which the crossing table replaced."""
+    pi, ax, bx = cfg._chords[x_name][k]
+    n = cfg._poly_size[pi]
+    span = (bx - ax) % n
+    found = []
+    for j, a, b in cfg._by_polygon[c_name].get(pi, ()):
+        da, db = (a - ax) % n, (b - ax) % n
+        inside = 0 < da < span
+        if inside != (0 < db < span):
+            found.append((da if inside else db, j, 1 if inside else -1))
+    found.sort()
+    return [(j, s) for _, j, s in found]
+
+
+def reference_insert_copies(cfg, copies):
+    """The insertion primitive as it read crossings off a two-item configuration."""
+    x, c = cfg.items["x"], cfg.items["c"]
+    closed = isinstance(x, ClosedCurve)
+    m = len(x.tokens)
+    new_tokens = []
+    for k in range(m if closed else m + 1):
+        for kc, sign in reference_on_passage(cfg, "x", k, "c"):
+            n = copies(k, kc, sign)
+            if n:
+                new_tokens.extend(_insertion(c, kc, n) * abs(n))
+        if k < m:
+            new_tokens.append(x.tokens[k])
+    if closed:
+        return ClosedCurve(x.scheme, new_tokens)
+    return Arc(x.scheme, x.start, new_tokens, x.end)
+
+
+def reference_twist(x, c, power):
+    if isinstance(x, ClosedCurve) and x.is_null:
+        return x
+    cfg = TautConfig(x.scheme, {"c": c, "x": x})
+    return reference_insert_copies(cfg, lambda k, kc, sign: sign * power)
+
+
+def reference_resolve_bands(sr, item):
+    c = sr.curve
+    scheme = sr.original
+    slides = 0
+    for _ in range(4 * (len(item.tokens) + 2)):
+        cfg = TautConfig(scheme, {"c": c, "x": item})
+        crossings = cfg.crossings("x", "c")
+        if not crossings:
+            return item, slides
+        count = len(crossings)
+        best = None
+        k, kc, _ = crossings[0]
+        for direction in (1, -1):
+            cand = reference_insert_copies(cfg, lambda i, j, _s: direction if (i, j) == (k, kc) else 0)
+            ccount = len(TautConfig(scheme, {"c": c, "x": cand}).crossings("x", "c"))
+            if ccount < count and (best is None or ccount < best[0]):
+                best = (ccount, cand)
+        if best is None:
+            raise ProjectionObstructedError(
+                "no band slide reduces the crossings with the cut curve"
+            )
+        item = best[1]
+        slides += 1
+    raise ProjectionObstructedError("band resolution did not terminate")
+
+
+def twist_inputs():
+    """(x, c) pairs: seeded twist images on the hexagon and on family members
+    2-4, every scenario's arc against every curve, and T_c^k x beside c."""
+    out = []
+    sc = get_scenario("negative-modification")
+    for _, x, arc, c in twist_images(sc, 40, seed=31, max_steps=4):
+        out += [(x, c), (arc, c)]
+    for n in (2, 3, 4):
+        fam = family_scenario(n)
+        arc = Arc(fam.scheme, Anchor("u1"), (), Anchor("u2"))
+        for word, x, _, c in twist_images(fam, 12, seed=40 + n, max_steps=3):
+            out += [(x, c), (word.apply(arc), c)]
+    for name in SCENARIOS:
+        sc = get_scenario(name)
+        if sc.arc is not None:
+            out += [(sc.arc, c) for c in sc.curves.values()]
+    for item in parallel_copy_configs():
+        if set(item) == {"c", "x"}:
+            out.append((item["x"], item["c"]))
+    return out
+
+
+def _projection_or_error(sr, item):
+    try:
+        p = project(sr, item)
+    except ProjectionObstructedError as exc:
+        return str(exc)
+    return p.item.tokens, p.band_slides, p.cap_slides
+
+
+class TestCrossingTable:
+    def test_twists_match_configuration(self):
+        for x, c in twist_inputs():
+            for power in (1, -1, 2):
+                assert dehn_twist(x, c, power).tokens == reference_twist(x, c, power).tokens, (x, c)
+
+    def test_long_twists_match_configuration(self):
+        sc = get_scenario("negative-modification")
+        x = sc.curves["C2"]
+        for _ in range(8):
+            for c, power in ((sc.curves["C1"], -1), (sc.curves["C"], 1)):
+                y = dehn_twist(x, c, power)
+                assert y.tokens == reference_twist(x, c, power).tokens
+                x = y
+        assert len(x.tokens) == 6300
+
+    def test_projections_match_configuration(self, monkeypatch):
+        obstructed = projected = 0
+        for name in ("negative-modification", "positive-modification"):
+            sc = get_scenario(name)
+            sr = round_surgery(sc.scheme, sc.curves[sc.surgery_name])
+            items = [sc.monodromy.apply(sc.arc)]
+            for _, x, arc, _ in twist_images(sc, 30, seed=50, max_steps=3):
+                items += [x, arc]
+            got = [_projection_or_error(sr, item) for item in items]
+            with monkeypatch.context() as mp:
+                mp.setattr(surgery, "_resolve_bands", reference_resolve_bands)
+                assert got == [_projection_or_error(sr, item) for item in items]
+            obstructed += sum(isinstance(g, str) for g in got)
+            projected += sum(isinstance(g, tuple) for g in got)
+        # crossing items try both slides at their first crossing and are
+        # obstructed; the others project
+        assert obstructed > 10 and projected > 10
+
+    def test_rays_that_agree_for_ever_end_the_walk(self):
+        # a curve beside itself, reversed or repeated: every ray of x equals
+        # one of c's, so each comparison stops at the step cap
+        sc = get_scenario("negative-modification")
+        c = dehn_twist(sc.curves["C2"], sc.curves["C1"], 3)
+        with deadline(2.0):
+            for x in (c, c.reversed(), ClosedCurve(c.scheme, c.tokens * 3)):
+                assert passage_crossings(x, c) == [
+                    tuple(reference_on_passage(_config({"c": c, "x": x}), "x", k, "c"))
+                    for k in range(len(x.tokens))
+                ]
+
+    def test_no_build_after_the_first_twist(self, monkeypatch):
+        sc = get_scenario("negative-modification")
+        c1 = sc.curves["C1"]
+        sr = round_surgery(sc.scheme, sc.curves[sc.surgery_name])
+        arc = sc.monodromy.apply(sc.arc)
+        first = dehn_twist(sc.curves["C2"], c1), project(sr, arc)
+        builds = []
+        init = TautConfig.__init__
+        monkeypatch.setattr(TautConfig, "__init__", lambda *a: builds.append(a) or init(*a))
+        assert (dehn_twist(sc.curves["C2"], c1), project(sr, arc)) == first
+        assert dehn_twist(sc.curves["C3"], c1, -2) == dehn_twist(dehn_twist(sc.curves["C3"], c1, -1), c1, -1)
+        assert builds == []
 
 
 class TestCost:
