@@ -25,8 +25,20 @@ at its anchor, which adds the anchor index).  Points sort by their ray on
 the primary side descending, then their ray on the other side ascending,
 then by (name, token index); prefix doubling ranks every ray once, and
 equal rays tie.  Chords inside each polygon connect consecutive crossing
-points, and intersections are exactly the interleaving chord pairs.
-Crossing signs follow the counterclockwise orientation of the polygons.
+points, and the configuration's crossings are its interleaving chord
+pairs, with signs from the counterclockwise orientation of the polygons.
+The order need not be taut: along a run of edges that two strands share,
+the side whose ray decides flips with the slot labels, which can leave
+bigons, pairs of crossings of opposite sign.
+
+Intersection numbers therefore do not read the configuration.  Two points
+on one edge are *linked* when their rays on the two sides order them the
+same way round; the strands through them then cross once somewhere along
+their maximal shared run.  :func:`geometric_intersection` and
+:func:`is_simple` count linked pairs where their run ends (half of the
+ends) plus the interleaving chords of four distinct slots (runs of length
+zero), by sweeps over the ranked rays (Cohen and Lustig 1987): no
+configuration is built.
 
 Twists and band slides need only where a curve ``x`` crosses one simple
 curve ``c``, and the order of x's points among themselves never changes
@@ -40,6 +52,7 @@ work linear in ``|x| * |c|`` at worst, and no configuration per twist.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -368,6 +381,52 @@ def _rank_rays(steps: List[int], nxt: List[int]) -> List[int]:
     return r
 
 
+def _ray_ranks(items: Sequence[Item]) -> Tuple[List[int], List[int]]:
+    """The ranks of every ray of ``items``, and each item's first ray node.
+
+    Item ``ii``'s forward ray from point ``k`` is node ``bases[ii] + k``,
+    its backward ray node ``bases[ii] + m + k`` (``m`` its token count).
+    Ranks order the rays by their steps lexicographically; an arc's ray
+    ends at its anchor, after which nothing follows.
+    """
+    # steps to two anchors on one slot differ only by the anchor index,
+    # which is added to the steps, scaled, as its rank
+    indices = sorted({
+        a.index for item in items if isinstance(item, Arc) for a in (item.start, item.end)
+    })
+    scale = len(indices) + 1
+    index_rank = {index: i + 1 for i, index in enumerate(indices)}
+
+    # ``end`` is the node after an anchor
+    end = 2 * sum(len(item.tokens) for item in items)
+    steps: List[int] = []
+    nxt: List[int] = []
+    bases: List[int] = []
+    for item in items:
+        fwd, bwd = _ray_steps(item)
+        m = len(fwd)
+        b = len(steps)
+        bases.append(b)
+        if not m:
+            continue
+        closed = isinstance(item, ClosedCurve)
+        if scale > 1:
+            fwd = [s * scale for s in fwd]
+            bwd = [s * scale for s in bwd]
+            if not closed:
+                fwd[-1] += index_rank[item.end.index]
+                bwd[0] += index_rank[item.start.index]
+        steps += fwd
+        steps += bwd
+        nxt += range(b + 1, b + m)
+        nxt.append(b if closed else end)
+        nxt.append(b + 2 * m - 1 if closed else end)
+        nxt += range(b + m, b + 2 * m - 1)
+    steps.append(0)
+    nxt.append(end)
+    return _rank_rays(steps, nxt), bases
+
+
 @dataclass(frozen=True)
 class Passage:
     item: str
@@ -415,41 +474,7 @@ class TautConfig:
                             f"anchor ({a.slot!r}, {a.index}) used by two items"
                         )
                     lst.append((a.index, name, which))
-        # steps to two anchors on one slot differ only by the anchor index,
-        # which is added to the steps, scaled, as its rank
-        indices = sorted({x[0] for lst in anchors.values() for x in lst})
-        scale = len(indices) + 1
-        index_rank = {index: i + 1 for i, index in enumerate(indices)}
-
-        # ray nodes: item ii's forward ray from point k is node bases[ii] + k,
-        # its backward ray node bases[ii] + m + k; ``end`` follows an anchor
-        end = 2 * sum(len(item.tokens) for item in items)
-        steps: List[int] = []
-        nxt: List[int] = []
-        bases: List[int] = []
-        for item in items:
-            fwd, bwd = _ray_steps(item)
-            m = len(fwd)
-            b = len(steps)
-            bases.append(b)
-            if not m:
-                continue
-            closed = isinstance(item, ClosedCurve)
-            if scale > 1:
-                fwd = [s * scale for s in fwd]
-                bwd = [s * scale for s in bwd]
-                if not closed:
-                    fwd[-1] += index_rank[item.end.index]
-                    bwd[0] += index_rank[item.start.index]
-            steps += fwd
-            steps += bwd
-            nxt += range(b + 1, b + m)
-            nxt.append(b if closed else end)
-            nxt.append(b + 2 * m - 1 if closed else end)
-            nxt += range(b + m, b + 2 * m - 1)
-        steps.append(0)
-        nxt.append(end)
-        ranks = _rank_rays(steps, nxt)
+        ranks, bases = _ray_ranks(items)
 
         # along each edge: the rays on side e[0] descending, then those on
         # side e[1] ascending, then (name, k)
@@ -583,9 +608,6 @@ class TautConfig:
                         out.append((i, j, 1 if inside else -1))
         out.sort()
         return out
-
-    def self_crossings(self, name: str) -> int:
-        return len(self.crossings(name, name))
 
 
 # -- crossings with one curve ----------------------------------------------
@@ -740,15 +762,99 @@ def algebraic_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
     return sum(s for _, _, s in cfg.crossings("u", "v"))
 
 
+def _sweep(rows: List[Tuple[int, int, int, int, int]], cross: int) -> int:
+    """Pairs of rows ``(x, group, owner, y, lo)`` with the first before the second.
+
+    Counts pairs ``p``, ``q`` with ``x_p < x_q`` in different groups (a
+    group is a run of equal ``group`` values in ``x`` order) and ``lo_q <=
+    y_p < y_q``, of different owners if ``cross`` is 1 and of any if 0.
+    One pass in ``x`` order keeps the ``y`` of finished groups sorted.
+    """
+    rows.sort()
+    done: Tuple[List[int], List[int]] = ([], [])
+    pending: List[Tuple[int, int]] = []
+    total = 0
+    group = None
+    for _, g, owner, y, lo in rows:
+        if g != group:
+            for o, py in pending:
+                insort(done[o], py)
+            pending = []
+            group = g
+        seen = done[owner ^ cross]
+        total += bisect_left(seen, y) - bisect_left(seen, lo)
+        pending.append((owner, y))
+    return total
+
+
+def _linked_crossings(items: Sequence[ClosedCurve]) -> int:
+    """Crossings of two primitive closed curves, or self-crossings of one.
+
+    The two curves must differ up to orientation: the rays of a curve and
+    of a parallel copy tie, and ties are never linked.
+
+    Two points on one edge start strands that run together through a
+    maximal shared run in each direction.  Their rays on the two sides
+    order them the same way round (``(r0_p - r0_q) * (r1_p - r1_q) >
+    0``) exactly when the strands must cross somewhere along the run, a
+    *linked* pair.  A run ends at an edge on the side where the two rays
+    differ at their first step; so a linked run of length at least one
+    is seen at both of its ends, and half of those ends count it.  Chords
+    of one polygon with four distinct interleaving slots are the linked
+    runs of length zero.  Both counts are sweeps over rays or chords in
+    sorted order (Cohen and Lustig 1987; Despré and Lazarus 2019).
+    """
+    scheme = items[0].scheme
+    partner, location = scheme.partner, scheme.location
+    ranks, bases = _ray_ranks(items)
+    # each item's rows by the slot a ray leaves from, and by polygon
+    sides: List[Dict[SlotId, list]] = []
+    polygons: List[Dict[int, list]] = []
+    for owner, (item, b) in enumerate(zip(items, bases)):
+        toks = item.tokens
+        m = len(toks)
+        fwd_steps, bwd_steps = _ray_steps(item)
+        by_side: Dict[SlotId, list] = {}
+        by_polygon: Dict[int, list] = {}
+        entries = [partner[t] for t in toks[-1:] + toks[:-1]]
+        # the forward ray leaves from the partner slot, the backward ray
+        # from the token's own slot; each sorts by its rank and groups by
+        # its first step
+        for t, s, fwd, bwd, fs, bs in zip(toks, entries[1:] + entries[:1], ranks[b:b + m],
+                                          ranks[b + m:b + 2 * m], fwd_steps, bwd_steps):
+            by_side.setdefault(s, []).append((fwd, fs, owner, bwd, 0))
+            by_side.setdefault(t, []).append((bwd, bs, owner, fwd, 0))
+        for e, t in zip(entries, toks):
+            pi, i = location[e]
+            j = location[t][1]
+            lo, hi = (i, j) if i < j else (j, i)
+            by_polygon.setdefault(pi, []).append((lo, lo, owner, hi, lo + 1))
+        sides.append(by_side)
+        polygons.append(by_polygon)
+
+    cross = len(items) - 1
+
+    def count(by_owner: List[dict]) -> int:
+        # pairs of two items meet only where both have rows
+        first, last = by_owner[0], by_owner[-1]
+        return sum(_sweep(first[k] + last[k] if cross else first[k], cross)
+                   for k in first.keys() & last.keys())
+
+    return count(sides) // 2 + count(polygons)
+
+
 def geometric_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
+    """The least number of crossings of curves freely homotopic to ``u`` and ``v``."""
     if u.is_null or v.is_null:
         return 0
     ru, pu = u.primitive_root()
     rv, pv = v.primitive_root()
-    if ru.canonical(oriented=False) == rv.canonical(oriented=False):
+    # equal forms need equal lengths, and most pairs differ in length
+    if len(ru.tokens) == len(rv.tokens) and (
+        ru.canonical(oriented=False) == rv.canonical(oriented=False)
+    ):
         return 0
-    cfg = TautConfig(u.scheme, {"u": ru, "v": rv})
-    return pu * pv * len(cfg.crossings("u", "v"))
+    return pu * pv * _linked_crossings((ru, rv))
 
 
 def is_simple(c: ClosedCurve) -> bool:
@@ -757,7 +863,7 @@ def is_simple(c: ClosedCurve) -> bool:
         c._simple = (
             not c.is_null
             and c.primitive_root()[1] == 1
-            and TautConfig(c.scheme, {"c": c}).self_crossings("c") == 0
+            and _linked_crossings((c,)) == 0
         )
     return c._simple
 

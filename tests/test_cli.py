@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -70,6 +71,45 @@ class TestDumpDeterminism:
         b = run_cli("dump-scenario", "family-2")
         assert a.returncode == b.returncode == 0
         assert json.loads(a.stdout) == json.loads(b.stdout)
+
+
+# every scenario through ``cli.main``: verify (stdout, exit code, --json),
+# dump-scenario and render, writing files in the working directory; prints
+# the sha256 of all of it
+DIGEST_SCRIPT = """
+import contextlib, hashlib, io
+from blfkit import cli, scenarios
+digest = hashlib.sha256()
+for name in sorted(scenarios.SCENARIOS):
+    report, svg = "report.json", "scene.svg"
+    commands = (["verify", name, "--json", report], ["dump-scenario", name],
+                ["render", name, "-o", svg])
+    for argv in commands:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(argv)
+        digest.update(f"{argv} {code}\\n{buf.getvalue()}".encode())
+    for path in (report, svg):
+        with open(path, "rb") as fh:
+            digest.update(fh.read())
+print(digest.hexdigest())
+"""
+
+
+class TestHashSeed:
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        digests = []
+        for seed in ("123", "77"):
+            out = tmp_path / seed
+            out.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", DIGEST_SCRIPT], cwd=out,
+                capture_output=True, text=True, env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
 
 class TestRender:

@@ -27,8 +27,9 @@ from blfkit.curves import (
     pair_homology,
 )
 from blfkit.errors import CurveError
-from blfkit.scenarios import SCENARIOS, get_scenario
+from blfkit.scenarios import SCENARIOS, _rho, get_scenario
 from blfkit.schemes import Scheme, slot_key
+from blfkit.twists import relabel_curve
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +279,27 @@ class TestIntersectionNumbers:
     def test_parallel_copies(self, hexagon):
         a = ClosedCurve(hexagon, (0,))
         assert geometric_intersection(a, a) == 0
+        assert geometric_intersection(a, ClosedCurve(hexagon, (0, 0))) == 0
+        c1 = ClosedCurve(hexagon, (3, 2))
+        assert geometric_intersection(c1, c1.reversed()) == 0
+        # powers multiply the count of their roots
+        cube, square = ClosedCurve(hexagon, (0, 0, 0)), ClosedCurve(hexagon, (3, 2) * 2)
+        assert geometric_intersection(cube, square) == 6
+
+    @pytest.mark.parametrize("rotations", [0, 1, 2])
+    def test_no_bigons_for_any_labelling(self, hexagon, rotations):
+        # a configuration keeps bigons here and counts 3, 3 and 5, but 1,
+        # 1 and 1 after one rotation of the hexagon
+        rho = _rho(hexagon, 3)
+
+        def turn(x):
+            for _ in range(rotations):
+                x = relabel_curve(rho, x)
+            return x
+
+        c = turn(ClosedCurve(hexagon, (3, 2)))
+        for word in ((2, 3, 2), (5, 0, 0), (5, 0, 5, 0, 0)):
+            assert geometric_intersection(turn(ClosedCurve(hexagon, word)), c) == 1
 
     def test_hexagon_fixtures(self, hexagon):
         C = ClosedCurve(hexagon, (0,))
@@ -313,7 +335,7 @@ class TestSimplicity:
         sc = get_scenario(name)
         fresh = {
             n: c.primitive_root()[1] == 1
-            and TautConfig(c.scheme, {"c": c}).self_crossings("c") == 0
+            and len(TautConfig(c.scheme, {"c": c}).crossings("c", "c")) == 0
             for n, c in sc.curves.items()
         }
         assert {n: is_simple(c) for n, c in sc.curves.items()} == fresh

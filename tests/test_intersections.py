@@ -1,0 +1,325 @@
+"""Intersection numbers and simplicity from linked runs.
+
+``brute_linked`` is the quadratic reference: it compares the rays of every
+pair of points on an edge step by step and tests every pair of chords in a
+polygon.  The seeded properties are identities of geometric intersection
+numbers that hold for every labelling of the surface (Farb and Margalit,
+*A Primer on Mapping Class Groups*, Section 3.1): an edge order that keeps
+bigons breaks them.
+"""
+
+import random
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from blfkit import (
+    ClosedCurve,
+    TwistWord,
+    algebraic_intersection,
+    dehn_twist,
+    geometric_intersection,
+    hexagon_scheme,
+    is_simple,
+    square_torus_scheme,
+)
+from blfkit import curves
+from blfkit.curves import TautConfig
+from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
+from blfkit.twists import relabel_curve
+
+
+def _ray(item, k, forward, length):
+    """The first ``length`` steps (counterclockwise offset, target) of the strand from ``k``."""
+    sch = item.scheme
+    partner, location = sch.partner, sch.location
+    toks = item.tokens
+    m = len(toks)
+    src = partner[toks[k]] if forward else toks[k]
+    out = []
+    for i in range(1, length + 1):
+        tgt = toks[(k + i) % m] if forward else partner[toks[(k - i) % m]]
+        pi, ps = location[src]
+        out.append(((location[tgt][1] - ps) % len(sch.polygons[pi]), sch.rank[tgt]))
+        src = partner[tgt]
+    return out
+
+
+def _cmp(a, b):
+    return (a > b) - (a < b)
+
+
+def brute_linked(items):
+    """(run ends, length-zero runs) over every pair of points and of chords.
+
+    Pairs are taken between the two items, or within the one item.
+    """
+    sch = items[0].scheme
+    partner, location = sch.partner, sch.location
+    # distinct rays of closed curves differ within this many steps (Fine and Wilf)
+    length = 2 * sum(len(x.tokens) for x in items) + 4
+    sides = {}
+    chords = {}
+    for owner, x in enumerate(items):
+        toks = x.tokens
+        for k, t in enumerate(toks):
+            fwd, bwd = _ray(x, k, True, length), _ray(x, k, False, length)
+            sides.setdefault(partner[t], []).append((owner, fwd, bwd))
+            sides.setdefault(t, []).append((owner, bwd, fwd))
+            entry = partner[toks[k - 1]]
+            chords.setdefault(location[t][0], []).append(
+                (owner, location[entry][1], location[t][1])
+            )
+
+    def pairs(rows):
+        for i, p in enumerate(rows):
+            for q in rows[i + 1:]:
+                if len(items) == 1 or p[0] != q[0]:
+                    yield p, q
+
+    ends = 0
+    for rows in sides.values():
+        for (_, here_p, there_p), (_, here_q, there_q) in pairs(rows):
+            linked = _cmp(here_p, here_q) * _cmp(there_p, there_q) > 0
+            ends += linked and here_p[0] != here_q[0]
+    zero = 0
+    for pi, rows in chords.items():
+        n = len(sch.polygons[pi])
+        for (_, a1, b1), (_, a2, b2) in pairs(rows):
+            between = lambda s: 0 < (s - a1) % n < (b1 - a1) % n
+            zero += len({a1, b1, a2, b2}) == 4 and between(a2) != between(b2)
+    return ends, zero
+
+
+def random_word(sch, rng, length):
+    """A random word of glued slots in which consecutive tokens share a polygon."""
+    partner, location = sch.partner, sch.location
+    glued = sorted(partner, key=sch.rank.get)
+    word = [rng.choice(glued)]
+    while len(word) < length:
+        here = location[partner[word[-1]]][0]
+        word.append(rng.choice([t for t in glued if location[t][0] == here]))
+    return word
+
+
+def seeded_curves(seed, count):
+    """Random primitive closed curves, most of them not simple, on several surfaces."""
+    rng = random.Random(seed)
+    schemes = [hexagon_scheme().build(), square_torus_scheme().build()] + [
+        family_scenario(n).scheme for n in (2, 3)
+    ]
+    out = []
+    while len(out) < count:
+        sch = rng.choice(schemes)
+        c = ClosedCurve(sch, random_word(sch, rng, rng.randint(1, 14)))
+        if not c.is_null and c.primitive_root()[1] == 1:
+            out.append(c)
+    return out
+
+
+class TestAgainstBruteForce:
+    def test_self_counts(self):
+        non_simple = 0
+        for c in seeded_curves(1, 300):
+            ends, zero = brute_linked((c,))
+            assert ends % 2 == 0, c
+            assert curves._linked_crossings((c,)) == ends // 2 + zero, c
+            non_simple += ends + zero > 0
+        assert non_simple > 150
+
+    def test_pair_counts(self):
+        rng = random.Random(2)
+        pool = seeded_curves(2, 240)
+        crossing = 0
+        for u in pool:
+            v = rng.choice([w for w in pool if w.scheme is u.scheme])
+            if u.canonical(oriented=False) == v.canonical(oriented=False):
+                continue
+            for w in (v, v.reversed()):
+                ends, zero = brute_linked((u, w))
+                assert ends % 2 == 0, (u, w)
+                assert curves._linked_crossings((u, w)) == ends // 2 + zero, (u, w)
+                crossing += ends + zero > 0
+        assert crossing > 200
+
+    def test_twist_images(self):
+        # long simple curves, where most crossings sit on long shared runs
+        sc = get_scenario("negative-modification")
+        names = sorted(sc.curves)
+        rng = random.Random(3)
+        for _ in range(40):
+            word = TwistWord(tuple(
+                (sc.curves[rng.choice(names)], rng.choice((1, -1))) for _ in range(3)
+            ))
+            x = word.apply(sc.curves[rng.choice(names)])
+            c = sc.curves[rng.choice(names)]
+            assert brute_linked((x,)) == (0, 0)
+            if x.canonical(oriented=False) != c.canonical(oriented=False):
+                ends, zero = brute_linked((x, c))
+                assert geometric_intersection(x, c) == ends // 2 + zero
+
+
+# -- seeded properties on the family members -------------------------------
+
+MAX_TOKENS = 60
+
+
+@st.composite
+def simple_pairs(draw):
+    """(scenario, a, b): images of two of its cycles under one short twist word."""
+    sc = family_scenario(draw(st.integers(1, 3)))
+    names = sorted(sc.curves)
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from(names), st.sampled_from((1, -1))), min_size=0, max_size=3,
+    ))
+    word = TwistWord(tuple((sc.curves[n], p) for n, p in steps))
+    a, b = (word.apply(sc.curves[draw(st.sampled_from(names))]) for _ in range(2))
+    return sc, a, b
+
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+class TestFamilyProperties:
+    @PROPERTY
+    @given(pair=simple_pairs(), k=st.sampled_from((-2, -1, 1, 2)))
+    def test_twist_power_formula(self, pair, k):
+        # Farb and Margalit, Prop. 3.2: i(T_a^k b, b) = |k| i(a, b)^2
+        _, a, b = pair
+        if len(a.tokens) + len(b.tokens) > MAX_TOKENS:
+            return
+        i = geometric_intersection(a, b)
+        assert geometric_intersection(dehn_twist(b, a, k), b) == abs(k) * i * i
+
+    @PROPERTY
+    @given(pair=simple_pairs())
+    def test_symmetry_parity_and_rotation(self, pair):
+        sc, a, b = pair
+        if len(a.tokens) + len(b.tokens) > MAX_TOKENS:
+            return
+        i = geometric_intersection(a, b)
+        assert i == geometric_intersection(b, a) == geometric_intersection(a, b.reversed())
+        alg = algebraic_intersection(a, b)
+        assert abs(alg) <= i and (i - alg) % 2 == 0
+        ra, rb = relabel_curve(sc.rho, a), relabel_curve(sc.rho, b)
+        assert geometric_intersection(ra, rb) == i
+        assert is_simple(a) and is_simple(ra)
+
+    @PROPERTY
+    @given(pair=simple_pairs(), k=st.sampled_from((-1, 1, 2)))
+    def test_twist_inverse_and_invariance(self, pair, k):
+        sc, a, b = pair
+        if len(a.tokens) + len(b.tokens) > MAX_TOKENS:
+            return
+        c = sc.curves["C"]
+        assert dehn_twist(dehn_twist(b, a, k), a, -k) == b
+        # a mapping class preserves intersection numbers
+        i = geometric_intersection(a, b)
+        assert geometric_intersection(dehn_twist(a, c, k), dehn_twist(b, c, k)) == i
+
+    @PROPERTY
+    @given(pair=simple_pairs())
+    def test_braid_and_commuting_relations(self, pair):
+        sc, a, b = pair
+        if len(a.tokens) + len(b.tokens) > MAX_TOKENS // 2:
+            return
+        i = geometric_intersection(a, b)
+        tests = [sc.curves["C"], sc.curves["C1"], a, b]
+        if i == 1:
+            # T_a T_b T_a = T_b T_a T_b
+            aba = TwistWord(((a, 1), (b, 1), (a, 1)))
+            bab = TwistWord(((b, 1), (a, 1), (b, 1)))
+            assert all(aba.apply(x) == bab.apply(x) for x in tests)
+        elif i == 0:
+            ab = TwistWord(((a, 1), (b, 1)))
+            ba = TwistWord(((b, 1), (a, 1)))
+            assert all(ab.apply(x) == ba.apply(x) for x in tests)
+
+    @PROPERTY
+    @given(n=st.integers(1, 3), length=st.integers(2, 12), seed=st.integers(0, 10**6),
+           twist=st.sampled_from(("C", "C1", "C2")), k=st.sampled_from((-1, 1)))
+    def test_self_count_is_a_mapping_class_invariant(self, n, length, seed, twist, k):
+        sc = family_scenario(n)
+        x = ClosedCurve(sc.scheme, random_word(sc.scheme, random.Random(seed), length))
+        if x.is_null or x.primitive_root()[1] != 1:
+            return
+        count = curves._linked_crossings((x,))
+        assert curves._linked_crossings((dehn_twist(x, sc.curves[twist], k),)) == count
+        assert curves._linked_crossings((relabel_curve(sc.rho, x),)) == count
+
+
+# -- cost ---------------------------------------------------------------------
+
+
+def _rung(k):
+    """(T_C T_C1^-1)^k (C2) on the hexagon."""
+    sc = get_scenario("negative-modification")
+    x = sc.curves["C2"]
+    for _ in range(k):
+        x = dehn_twist(dehn_twist(x, sc.curves["C1"], -1), sc.curves["C"], 1)
+    return sc, x
+
+
+class TestCost:
+    def test_long_rung(self):
+        # the all-pairs chord test took 32.6 s for is_simple on this rung
+        sc, x = _rung(9)
+        assert len(x.tokens) == 16492
+        start = time.perf_counter()
+        assert is_simple(x)
+        assert time.perf_counter() - start < 2.0
+        c1 = sc.curves["C1"]
+        start = time.perf_counter()
+        i = geometric_intersection(x, c1)
+        assert time.perf_counter() - start < 2.0
+        alg = algebraic_intersection(x, c1)
+        assert abs(alg) <= i and (i - alg) % 2 == 0
+
+
+# -- builds ---------------------------------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The item names of every ``TautConfig`` built while the test runs."""
+    seen = []
+    init = TautConfig.__init__
+
+    def counting(self, scheme, items):
+        seen.append(sorted(items))
+        init(self, scheme, items)
+
+    monkeypatch.setattr(TautConfig, "__init__", counting)
+    return seen
+
+
+class TestBuilds:
+    def test_counts_build_no_configuration(self, builds):
+        sc = family_scenario(2)
+        x = dehn_twist(sc.curves["C2"], sc.curves["C1"])
+        del builds[:]
+        for c in sc.curves.values():
+            geometric_intersection(x, c)
+        for y in seeded_curves(4, 20):
+            is_simple(y)
+        is_simple(ClosedCurve(x.scheme, x.tokens))
+        assert builds == []
+
+    def test_first_twist_along_a_fresh_curve_builds_once(self, builds):
+        sc = get_scenario("negative-modification")
+        c = dehn_twist(sc.curves["C2"], sc.curves["C1"], 2)
+        del builds[:]
+        dehn_twist(sc.curves["C3"], c)
+        assert builds == [["c"]]
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_joining_pairs_have_no_bigons(self, name):
+        # vertex joining smooths the configuration's crossings: with no
+        # bigon among them, every smoothing is one of a taut crossing
+        sc = get_scenario(name)
+        for pair in sc.expected.get("joining", []):
+            u, v = (sc.curves[p] for p in pair)
+            for w in (v, v.reversed()):
+                cfg = TautConfig(sc.scheme, {"u": u, "v": w})
+                assert len(cfg.crossings("u", "v")) == geometric_intersection(u, w)
