@@ -38,7 +38,10 @@ their maximal shared run.  :func:`geometric_intersection` and
 :func:`is_simple` count linked pairs where their run ends (half of the
 ends) plus the interleaving chords of four distinct slots (runs of length
 zero), by sweeps over the ranked rays (Cohen and Lustig 1987): no
-configuration is built.
+configuration is built.  Each curve ranks its own rays once and keeps the
+ranks with the sorted keys of every prefix-doubling round; for a pair,
+the shorter curve's rays are placed among the longer curve's classes
+round by round, so no ray is ranked again for another query.
 
 Twists and band slides need only where a curve ``x`` crosses one simple
 curve ``c``, and the order of x's points among themselves never changes
@@ -52,9 +55,10 @@ work linear in ``|x| * |c|`` at worst, and no configuration per twist.
 from __future__ import annotations
 
 import functools
+from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import CurveError, NotSimpleError
 from .schemes import Scheme, SlotId
@@ -146,6 +150,7 @@ class ClosedCurve:
         self._simple: Optional[bool] = None
         self._steps: Optional[Tuple[List[int], List[int]]] = None
         self._crossing_data: Optional[tuple] = None
+        self._rays: Optional[tuple] = None
 
     @property
     def is_null(self) -> bool:
@@ -166,14 +171,15 @@ class ClosedCurve:
         return self._canonical[oriented]
 
     def primitive_root(self) -> Tuple["ClosedCurve", int]:
-        """Return (root, power) with self = root^power as a cyclic word."""
+        """Return (root, power) with self = root^power as a cyclic word.
+
+        A primitive curve is its own root, so what is kept on it serves its root.
+        """
         m = len(self.tokens)
         if m == 0:
             return self, 1
-        for p in range(1, m + 1):
-            if m % p:
-                continue
-            if self.tokens[p:] + self.tokens[:p] == self.tokens:
+        for p in range(1, m):
+            if m % p == 0 and self.tokens[p:] + self.tokens[:p] == self.tokens:
                 return ClosedCurve(self.scheme, self.tokens[:p]), m // p
         return self, 1
 
@@ -356,28 +362,44 @@ def _ray_steps(item: Item) -> Tuple[List[int], List[int]]:
     return item._steps
 
 
-def _rank_rays(steps: List[int], nxt: List[int]) -> List[int]:
-    """Ranks of the sequences ``steps[i], steps[nxt[i]], steps[nxt[nxt[i]]], ...``.
+def _rank_rays(
+    steps: List[int],
+    ahead: Callable[[List[int], int], List[int]],
+    rounds: Optional[List[array]] = None,
+) -> List[int]:
+    """Ranks of the rays whose first steps are ``steps``.
 
+    ``ahead(r, d)`` lists, for each ray, the entry of ``r`` for the ray
+    ``d`` steps on; it is called with ``d = 1, 2, 4, ...`` in turn.
     Prefix doubling (Manber and Myers 1993): after round ``j`` the ranks
     order the first ``2**j`` steps lexicographically.  A round that splits
     no class proves every tied pair equal for ever, so the ranks are final;
     two rays of items of lengths ``m1`` and ``m2`` that agree for
     ``m1 + m2`` steps agree for ever (Fine and Wilf 1965), so this takes
     at most ``log2(2 * max length) + 2`` rounds.  Equal rays tie.
+
+    With ``rounds`` given, each round's sorted keys are appended to it:
+    round 0's are the distinct steps, and a later round's keys are ``a *
+    classes + b`` for the ranks ``a`` and ``b`` of a ray's two halves in
+    the round before, which has ``classes`` classes.  Ranks index the keys
+    of their round.
     """
-    r = steps
-    classes = len(set(r))
-    width = max(r) + 1
-    while classes < len(r):
-        keys = [a * width + r[b] for a, b in zip(r, nxt)]
-        levels = sorted(set(keys))
-        if len(levels) == classes:
+    levels = sorted(set(steps))
+    r = list(map(dict(zip(levels, range(len(levels)))).__getitem__, steps))
+    d = 1
+    while True:
+        if rounds is not None:
+            rounds.append(array("q", levels))
+        if len(levels) == len(r):
             break
-        at = {v: i for i, v in enumerate(levels)}
-        r = [at[k] for k in keys]
-        classes = width = len(levels)
-        nxt = [nxt[j] for j in nxt]
+        width = len(levels)
+        keys = [a * width + b for a, b in zip(r, ahead(r, d))]
+        split = sorted(set(keys))
+        if len(split) == width:
+            break
+        levels = split
+        r = list(map(dict(zip(levels, range(len(levels)))).__getitem__, keys))
+        d *= 2
     return r
 
 
@@ -424,7 +446,127 @@ def _ray_ranks(items: Sequence[Item]) -> Tuple[List[int], List[int]]:
         nxt += range(b + m, b + 2 * m - 1)
     steps.append(0)
     nxt.append(end)
-    return _rank_rays(steps, nxt), bases
+
+    def ahead(r: List[int], d: int) -> List[int]:
+        nonlocal nxt
+        if d > 1:
+            nxt = [nxt[j] for j in nxt]
+        return [r[j] for j in nxt]
+
+    return _rank_rays(steps, ahead), bases
+
+
+def _ray_table(c: ClosedCurve) -> Tuple[array, array, List[array]]:
+    """The ranks of c's rays, a ray of each class, and each round's keys.
+
+    Node ``k`` is c's forward ray from point ``k``, node ``m + k`` its
+    backward ray, as in ``_ray_ranks((c,))``; the rounds are those
+    ``_rank_rays`` keeps, and the ranks index the last round's keys.
+    Computed once per curve, in arrays, which take at most a fifth of the
+    memory of lists of ints.
+    """
+    if c._rays is None:
+        fwd, bwd = _ray_steps(c)
+        m = len(fwd)
+        rounds: List[array] = []
+        ranks = _rank_rays(fwd + bwd, lambda r, d: _rotated(r, m, d), rounds)
+        reps = array("i", [0]) * len(rounds[-1])
+        for node, a in enumerate(ranks):
+            reps[a] = node
+        c._rays = (array("i", ranks), reps, rounds)
+    return c._rays
+
+
+def _rotated(r: Sequence[int], m: int, d: int) -> Sequence[int]:
+    """The entries of ``r`` for the rays ``d`` steps on, of one closed curve of ``m`` tokens.
+
+    Forward rays step up the word and backward rays down it.
+    """
+    s = d % m
+    f, b = r[:m], r[m:]
+    return f[s:] + f[:s] + b[m - s:] + b[:m - s]
+
+
+def _ahead(node: int, m: int, d: int) -> int:
+    """The node ``d`` steps along the ray of ``node`` of a closed curve of ``m`` tokens."""
+    return (node + d) % m if node < m else m + (node - d) % m
+
+
+def _joint_ranks(u: ClosedCurve, v: ClosedCurve) -> List[int]:
+    """Ranks of the rays of ``u`` and ``v`` together, from the tables kept on each.
+
+    Nodes are numbered as in ``_ray_ranks((u, v))``, and the ranks order
+    them the same way.  Each class of the shorter curve's rays in round
+    ``j`` is coded among the longer curve's classes of that round: ``2a +
+    1`` when it is tied with class ``a``, ``2a`` when it falls in the gap
+    just before it.  A class of round ``j + 1`` is a pair of classes of
+    round ``j``, its first ``2**j`` steps and the next ``2**j``, read off
+    the shorter curve's keys; their codes place it among the longer
+    curve's keys of round ``j + 1``, as ``_rank_rays`` would have ranked
+    it.  A curve whose classes are final pairs each class with the class
+    of its representative ray ``2**j`` steps on.  Once the longer curve's
+    classes are final, a class still tied with one of them is compared
+    with its representative ray at doubling shifts up to the Fine and
+    Wilf bound, after which the two are equal.  Rays in one gap between
+    classes order as the shorter curve's own ranks do.
+    """
+    swap = len(u.tokens) < len(v.tokens)
+    big, small = (v, u) if swap else (u, v)
+    big_ranks, big_reps, big_rounds = _ray_table(big)
+    small_ranks, small_reps, small_rounds = _ray_table(small)
+    mb, m = len(big.tokens), len(small.tokens)
+
+    keys = big_rounds[0]
+    n = len(keys)
+    code = []
+    for k in small_rounds[0]:
+        i = bisect_left(keys, k)
+        code.append(2 * i + 1 if i < n and keys[i] == k else 2 * i)
+    j, d = 0, 1
+    while (j + 1 < len(small_rounds) or j + 1 < len(big_rounds)
+           or d < m + mb and any(x & 1 for x in code)):
+        # the codes of the two halves of each class of round j + 1
+        if j + 1 < len(small_rounds):
+            classes = len(small_rounds[j])
+            pairs = small_rounds[j + 1]
+            xs = [code[k // classes] for k in pairs]
+            ys = [code[k % classes] for k in pairs]
+        else:
+            ahead = _rotated(small_ranks, m, d)
+            xs = code
+            ys = [code[ahead[p]] for p in small_reps]
+        if j + 1 < len(big_rounds):
+            # a class tied with class a whose second half is tied with
+            # class b has the key a * width + b; one whose second half falls
+            # just before b sits just before that key, and one that falls
+            # just before a just before a * width
+            keys, width = big_rounds[j + 1], len(big_rounds[j])
+            n = len(keys)
+            wanted = [(x >> 1) * width + (y >> 1 if x & 1 else 0) for x, y in zip(xs, ys)]
+            found = [bisect_left(keys, k) for k in wanted]
+            code = [2 * i + 1 if x & y & 1 and i < n and keys[i] == k else 2 * i
+                    for i, k, x, y in zip(found, wanted, xs, ys)]
+        else:
+            code = []
+            for x, y in zip(xs, ys):
+                if x & 1:
+                    z = 2 * big_ranks[_ahead(big_reps[x >> 1], mb, d)] + 1
+                    if y != z:
+                        x += 1 if y > z else -1
+                code.append(x)
+        j += 1
+        d *= 2
+
+    # code times width, plus, in a gap, 1 + the ray's own rank, which is
+    # below width: rays tied with a class rank with it, and a gap's rays
+    # fall between the classes around it in their own order
+    width = 2 * m + 1
+    joint_big = [(2 * a + 1) * width for a in big_ranks]
+    joint_small = []
+    for a in small_ranks:
+        x = code[a]
+        joint_small.append(x * width + (0 if x & 1 else a + 1))
+    return joint_small + joint_big if swap else joint_big + joint_small
 
 
 @dataclass(frozen=True)
@@ -769,6 +911,7 @@ def _sweep(rows: List[Tuple[int, int, int, int, int]], cross: int) -> int:
     group is a run of equal ``group`` values in ``x`` order) and ``lo_q <=
     y_p < y_q``, of different owners if ``cross`` is 1 and of any if 0.
     One pass in ``x`` order keeps the ``y`` of finished groups sorted.
+    No ``y`` is negative, so a ``lo`` of 0 bounds nothing.
     """
     rows.sort()
     done: Tuple[List[int], List[int]] = ([], [])
@@ -782,7 +925,7 @@ def _sweep(rows: List[Tuple[int, int, int, int, int]], cross: int) -> int:
             pending = []
             group = g
         seen = done[owner ^ cross]
-        total += bisect_left(seen, y) - bisect_left(seen, lo)
+        total += bisect_left(seen, y) - (lo and bisect_left(seen, lo))
         pending.append((owner, y))
     return total
 
@@ -802,11 +945,15 @@ def _linked_crossings(items: Sequence[ClosedCurve]) -> int:
     is seen at both of its ends, and half of those ends count it.  Chords
     of one polygon with four distinct interleaving slots are the linked
     runs of length zero.  Both counts are sweeps over rays or chords in
-    sorted order (Cohen and Lustig 1987; Despré and Lazarus 2019).
+    sorted order (Cohen and Lustig 1987; Despré and Lazarus 2019).  The
+    ranks are a curve's own kept ranks, or the two curves' merged.
     """
     scheme = items[0].scheme
     partner, location = scheme.partner, scheme.location
-    ranks, bases = _ray_ranks(items)
+    if len(items) == 1:
+        ranks, bases = _ray_table(items[0])[0], (0,)
+    else:
+        ranks, bases = _joint_ranks(*items), (0, 2 * len(items[0].tokens))
     # each item's rows by the slot a ray leaves from, and by polygon
     sides: List[Dict[SlotId, list]] = []
     polygons: List[Dict[int, list]] = []

@@ -89,6 +89,18 @@ class TestCanonical:
     def test_reversal_word(self, hexagon):
         assert ClosedCurve(hexagon, (3, 2)).reversed().tokens in {(5, 0), (0, 5)}
 
+    def test_primitive_root(self, hexagon):
+        # a primitive curve is its own root, so what is kept on it is kept
+        # for the intersection numbers and the simplicity verdict of its root
+        for word in [(0,), (3, 2), (0, 1, 3, 1), (1, 2, 1, 2, 1)]:
+            c = ClosedCurve(hexagon, word)
+            root, power = c.primitive_root()
+            assert root is c and power == 1
+        c = ClosedCurve(hexagon, (1, 2, 1, 2, 1, 2))
+        root, power = c.primitive_root()
+        assert root.tokens == (1, 2) and power == 3
+        assert ClosedCurve(hexagon, (0, 0)).primitive_root()[0].tokens == (0,)
+
 
 def _slot_order(word):
     return [slot_key(t) for t in word]

@@ -8,8 +8,10 @@ numbers that hold for every labelling of the surface (Farb and Margalit,
 bigons breaks them.
 """
 
+import functools
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,16 +251,93 @@ class TestFamilyProperties:
         assert curves._linked_crossings((relabel_curve(sc.rho, x),)) == count
 
 
+# -- joint ranks -------------------------------------------------------------
+
+
+def _dense(values):
+    at = {v: i for i, v in enumerate(sorted(set(values)))}
+    return [at[v] for v in values]
+
+
+def assert_joint_ranks(u, v):
+    """The merged ranks order the rays of ``u`` and ``v`` as ``_ray_ranks`` does, node by node."""
+    # the reference's last node ends an arc's ray, which no closed curve reaches
+    n = 2 * (len(u.tokens) + len(v.tokens))
+    assert _dense(curves._joint_ranks(u, v)) == _dense(curves._ray_ranks((u, v))[0][:n]), (u, v)
+
+
+class TestJointRanks:
+    def test_seeded_pools(self):
+        rng = random.Random(6)
+        pool = seeded_curves(6, 200)
+        for u in pool:
+            for v in rng.sample([w for w in pool if w.scheme is u.scheme], 3):
+                assert_joint_ranks(u, v)
+                assert_joint_ranks(u, v.reversed())
+
+    def test_equal_lengths(self):
+        groups = {}
+        for c in seeded_curves(7, 300):
+            groups.setdefault((id(c.scheme), len(c.tokens)), []).append(c)
+        pairs = 0
+        for group in groups.values():
+            for u, v in zip(group, group[1:]):
+                assert_joint_ranks(u, v)
+                assert_joint_ranks(v, u.reversed())
+                pairs += 1
+            for u in group:
+                assert_joint_ranks(u, u.reversed())
+        assert pairs > 100
+
+    def test_twist_powers_beside_their_curve(self, monkeypatch):
+        # T_c^k(x) runs along c k times: rays of c stay tied with classes of
+        # T_c^k(x) past its last round, until its representative rays,
+        # followed with ``_ahead``, decide them
+        steps_along = []
+        ahead = curves._ahead
+        monkeypatch.setattr(curves, "_ahead", lambda node, m, d: steps_along.append(m) or ahead(node, m, d))
+        sc = get_scenario("negative-modification")
+        decided = 0
+        for c in sc.curves.values():
+            for x in sc.curves.values():
+                for k in (*range(1, 9), -1, -2, -4):
+                    y = dehn_twist(x, c, k)
+                    for w in (c, c.reversed()):
+                        del steps_along[:]
+                        assert_joint_ranks(y, w)
+                        assert_joint_ranks(w, y)
+                        longer = len(y.tokens)
+                        decided += longer > len(c.tokens) and longer in steps_along
+        assert decided > 10
+
+    def test_twist_words_beside_their_curve(self):
+        sc = get_scenario("negative-modification")
+        names = sorted(sc.curves)
+        rng = random.Random(8)
+        for _ in range(40):
+            c = sc.curves[rng.choice(names)]
+            word = TwistWord(tuple((c, rng.choice((1, -1))) for _ in range(3)))
+            x = word.apply(sc.curves[rng.choice(names)])
+            assert_joint_ranks(x, c)
+            assert_joint_ranks(c, x.reversed())
+
+
 # -- cost ---------------------------------------------------------------------
 
 
-def _rung(k):
-    """(T_C T_C1^-1)^k (C2) on the hexagon."""
+@functools.lru_cache(maxsize=None)
+def _ladder():
     sc = get_scenario("negative-modification")
-    x = sc.curves["C2"]
-    for _ in range(k):
-        x = dehn_twist(dehn_twist(x, sc.curves["C1"], -1), sc.curves["C"], 1)
-    return sc, x
+    rungs = [sc.curves["C2"]]
+    for _ in range(9):
+        rungs.append(dehn_twist(dehn_twist(rungs[-1], sc.curves["C1"], -1), sc.curves["C"], 1))
+    return sc, rungs
+
+
+def _rung(k):
+    """(T_C T_C1^-1)^k (C2) on the hexagon, as a fresh curve with nothing kept on it."""
+    sc, rungs = _ladder()
+    return sc, ClosedCurve(sc.scheme, rungs[k].tokens)
 
 
 class TestCost:
@@ -275,6 +354,35 @@ class TestCost:
         assert time.perf_counter() - start < 2.0
         alg = algebraic_intersection(x, c1)
         assert abs(alg) <= i and (i - alg) % 2 == 0
+
+    def test_two_fresh_long_curves(self):
+        # both curves' rays are ranked, then merged; ranking the two
+        # together took 0.12 s and 0.6 s
+        sc, x = _rung(8)
+        assert len(x.tokens) == 6300
+        c3 = sc.curves["C3"]
+        y = dehn_twist(x, c3)
+        start = time.perf_counter()
+        assert geometric_intersection(x, _rung(7)[1]) == 11
+        assert time.perf_counter() - start < 2.0
+        x, y = _rung(8)[1], ClosedCurve(sc.scheme, y.tokens)
+        start = time.perf_counter()
+        i = geometric_intersection(x, y)
+        assert time.perf_counter() - start < 2.0
+        # Farb and Margalit, Prop. 3.2
+        assert i == geometric_intersection(x, c3) ** 2
+
+    def test_kept_table_is_small(self):
+        # the same keys kept in lists of ints took 6.0 MB on this rung
+        _, x = _rung(9)
+        curves._ray_steps(x)
+        tracemalloc.start()
+        try:
+            curves._ray_table(x)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2_000_000
 
 
 # -- builds ---------------------------------------------------------------
@@ -312,6 +420,37 @@ class TestBuilds:
         del builds[:]
         dehn_twist(sc.curves["C3"], c)
         assert builds == [["c"]]
+
+    def test_each_curve_is_ranked_once(self, monkeypatch):
+        sc = get_scenario("negative-modification")
+        a, b = sc.curves["C"], sc.curves["C1"]
+        z = dehn_twist(dehn_twist(sc.curves["C3"], b, -1), a, 1)
+        z = ClosedCurve(z.scheme, z.tokens)
+        ranked = []
+        rank = curves._rank_rays
+
+        def counting(steps, ahead, rounds=None):
+            ranked.append(steps)
+            return rank(steps, ahead, rounds)
+
+        monkeypatch.setattr(curves, "_rank_rays", counting)
+
+        def times_ranked(c):
+            fwd, bwd = curves._ray_steps(c)
+            return ranked.count(fwd + bwd)
+
+        calls = [lambda: is_simple(z)] + [
+            lambda u=u, v=v: geometric_intersection(u, v) for u, v in ((z, a), (z, b), (a, z))
+        ]
+        for call in calls:
+            call()
+        assert times_ranked(z) == 1
+        assert times_ranked(a) <= 1 and times_ranked(b) <= 1
+        assert len(ranked) == times_ranked(z) + times_ranked(a) + times_ranked(b)
+        del ranked[:]
+        for call in calls:
+            call()
+        assert ranked == []
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_joining_pairs_have_no_bigons(self, name):
