@@ -46,10 +46,15 @@ round by round, so no ray is ranked again for another query.
 Twists and band slides need only where a curve ``x`` crosses one simple
 curve ``c``, and the order of x's points among themselves never changes
 which of c's chords an x chord crosses.  So :func:`passage_crossings`
-builds one configuration of ``c`` alone, kept on the curve with a table
-from chord ends to crossing lists, and places each point of ``x`` among
-c's points on its edge by the same key, comparing rays step by step:
-work linear in ``|x| * |c|`` at worst, and no configuration per twist.
+keeps on ``c`` its points along each edge, sorted by the configuration's
+key from the ray ranks ``c`` already keeps (no configuration is built),
+a table from chord ends to crossing lists, and the words its twists
+insert at each crossing (:func:`insertion_words`).  Each point of ``x``
+is placed among c's points on its edge by the same key: differing first
+steps decide a comparison at once, and only equal ones start a memoized
+walk along the two rays, so the work is linear in ``|x| * |c|`` at worst.
+Every step is read from a table of slot pairs kept on the scheme and
+filled on first use.
 """
 
 from __future__ import annotations
@@ -70,12 +75,16 @@ TokenWord = Tuple[SlotId, ...]
 
 
 def _reduce_linear(partner: Dict[SlotId, SlotId], tokens: Iterable[SlotId]) -> List[SlotId]:
+    # tokens are glued slots; ``back`` is the token that would cancel out[-1]
     out: List[SlotId] = []
+    back = None
     for t in tokens:
-        if out and t == partner.get(out[-1]):
+        if t == back:
             out.pop()
+            back = partner[out[-1]] if out else None
         else:
             out.append(t)
+            back = partner[t]
     return out
 
 
@@ -151,6 +160,7 @@ class ClosedCurve:
         self._steps: Optional[Tuple[List[int], List[int]]] = None
         self._crossing_data: Optional[tuple] = None
         self._rays: Optional[tuple] = None
+        self._homology: Optional[Tuple[int, ...]] = None
 
     @property
     def is_null(self) -> bool:
@@ -184,7 +194,10 @@ class ClosedCurve:
         return self, 1
 
     def homology(self) -> Tuple[int, ...]:
-        return homology_class(self.scheme, self.tokens)
+        """The homology class in the edge-class basis, computed once."""
+        if self._homology is None:
+            self._homology = homology_class(self.scheme, self.tokens)
+        return self._homology
 
     def __eq__(self, other) -> bool:
         return (
@@ -324,6 +337,28 @@ def pair_homology(form: List[List[int]], u: Sequence[int], v: Sequence[int]) -> 
 # -- taut configurations ---------------------------------------------------
 
 
+class _StepTable(dict):
+    """The steps between slots of one scheme, each computed on first use.
+
+    Key ``(s, t)`` is a source and a target slot of one polygon; the value
+    is the step ``_ray_steps`` describes.  Kept on the scheme, so a large
+    family member pays only for the pairs its curves use.
+    """
+
+    def __init__(self, scheme: Scheme):
+        super().__init__()
+        self.location, self.rank = scheme.location, scheme.rank
+        self.sizes = [len(poly) for poly in scheme.polygons]
+
+    def __missing__(self, pair: Tuple[SlotId, SlotId]) -> int:
+        s, t = pair
+        pi, ps = self.location[s]
+        step = self[pair] = (
+            (self.location[t][1] - ps) % self.sizes[pi] * len(self.rank) + self.rank[t] + 1
+        )
+        return step
+
+
 def _ray_steps(item: Item) -> Tuple[List[int], List[int]]:
     """The first step of each strand leaving one of the item's crossing points.
 
@@ -335,30 +370,26 @@ def _ray_steps(item: Item) -> Tuple[List[int], List[int]]:
     distance from ``s`` to ``t`` and ``S`` the number of slots, so steps
     from one source order by offset, a step determines its source and
     target, and 0 is left free for the end of a ray.  An arc's last forward
-    and first backward steps reach its anchors.  Computed once per item;
-    items are never mutated.
+    and first backward steps reach its anchors.  Steps are read from the
+    scheme's table of slot pairs; computed once per item, as items are
+    never mutated.
     """
     if item._steps is None:
         scheme = item.scheme
-        partner, location, rank = scheme.partner, scheme.location, scheme.rank
-        polygons = scheme.polygons
-        width = len(rank)
+        table = scheme._step_table
+        if table is None:
+            table = scheme._step_table = _StepTable(scheme)
         toks = item.tokens
+        # the slot each strand enters its next polygon through
+        entries = list(map(scheme.partner.__getitem__, toks))
         if isinstance(item, ClosedCurve):
             nexts = toks[1:] + toks[:1]
-            prevs = [partner[t] for t in toks[-1:] + toks[:-1]]
+            prevs = entries[-1:] + entries[:-1]
         else:
             nexts = toks[1:] + (item.end.slot,)
-            prevs = [item.start.slot] + [partner[t] for t in toks[:-1]]
-
-        def step(s: SlotId, t: SlotId) -> int:
-            pi, ps = location[s]
-            return (location[t][1] - ps) % len(polygons[pi]) * width + rank[t] + 1
-
-        item._steps = (
-            [step(partner[s], t) for s, t in zip(toks, nexts)],
-            [step(s, t) for s, t in zip(toks, prevs)],
-        )
+            prevs = [item.start.slot] + entries[:-1]
+        step = table.__getitem__
+        item._steps = (list(map(step, zip(entries, nexts))), list(map(step, zip(toks, prevs))))
     return item._steps
 
 
@@ -755,52 +786,147 @@ class TautConfig:
 # -- crossings with one curve ----------------------------------------------
 
 
+class _ChordTable(dict):
+    """The crossings with ``c`` of a chord, by its polygon and end positions.
+
+    Key ``(pi, a, b)`` is a chord of polygon ``pi`` whose ends sit just
+    before c's points ``a`` and ``b``; the value lists the (c-passage,
+    sign) pairs of its crossings ordered from ``a``, computed on first use.
+    """
+
+    def __init__(self, sizes: List[int], chords: Dict[int, List[Tuple[int, int, int]]]):
+        super().__init__()
+        self.sizes, self.chords = sizes, chords
+
+    def __missing__(self, key: Tuple[int, int, int]) -> Tuple[Tuple[int, int], ...]:
+        # c's point p lies on the counterclockwise way from a to b iff it is
+        # one of a, a + 1, ..., b - 1
+        pi, a, b = key
+        n = self.sizes[pi]
+        span = (b - a) % n if n else 0
+        hits = []
+        for j, ca, cb in self.chords.get(pi, ()):
+            da, db = (ca - a) % n, (cb - a) % n
+            inside = da < span
+            if inside != (db < span):
+                hits.append((da if inside else db, j, 1 if inside else -1))
+        hits.sort()
+        found = self[key] = tuple((j, sign) for _, j, sign in hits)
+        return found
+
+
+class _InsertionWords(dict):
+    """The words a strand picks up at its crossings with ``c``, each built on first use.
+
+    Key ``(kc, n)`` is a crossing on passage ``kc`` of ``c`` and a nonzero
+    number of copies; the value is ``c`` followed once around ``abs(n)``
+    times from there, forward if ``n > 0`` (first exiting through
+    ``c.tokens[kc]``), backward if ``n < 0`` (first exiting through the
+    partner of the previous token).
+    """
+
+    def __init__(self, c: ClosedCurve):
+        super().__init__()
+        self.tokens, self.partner = c.tokens, c.scheme.partner
+
+    def __missing__(self, key: Tuple[int, int]) -> TokenWord:
+        kc, n = key
+        rot = self.tokens[kc:] + self.tokens[:kc]
+        if n < 0:
+            rot = _reverse_word(self.partner, rot)
+        word = self[key] = rot * abs(n)
+        return word
+
+
 def _crossing_data(c: ClosedCurve):
     """What ``passage_crossings`` keeps of ``c``, built once per curve.
 
-    Returns c's points along each edge in the configuration's order (as
-    token indices), the number of c's points counterclockwise before each
-    slot of its polygon, the number of c's points and its chords in each
-    polygon, and the table from (polygon, entry, exit) positions of a chord
-    to the crossings on it, filled as chords ask for it.
+    Returns c's points along each edge in ``TautConfig``'s order (as token
+    indices), the number of c's points counterclockwise before each slot
+    of its polygon and before the end of each glued slot, the table of
+    chord crossings (``_ChordTable``) and the insertion words
+    (``_InsertionWords``).  The order is read from c's kept ray ranks: on
+    each edge, the ray on side ``e[0]`` descending, then the ray on side
+    ``e[1]`` ascending, then the token index, which is the configuration's
+    key for ``c`` alone; no configuration is built.
     """
     if c._crossing_data is None:
         scheme = c.scheme
-        cfg = TautConfig(scheme, {"c": c})
-        order = {e: [k for _, _, k in group] for e, group in cfg._groups.items()}
+        edge_of, location = scheme.edge_of, scheme.location
+        toks = c.tokens
+        m = len(toks)
+        ranks = _ray_table(c)[0]
+        keyed: Dict[Tuple[SlotId, SlotId], List[Tuple[int, int, int]]] = {}
+        for k, t in enumerate(toks):
+            e = edge_of[t]
+            fwd, bwd = ranks[k], ranks[m + k]
+            # the backward ray runs into the polygon of the token's own slot
+            r0, r1 = (bwd, fwd) if t == e[0] else (fwd, bwd)
+            keyed.setdefault(e, []).append((-r0, r1, k))
+        order = {e: [k for _, _, k in sorted(row)] for e, row in keyed.items()}
         before: Dict[SlotId, int] = {}
+        after: Dict[SlotId, int] = {}
+        sizes = []
         for poly in scheme.polygons:
             n = 0
             for s in poly:
                 before[s] = n
-                n += len(order.get(scheme.edge_of.get(s), ()))
-        c._crossing_data = (order, before, cfg._poly_size, cfg._by_polygon["c"], {})
+                n += len(order.get(edge_of.get(s), ()))
+                after[s] = n
+            sizes.append(n)
+        # c's own point k sits at index i of its edge, so its ends are the
+        # positions an x point with i of c's points before it takes, less
+        # one on side e[1]
+        exit_pos = [0] * m
+        cross_pos = [0] * m
+        for (s0, s1), row in order.items():
+            for i, k in enumerate(row):
+                if toks[k] == s0:
+                    exit_pos[k], cross_pos[k] = before[s0] + i, after[s1] - i - 1
+                else:
+                    exit_pos[k], cross_pos[k] = after[s1] - i - 1, before[s0] + i
+        chords: Dict[int, List[Tuple[int, int, int]]] = {}
+        for i, t in enumerate(toks):
+            chords.setdefault(location[t][0], []).append((i, cross_pos[i - 1], exit_pos[i]))
+        c._crossing_data = (order, before, after, _ChordTable(sizes, chords), _InsertionWords(c))
     return c._crossing_data
 
 
-def _gaps(x: Item, c: ClosedCurve, order) -> List[int]:
-    """The number of c's points before each point of ``x`` along its edge.
+def insertion_words(c: ClosedCurve) -> Dict[Tuple[int, int], TokenWord]:
+    """The words kept on ``c`` that its twists insert, keyed ``(c passage, copies)``.
 
-    The order is ``TautConfig``'s key with ``c`` named before ``x``: the
-    ray on side ``e[0]`` descending, then the ray on side ``e[1]``
-    ascending, then a full tie puts c's point first.  Rays are compared
-    step by step.  Along a run where the two rays agree, every pair of
-    points on the run compares the same, so one walk decides them all;
-    rays that agree for ``2 * (|x| + |c|) + 4`` steps agree for ever
-    (Fine and Wilf 1965).  Each pair of rays is walked at most once.
+    See ``_InsertionWords``; a twist along ``c`` reads them at every crossing.
     """
-    xf, xb = _ray_steps(x)
-    cf, cb = _ray_steps(c)
+    return _crossing_data(c)[4]
+
+
+def _walker(
+    x_steps: Tuple[List[int], List[int]], c_steps: Tuple[List[int], List[int]]
+) -> Callable[[bool, int, bool, int], int]:
+    """Compare a ray of an item ``x`` with a ray of a closed curve ``c``.
+
+    The arguments are ``_ray_steps(x)`` and ``_ray_steps(c)``.
+    ``walk(xfwd, i, cfwd, j)`` compares x's ray from point ``i`` (forward
+    if ``xfwd``) with c's ray from point ``j`` (forward if ``cfwd``): -1, 0
+    or 1 as x's is lower, equal or higher.  Along a run where the two rays
+    agree, every pair of points on the run compares the same, so one walk
+    decides them all; rays that agree for ``2 * (|x| + |c|) + 4`` steps
+    agree for ever (Fine and Wilf 1965).  Each pair of rays is walked at
+    most once.
+    """
+    xf, xb = x_steps
+    cf, cb = c_steps
     m, mc = len(xf), len(cf)
     cap = 2 * (m + mc) + 4
-    memo: Dict[Tuple[bool, bool], Dict[int, int]] = {}
+    # one memo per pair of directions, x forward or not times c forward or not
+    memos: Tuple[Dict[int, int], ...] = ({}, {}, {}, {})
 
-    def cmp(xfwd: bool, i: int, cfwd: bool, j: int) -> int:
+    def walk(xfwd: bool, i: int, cfwd: bool, j: int) -> int:
         # an arc's ray ends at an anchor, on a boundary slot, where no ray
         # of c goes: the walk stops there and never wraps
         xs, dx = (xf, 1) if xfwd else (xb, -1)
         cs, dc = (cf, 1) if cfwd else (cb, -1)
-        seen = memo.setdefault((xfwd, cfwd), {})
+        seen = memos[2 * xfwd + cfwd]
         path = []
         while True:
             key = i * mc + j
@@ -820,24 +946,7 @@ def _gaps(x: Item, c: ClosedCurve, order) -> List[int]:
             seen[key] = r
         return r
 
-    edge_of, ctoks = x.scheme.edge_of, c.tokens
-    gaps = []
-    for k, t in enumerate(x.tokens):
-        e = edge_of[t]
-        row = order.get(e, ())
-        lo, hi = 0, len(row)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            j = row[mid]
-            # the forward ray runs into the polygon of the partner slot
-            x0, c0 = t != e[0], ctoks[j] != e[0]
-            r = cmp(x0, k, c0, j) or -cmp(not x0, k, not c0, j)
-            if r <= 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        gaps.append(lo)
-    return gaps
+    return walk
 
 
 def passage_crossings(x: Item, c: ClosedCurve) -> List[Tuple[Tuple[int, int], ...]]:
@@ -851,49 +960,64 @@ def passage_crossings(x: Item, c: ClosedCurve) -> List[Tuple[Tuple[int, int], ..
     decide the crossings, so what depends on ``c`` alone is kept on the
     curve, and each chord of ``x`` is looked up by the number of c's points
     counterclockwise before its two ends.
+
+    One pass over ``x`` places each of its points among c's points on its
+    edge by binary search, in the configuration's order with ``c`` named
+    before ``x``: the ray on side ``e[0]`` descending, then the ray on side
+    ``e[1]`` ascending, then a full tie puts c's point first.  Rays whose
+    first steps differ are decided by them, and only equal ones are walked
+    (``_walker``).  The rays on side ``e[1]`` are never compared: ``c`` is
+    closed, so when the rays on side ``e[0]`` agree for ever, ``x`` runs
+    along a power of ``c`` or of its reverse from that point (an arc's ray
+    ends at its anchor first), and the rays on side ``e[1]`` agree for ever
+    too.  A point with ``g`` of c's points before it sits ``g`` points
+    into side ``e[0]`` and ``g`` points back from the end of side ``e[1]``.
     """
     scheme = c.scheme
     if x.scheme is not scheme:
         raise CurveError(f"{x!r} lives on a different scheme from {c!r}")
-    order, before, sizes, chords, table = _crossing_data(c)
+    order, before, after, table, _ = _crossing_data(c)
     partner, edge_of, location = scheme.partner, scheme.edge_of, scheme.location
-    toks = x.tokens
-    gaps = _gaps(x, c, order)
-
-    def at(slot: SlotId, k: int) -> int:
-        e = edge_of[slot]
-        g = gaps[k]
-        return before[slot] + (g if slot == e[0] else len(order.get(e, ())) - g)
-
-    exits = [at(t, k) for k, t in enumerate(toks)]
-    entries = [at(partner[t], k) for k, t in enumerate(toks)]
-    polys = [location[t][0] for t in toks]
+    xf, xb = x_steps = _ray_steps(x)
+    cf, cb = c_steps = _ray_steps(c)
+    walk = _walker(x_steps, c_steps)
+    ctoks = c.tokens
+    exits: List[int] = []
+    entries: List[int] = []
+    for k, t in enumerate(x.tokens):
+        e = edge_of[t]
+        e0 = e[0]
+        row = order.get(e)
+        g = 0
+        if row:
+            # the forward ray runs into the polygon of the partner slot
+            x0 = t != e0
+            first = xf[k] if x0 else xb[k]
+            hi = len(row)
+            while g < hi:
+                mid = (g + hi) // 2
+                j = row[mid]
+                c0 = ctoks[j] != e0
+                c_first = cf[j] if c0 else cb[j]
+                # c's point first when x's ray on side e[0] is lower or equal
+                if first < c_first or first == c_first and walk(x0, k, c0, j) <= 0:
+                    g = mid + 1
+                else:
+                    hi = mid
+        if t == e0:
+            exits.append(before[t] + g)
+            entries.append(after[partner[t]] - g)
+        else:
+            exits.append(after[t] - g)
+            entries.append(before[partner[t]] + g)
+    polys = [location[t][0] for t in x.tokens]
     if isinstance(x, ClosedCurve):
         entries = entries[-1:] + entries[:-1]
     else:
         entries.insert(0, before[x.start.slot])
         exits.append(before[x.end.slot])
         polys.append(location[x.end.slot][0])
-    out = []
-    for key in zip(polys, entries, exits):
-        found = table.get(key)
-        if found is None:
-            # x's ends sit just before c's points a and b: c's point p lies
-            # on the counterclockwise way from entry to exit iff it is one
-            # of a, a + 1, ..., b - 1
-            pi, a, b = key
-            n = sizes[pi]
-            span = (b - a) % n if n else 0
-            hits = []
-            for j, ca, cb in chords.get(pi, ()):
-                da, db = (ca - a) % n, (cb - a) % n
-                inside = da < span
-                if inside != (db < span):
-                    hits.append((da if inside else db, j, 1 if inside else -1))
-            hits.sort()
-            found = table[key] = tuple((j, sign) for _, j, sign in hits)
-        out.append(found)
-    return out
+    return list(map(table.__getitem__, zip(polys, entries, exits)))
 
 
 # -- intersection numbers --------------------------------------------------

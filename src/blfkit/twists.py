@@ -4,8 +4,12 @@ A right-handed (positive) twist along a simple closed curve ``c`` reroutes
 every strand crossing ``c``: at a crossing of sign ``s`` the strand picks
 up a copy of ``c`` traversed in direction ``s``.  On homology this is the
 transvection ``x -> x + <x, c> c``.  A left-handed twist is the inverse.
-The crossings come from ``curves.passage_crossings``, whose tables are kept
-on ``c``: twisting many curves along one curve builds one configuration.
+The crossings come from ``curves.passage_crossings`` and the inserted
+words from ``curves.insertion_words``, both kept on ``c``: a twist is one
+pass over the twisted word, and twisting many curves along one curve
+builds no configuration.  The homology action reads each curve's class,
+kept on the curve, and builds each transvection from one product of the
+intersection form with it.
 
 Relabelings (scheme symmetries) act on curves token-wise; conjugation of a
 twist by a relabeling is the twist along the relabeled curve.
@@ -20,27 +24,12 @@ from .curves import (
     Arc,
     ClosedCurve,
     Item,
-    homology_class,
+    insertion_words,
     intersection_form,
-    pair_homology,
     passage_crossings,
     require_simple,
 )
 from .schemes import Relabeling, Scheme, SlotId
-
-
-def _insertion(c: ClosedCurve, kc: int, direction: int) -> List[SlotId]:
-    """Tokens picked up when a strand follows ``c`` once around.
-
-    The crossing sits on passage ``kc`` of ``c``; following forward first
-    exits through ``c.tokens[kc]``, following backward first exits through
-    the partner of the previous token.
-    """
-    rot = list(c.tokens[kc:] + c.tokens[:kc])
-    if direction > 0:
-        return rot
-    partner = c.scheme.partner
-    return [partner[t] for t in reversed(rot)]
 
 
 def insert_copies(
@@ -54,18 +43,25 @@ def insert_copies(
     ``table`` is ``passage_crossings(x, c)``.  At the crossing of passage
     ``k`` of ``x`` with passage ``kc`` of ``c``, of sign ``sign``, the
     strand picks up ``abs(n)`` copies of ``c`` for ``n = copies(k, kc,
-    sign)``: followed forward if ``n > 0``, backward if ``n < 0``.
+    sign)``: followed forward if ``n > 0``, backward if ``n < 0``.  The
+    words come from ``insertion_words(c)``, kept on ``c``.
     """
-    m = len(x.tokens)
+    words = insertion_words(c)
+    toks = x.tokens
     new_tokens: List[SlotId] = []
-    # an arc has one passage more than tokens: the last ends at its anchor
+    # copies go in before token k, so x's tokens are copied in runs up to
+    # each crossing passage; an arc has one passage more than tokens, the
+    # last ending at its anchor
+    done = 0
     for k, row in enumerate(table):
-        for kc, sign in row:
-            n = copies(k, kc, sign)
-            if n:
-                new_tokens.extend(_insertion(c, kc, n) * abs(n))
-        if k < m:
-            new_tokens.append(x.tokens[k])
+        if row:
+            new_tokens += toks[done:k]
+            done = k
+            for kc, sign in row:
+                n = copies(k, kc, sign)
+                if n:
+                    new_tokens += words[kc, n]
+    new_tokens += toks[done:]
     if isinstance(x, ClosedCurve):
         return ClosedCurve(x.scheme, new_tokens)
     return Arc(x.scheme, x.start, new_tokens, x.end)
@@ -115,29 +111,24 @@ class TwistWord:
         n = len(form)
         mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         for c, p in reversed(self.steps):
-            vc = homology_class(scheme, c.tokens)
-            step = transvection(form, vc, p)
-            mat = _matmul(step, mat)
+            mat = _matmul(transvection(form, c.homology(), p), mat)
         return mat
 
 
 def transvection(form: List[List[int]], vc: Sequence[int], power: int) -> List[List[int]]:
-    """Matrix of ``x -> x + power * <x, vc> vc`` in the edge-class basis."""
+    """Matrix of ``x -> x + power * <x, vc> vc`` in the edge-class basis.
+
+    Column ``i``, the image of basis vector ``e_i``, is ``e_i + power *
+    <e_i, vc> vc``, and ``<e_i, vc>`` is entry ``i`` of ``form`` times ``vc``.
+    """
     n = len(form)
-    mat = []
-    for i in range(n):
-        e = [1 if j == i else 0 for j in range(n)]
-        coef = power * pair_homology(form, e, vc)
-        mat.append([e[j] + coef * vc[j] for j in range(n)])
-    return [[mat[i][j] for i in range(n)] for j in range(n)]  # columns = images
+    w = [power * sum(f * v for f, v in zip(row, vc)) for row in form]
+    return [[(1 if i == j else 0) + w[i] * vc[j] for i in range(n)] for j in range(n)]
 
 
 def _matmul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def relabel_curve(r: Relabeling, x: Item) -> Item:

@@ -74,24 +74,31 @@ class TestDumpDeterminism:
 
 
 # every scenario through ``cli.main``: verify (stdout, exit code, --json),
-# dump-scenario and render, writing files in the working directory; prints
-# the sha256 of all of it
+# dump-scenario and render, writing files in the working directory; then
+# an oracle cross-check and a handle simulation, which fill the per-scheme
+# step tables and the tables kept on twist curves; prints the sha256 of
+# all of it
 DIGEST_SCRIPT = """
 import contextlib, hashlib, io
 from blfkit import cli, scenarios
 digest = hashlib.sha256()
+
+def run(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    digest.update(f"{argv} {code}\\n{buf.getvalue()}".encode())
+
 for name in sorted(scenarios.SCENARIOS):
     report, svg = "report.json", "scene.svg"
-    commands = (["verify", name, "--json", report], ["dump-scenario", name],
-                ["render", name, "-o", svg])
-    for argv in commands:
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = cli.main(argv)
-        digest.update(f"{argv} {code}\\n{buf.getvalue()}".encode())
+    run(["verify", name, "--json", report])
+    run(["dump-scenario", name])
+    run(["render", name, "-o", svg])
     for path in (report, svg):
         with open(path, "rb") as fh:
             digest.update(fh.read())
+run(["oracle-crosscheck", "--count", "50"])
+run(["handle-sim", "--genus", "2"])
 print(digest.hexdigest())
 """
 

@@ -414,12 +414,19 @@ class TestBuilds:
         is_simple(ClosedCurve(x.scheme, x.tokens))
         assert builds == []
 
-    def test_first_twist_along_a_fresh_curve_builds_once(self, builds):
+    def test_first_twist_along_a_fresh_curve_builds_nothing(self, builds, monkeypatch):
+        # c's crossing data is read off the ray ranks that its simplicity
+        # check keeps, so its rays are ranked once
         sc = get_scenario("negative-modification")
         c = dehn_twist(sc.curves["C2"], sc.curves["C1"], 2)
         del builds[:]
+        ranked = []
+        rank = curves._rank_rays
+        monkeypatch.setattr(curves, "_rank_rays", lambda steps, *a: ranked.append(steps) or rank(steps, *a))
         dehn_twist(sc.curves["C3"], c)
-        assert builds == [["c"]]
+        fwd, bwd = curves._ray_steps(c)
+        assert builds == []
+        assert ranked == [fwd + bwd]
 
     def test_each_curve_is_ranked_once(self, monkeypatch):
         sc = get_scenario("negative-modification")

@@ -16,12 +16,21 @@ import time
 
 import pytest
 
-from blfkit import Anchor, Arc, ClosedCurve, TwistWord, dehn_twist, hexagon_scheme, project, round_surgery
-from blfkit import curves, surgery
+from blfkit import (
+    Anchor,
+    Arc,
+    ClosedCurve,
+    TwistWord,
+    dehn_twist,
+    hexagon_scheme,
+    project,
+    round_surgery,
+    square_torus_scheme,
+)
+from blfkit import curves, oracle, surgery, twists
 from blfkit.curves import TautConfig, intersection_form, passage_crossings
 from blfkit.errors import CurveError, ProjectionObstructedError
 from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
-from blfkit.twists import _insertion
 
 _STOP = ("stop",)
 
@@ -335,6 +344,15 @@ def reference_on_passage(cfg, x_name, k, c_name):
     return [(j, s) for _, j, s in found]
 
 
+def reference_insertion(c, kc, direction):
+    """``twists._insertion``, which the kept insertion words replaced."""
+    rot = list(c.tokens[kc:] + c.tokens[:kc])
+    if direction > 0:
+        return rot
+    partner = c.scheme.partner
+    return [partner[t] for t in reversed(rot)]
+
+
 def reference_insert_copies(cfg, copies):
     """The insertion primitive as it read crossings off a two-item configuration."""
     x, c = cfg.items["x"], cfg.items["c"]
@@ -345,7 +363,7 @@ def reference_insert_copies(cfg, copies):
         for kc, sign in reference_on_passage(cfg, "x", k, "c"):
             n = copies(k, kc, sign)
             if n:
-                new_tokens.extend(_insertion(c, kc, n) * abs(n))
+                new_tokens.extend(reference_insertion(c, kc, n) * abs(n))
         if k < m:
             new_tokens.append(x.tokens[k])
     if closed:
@@ -474,6 +492,99 @@ class TestCrossingTable:
         assert (dehn_twist(sc.curves["C2"], c1), project(sr, arc)) == first
         assert dehn_twist(sc.curves["C3"], c1, -2) == dehn_twist(dehn_twist(sc.curves["C3"], c1, -1), c1, -1)
         assert builds == []
+
+
+def reference_ray_steps(item):
+    """``curves._ray_steps`` as it computed every step with a nested ``step``."""
+    scheme = item.scheme
+    partner, location, rank = scheme.partner, scheme.location, scheme.rank
+    polygons = scheme.polygons
+    width = len(rank)
+    toks = item.tokens
+    if isinstance(item, ClosedCurve):
+        nexts = toks[1:] + toks[:1]
+        prevs = [partner[t] for t in toks[-1:] + toks[:-1]]
+    else:
+        nexts = toks[1:] + (item.end.slot,)
+        prevs = [item.start.slot] + [partner[t] for t in toks[:-1]]
+
+    def step(s, t):
+        pi, ps = location[s]
+        return (location[t][1] - ps) % len(polygons[pi]) * width + rank[t] + 1
+
+    return (
+        [step(partner[s], t) for s, t in zip(toks, nexts)],
+        [step(s, t) for s, t in zip(toks, prevs)],
+    )
+
+
+def random_items(sch, rng, count):
+    """Seeded closed curves and arcs (anchor indices 0-3) of up to 20 tokens on ``sch``."""
+    partner, location = sch.partner, sch.location
+    glued = sorted(partner, key=sch.rank.get)
+    boundary = sch.boundary_slots
+    out = []
+    while len(out) < count:
+        start = rng.choice(boundary) if boundary and rng.random() < 0.5 else None
+        here = location[start if start is not None else rng.choice(glued)][0]
+        word = []
+        for _ in range(rng.randint(0, 20)):
+            t = rng.choice([t for t in glued if location[t][0] == here])
+            word.append(t)
+            here = location[partner[t]][0]
+        try:
+            if start is None:
+                out.append(ClosedCurve(sch, word))
+            else:
+                ends = [b for b in boundary if location[b][0] == here]
+                if ends:
+                    out.append(Arc(sch, Anchor(start, rng.randint(0, 3)), word,
+                                   Anchor(rng.choice(ends), rng.randint(0, 3))))
+        except CurveError:
+            pass  # a closed word whose ends lie in different polygons
+    return out
+
+
+def suite_twists(seed):
+    """Every distinct (x, c) pair that ``run_agreement_suite(200, seed)`` twists."""
+    seen = {}
+    twist = twists.dehn_twist
+
+    def recording(x, c, power=1, **kwargs):
+        seen.setdefault((x.tokens, c.tokens), (x, c))
+        return twist(x, c, power, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(twists, "dehn_twist", recording)
+        oracle.run_agreement_suite(200, seed)
+    return list(seen.values())
+
+
+class TestTwistKernel:
+    def test_steps_match_nested_step(self):
+        rng = random.Random(17)
+        hexagon = get_scenario("negative-modification")
+        schemes = [hexagon.scheme, square_torus_scheme().build()] + [
+            family_scenario(n).scheme for n in (2, 3, 4, 32)
+        ] + [round_surgery(hexagon.scheme, hexagon.curves["C"]).scheme]
+        arcs, indices = 0, set()
+        for sch in schemes:
+            for item in random_items(sch, rng, 60):
+                assert curves._ray_steps(item) == reference_ray_steps(item), item
+                if isinstance(item, Arc):
+                    arcs += 1
+                    indices.update((item.start.index, item.end.index))
+        # the surgered scheme has two polygons
+        assert len(schemes[-1].polygons) > 1
+        assert arcs > 100 and indices == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_suite_twists_match_configuration(self, seed):
+        pairs = suite_twists(seed)
+        assert len(pairs) > 400
+        for x, c in pairs:
+            for power in (1, -1, 2, -2):
+                assert dehn_twist(x, c, power).tokens == reference_twist(x, c, power).tokens, (x, c, power)
 
 
 class TestCost:

@@ -1,5 +1,7 @@
 """Dehn twists: fixtures, group identities, homology shadow."""
 
+import random
+
 import pytest
 
 from blfkit import (
@@ -14,8 +16,9 @@ from blfkit import (
     relabel_curve,
     square_torus_scheme,
 )
-from blfkit.curves import homology_class, intersection_form
+from blfkit.curves import homology_class, intersection_form, pair_homology
 from blfkit.errors import NotSimpleError
+from blfkit.scenarios import family_scenario
 from blfkit.schemes import Relabeling
 from blfkit.twists import transvection
 
@@ -112,7 +115,44 @@ class TestGroupIdentities:
         assert curves_isotopic(lhs, rhs, oriented=True)
 
 
+def reference_act_on_homology(word, scheme):
+    """``TwistWord.act_on_homology`` as it built each transvection row by row
+    with ``pair_homology`` and transposed it."""
+    form = intersection_form(scheme)
+    n = len(form)
+    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for c, p in reversed(word.steps):
+        vc = homology_class(scheme, c.tokens)
+        rows = []
+        for i in range(n):
+            e = [1 if j == i else 0 for j in range(n)]
+            coef = p * pair_homology(form, e, vc)
+            rows.append([e[j] + coef * vc[j] for j in range(n)])
+        step = [[rows[i][j] for i in range(n)] for j in range(n)]
+        mat = [[sum(step[i][k] * mat[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return mat
+
+
 class TestHomologyShadow:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_action_matches_row_by_row_transvections(self, n):
+        # family-1 is the hexagon; the words mix the scenario's twist
+        # curves with random ones, simple or not, and powers -3..3
+        sc = family_scenario(n)
+        scheme = sc.scheme
+        glued = sorted(scheme.partner, key=scheme.rank.get)
+        rng = random.Random(n)
+        pool = list(sc.curves.values())
+        while len(pool) < 2 * len(sc.curves) + 10:
+            c = ClosedCurve(scheme, [rng.choice(glued) for _ in range(rng.randint(1, 8))])
+            if not c.is_null:
+                pool.append(c)
+        for _ in range(40):
+            word = TwistWord(tuple(
+                (rng.choice(pool), rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))
+            ))
+            assert word.act_on_homology(scheme) == reference_act_on_homology(word, scheme)
+
     def test_transvection_matrix(self, hexagon):
         F = intersection_form(hexagon)
         m = transvection(F, (1, 0, 0), 1)
