@@ -37,11 +37,17 @@ same way round; the strands through them then cross once somewhere along
 their maximal shared run.  :func:`geometric_intersection` and
 :func:`is_simple` count linked pairs where their run ends (half of the
 ends) plus the interleaving chords of four distinct slots (runs of length
-zero), by sweeps over the ranked rays (Cohen and Lustig 1987): no
-configuration is built.  Each curve ranks its own rays once and keeps the
-ranks with the sorted keys of every prefix-doubling round; for a pair,
-the shorter curve's rays are placed among the longer curve's classes
-round by round, so no ray is ranked again for another query.
+zero), from the ranked rays (Cohen and Lustig 1987): no configuration is
+built.  Each curve ranks its own rays once and keeps the ranks with the
+sorted keys of every prefix-doubling round, and keeps dominance tables
+built from them: on each edge side, a Fenwick tree over the first steps
+of the rays leaving it, holding their ranks on the other side, and in
+each polygon one over the low slots of its chords, holding their high
+slots.  A self-count queries the curve's own tables with each of its
+rows.  For a pair, the shorter curve's rays are placed among the longer
+curve's classes round by round, and only the shorter curve's rows query
+the longer curve's tables, so no ray is ranked again and no row of the
+longer curve is visited for another query.
 
 Twists and band slides need only where a curve ``x`` crosses one simple
 curve ``c``, and the order of x's points among themselves never changes
@@ -61,7 +67,8 @@ from __future__ import annotations
 
 import functools
 from array import array
-from bisect import bisect_left, insort
+from collections import defaultdict
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -160,6 +167,7 @@ class ClosedCurve:
         self._steps: Optional[Tuple[List[int], List[int]]] = None
         self._crossing_data: Optional[tuple] = None
         self._rays: Optional[tuple] = None
+        self._tables: Optional[tuple] = None
         self._homology: Optional[Tuple[int, ...]] = None
 
     @property
@@ -275,7 +283,8 @@ Item = Union[ClosedCurve, Arc]
 
 
 def curves_isotopic(a: ClosedCurve, b: ClosedCurve, oriented: bool = False) -> bool:
-    return a.canonical(oriented) == b.canonical(oriented)
+    # equal forms of reduced words need equal lengths, and most pairs differ in length
+    return len(a.tokens) == len(b.tokens) and a.canonical(oriented) == b.canonical(oriented)
 
 
 def arcs_isotopic(a: Arc, b: Arc) -> bool:
@@ -523,23 +532,26 @@ def _ahead(node: int, m: int, d: int) -> int:
     return (node + d) % m if node < m else m + (node - d) % m
 
 
-def _joint_ranks(u: ClosedCurve, v: ClosedCurve) -> List[int]:
-    """Ranks of the rays of ``u`` and ``v`` together, from the tables kept on each.
+def _joint_ranks(u: ClosedCurve, v: ClosedCurve) -> Tuple[ClosedCurve, ClosedCurve, List[int]]:
+    """Place the shorter curve's rays among the longer's, from the tables kept on each.
 
-    Nodes are numbered as in ``_ray_ranks((u, v))``, and the ranks order
-    them the same way.  Each class of the shorter curve's rays in round
-    ``j`` is coded among the longer curve's classes of that round: ``2a +
-    1`` when it is tied with class ``a``, ``2a`` when it falls in the gap
-    just before it.  A class of round ``j + 1`` is a pair of classes of
-    round ``j``, its first ``2**j`` steps and the next ``2**j``, read off
-    the shorter curve's keys; their codes place it among the longer
-    curve's keys of round ``j + 1``, as ``_rank_rays`` would have ranked
-    it.  A curve whose classes are final pairs each class with the class
-    of its representative ray ``2**j`` steps on.  Once the longer curve's
-    classes are final, a class still tied with one of them is compared
-    with its representative ray at doubling shifts up to the Fine and
-    Wilf bound, after which the two are equal.  Rays in one gap between
-    classes order as the shorter curve's own ranks do.
+    Returns the longer curve (``u`` if the lengths are equal), the shorter,
+    and for each class ``a`` of the shorter curve's rays (its kept ranks)
+    the code of its place among the longer curve's classes: ``2i + 1``
+    when it is tied with class ``i``, ``2i`` when it falls in the gap just
+    before it.  With the shorter curve's own ranks ordering rays in one
+    gap, this orders the rays of both as ``_ray_ranks((u, v))`` does.
+
+    Each class of round ``j`` is coded among the longer curve's classes of
+    that round.  A class of round ``j + 1`` is a pair of classes of round
+    ``j``, its first ``2**j`` steps and the next ``2**j``, read off the
+    shorter curve's keys; their codes place it among the longer curve's
+    keys of round ``j + 1``, as ``_rank_rays`` would have ranked it.  A
+    curve whose classes are final pairs each class with the class of its
+    representative ray ``2**j`` steps on.  Once the longer curve's classes
+    are final, a class still tied with one of them is compared with its
+    representative ray at doubling shifts up to the Fine and Wilf bound,
+    after which the two are equal.
     """
     swap = len(u.tokens) < len(v.tokens)
     big, small = (v, u) if swap else (u, v)
@@ -588,16 +600,7 @@ def _joint_ranks(u: ClosedCurve, v: ClosedCurve) -> List[int]:
         j += 1
         d *= 2
 
-    # code times width, plus, in a gap, 1 + the ray's own rank, which is
-    # below width: rays tied with a class rank with it, and a gap's rays
-    # fall between the classes around it in their own order
-    width = 2 * m + 1
-    joint_big = [(2 * a + 1) * width for a in big_ranks]
-    joint_small = []
-    for a in small_ranks:
-        x = code[a]
-        joint_small.append(x * width + (0 if x & 1 else a + 1))
-    return joint_small + joint_big if swap else joint_big + joint_small
+    return big, small, code
 
 
 @dataclass(frozen=True)
@@ -1028,30 +1031,84 @@ def algebraic_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
     return sum(s for _, _, s in cfg.crossings("u", "v"))
 
 
-def _sweep(rows: List[Tuple[int, int, int, int, int]], cross: int) -> int:
-    """Pairs of rows ``(x, group, owner, y, lo)`` with the first before the second.
+def _rows(c: ClosedCurve) -> Tuple[list, list]:
+    """The rays and the chords of ``c``, each as ``(place, group, value)``.
 
-    Counts pairs ``p``, ``q`` with ``x_p < x_q`` in different groups (a
-    group is a run of equal ``group`` values in ``x`` order) and ``lo_q <=
-    y_p < y_q``, of different owners if ``cross`` is 1 and of any if 0.
-    One pass in ``x`` order keeps the ``y`` of finished groups sorted.
-    No ``y`` is negative, so a ``lo`` of 0 bounds nothing.
+    A ray is ``(side, first step, rank on the other side)``: the forward
+    ray from point ``k`` leaves from the partner of ``tokens[k]``, the
+    backward ray from ``tokens[k]``, and the other side is where the
+    opposite ray of the point leaves.  A chord is ``(polygon, low slot,
+    high slot)``, by the slots' positions in the polygon; its two slots
+    differ, as the word is reduced.
     """
-    rows.sort()
-    done: Tuple[List[int], List[int]] = ([], [])
-    pending: List[Tuple[int, int]] = []
-    total = 0
-    group = None
-    for _, g, owner, y, lo in rows:
-        if g != group:
-            for o, py in pending:
-                insort(done[o], py)
-            pending = []
-            group = g
-        seen = done[owner ^ cross]
-        total += bisect_left(seen, y) - (lo and bisect_left(seen, lo))
-        pending.append((owner, y))
-    return total
+    partner, location = c.scheme.partner, c.scheme.location
+    toks = c.tokens
+    m = len(toks)
+    ranks = _ray_table(c)[0]
+    fwd, bwd = _ray_steps(c)
+    rays = list(zip(map(partner.__getitem__, toks), fwd, ranks[m:]))
+    rays += zip(toks, bwd, ranks[:m])
+    chords = []
+    for e, t in zip(map(partner.__getitem__, toks[-1:] + toks[:-1]), toks):
+        pi, i = location[e]
+        j = location[t][1]
+        chords.append((pi, i, j) if i < j else (pi, j, i))
+    return rays, chords
+
+
+def _fenwick(groups: Dict[int, List[int]]) -> Tuple[List[int], list]:
+    """A Fenwick tree of sorted lists over the groups, in key order.
+
+    Returns the sorted keys and the tree: entry ``i`` (from 1) holds the
+    values of groups ``i - (i & -i)`` to ``i - 1``, sorted.
+    """
+    keys = sorted(groups)
+    tree: list = [None]
+    for i in range(1, len(keys) + 1):
+        values: List[int] = []
+        for key in keys[i - (i & -i):i]:
+            values += groups[key]
+        values.sort()
+        tree.append(values)
+    return keys, tree
+
+
+def _below(tree: list, g: int, v: int) -> int:
+    """The values under ``v`` in the first ``g`` groups of a ``_fenwick`` tree."""
+    n = 0
+    while g:
+        n += bisect_left(tree[g], v)
+        g &= g - 1
+    return n
+
+
+def _at_least(tree: list, g: int, v: int) -> int:
+    """The values of at least ``v`` in the first ``g`` groups of a ``_fenwick`` tree."""
+    n = 0
+    while g:
+        values = tree[g]
+        n += len(values) - bisect_left(values, v)
+        g &= g - 1
+    return n
+
+
+def _tables(c: ClosedCurve) -> Tuple[Dict[SlotId, tuple], Dict[int, tuple]]:
+    """The dominance tables of ``c``, by edge side and by polygon, built once.
+
+    Each is a ``_fenwick`` tree of ``_rows(c)``: on a side, the rays
+    leaving it grouped by first step, holding their ranks on the other
+    side; in a polygon, the chords grouped by low slot, holding their high
+    slots.
+    """
+    if c._tables is None:
+        tables = []
+        for rows in _rows(c):
+            grouped = defaultdict(lambda: defaultdict(list))
+            for place, group, value in rows:
+                grouped[place][group].append(value)
+            tables.append({place: _fenwick(groups) for place, groups in grouped.items()})
+        c._tables = tuple(tables)
+    return c._tables
 
 
 def _linked_crossings(items: Sequence[ClosedCurve]) -> int:
@@ -1068,50 +1125,65 @@ def _linked_crossings(items: Sequence[ClosedCurve]) -> int:
     differ at their first step; so a linked run of length at least one
     is seen at both of its ends, and half of those ends count it.  Chords
     of one polygon with four distinct interleaving slots are the linked
-    runs of length zero.  Both counts are sweeps over rays or chords in
-    sorted order (Cohen and Lustig 1987; Despré and Lazarus 2019).  The
-    ranks are a curve's own kept ranks, or the two curves' merged.
+    runs of length zero (Cohen and Lustig 1987; Despré and Lazarus 2019).
+
+    On one side, rays with different first steps are ordered by their
+    first steps alone, so each pair is counted from the dominance tables
+    (``_tables``) of one curve, kept on it: a ray counts the rays of
+    earlier first-step groups with a lower rank on the other side, and a
+    chord the chords with a lower low slot whose high slot lies between
+    its own two.  A self-count queries each of the curve's own rows.  For
+    a pair, only the shorter curve's rows query the longer curve's tables,
+    with ranks on the other side placed by ``_joint_ranks``; a ray also
+    counts the rays of later groups with a higher rank, and a chord the
+    chords whose low slot lies between its own two and whose high slot is
+    above its own.
     """
-    scheme = items[0].scheme
-    partner, location = scheme.partner, scheme.location
     if len(items) == 1:
-        ranks, bases = _ray_table(items[0])[0], (0,)
+        big = small = items[0]
+        code = None
     else:
-        ranks, bases = _joint_ranks(*items), (0, 2 * len(items[0].tokens))
-    # each item's rows by the slot a ray leaves from, and by polygon
-    sides: List[Dict[SlotId, list]] = []
-    polygons: List[Dict[int, list]] = []
-    for owner, (item, b) in enumerate(zip(items, bases)):
-        toks = item.tokens
-        m = len(toks)
-        fwd_steps, bwd_steps = _ray_steps(item)
-        by_side: Dict[SlotId, list] = {}
-        by_polygon: Dict[int, list] = {}
-        entries = [partner[t] for t in toks[-1:] + toks[:-1]]
-        # the forward ray leaves from the partner slot, the backward ray
-        # from the token's own slot; each sorts by its rank and groups by
-        # its first step
-        for t, s, fwd, bwd, fs, bs in zip(toks, entries[1:] + entries[:1], ranks[b:b + m],
-                                          ranks[b + m:b + 2 * m], fwd_steps, bwd_steps):
-            by_side.setdefault(s, []).append((fwd, fs, owner, bwd, 0))
-            by_side.setdefault(t, []).append((bwd, bs, owner, fwd, 0))
-        for e, t in zip(entries, toks):
-            pi, i = location[e]
-            j = location[t][1]
-            lo, hi = (i, j) if i < j else (j, i)
-            by_polygon.setdefault(pi, []).append((lo, lo, owner, hi, lo + 1))
-        sides.append(by_side)
-        polygons.append(by_polygon)
-
-    cross = len(items) - 1
-
-    def count(by_owner: List[dict]) -> int:
-        # pairs of two items meet only where both have rows
-        first, last = by_owner[0], by_owner[-1]
-        return sum(_sweep(first[k] + last[k] if cross else first[k], cross)
-                   for k in first.keys() & last.keys())
-
-    return count(sides) // 2 + count(polygons)
+        big, small, code = _joint_ranks(*items)
+    sides, polygons = _tables(big)
+    rays, chords = _rows(small)
+    ends = zero = 0
+    if code is None:
+        # each row of a self-count finds its own curve's table
+        for side, step, r in rays:
+            keys, tree = sides[side]
+            g = bisect_left(keys, step)
+            if g:
+                ends += _below(tree, g, r)
+        for pi, lo, hi in chords:
+            keys, tree = polygons[pi]
+            g = bisect_left(keys, lo)
+            if g:
+                # lo' < lo < hi' < hi
+                zero += _below(tree, g, hi) - _below(tree, g, lo + 1)
+        return ends // 2 + zero
+    for side, step, r in rays:
+        table = sides.get(side)
+        if table is None:
+            continue
+        keys, tree = table
+        g = bisect_left(keys, step)
+        after = g + (g < len(keys) and keys[g] == step)
+        # the longer curve's rays below the place, class i, in earlier
+        # groups and at or above it in later ones; a ray of class i itself
+        # ties, and is a parallel copy's, in this ray's group
+        i = code[r] >> 1
+        ends += _below(tree, g, i) + _at_least(tree, len(keys), i) - _at_least(tree, after, i)
+    for pi, lo, hi in chords:
+        table = polygons.get(pi)
+        if table is None:
+            continue
+        keys, tree = table
+        g = bisect_left(keys, lo)
+        first, last = bisect_left(keys, lo + 1), bisect_left(keys, hi)
+        # lo' < lo < hi' < hi, and lo < lo' < hi < hi'
+        zero += (_below(tree, g, hi) - _below(tree, g, lo + 1)
+                 + _at_least(tree, last, hi + 1) - _at_least(tree, first, hi + 1))
+    return ends // 2 + zero
 
 
 def geometric_intersection(u: ClosedCurve, v: ClosedCurve) -> int:

@@ -128,6 +128,10 @@ class TestAgainstBruteForce:
             assert ends % 2 == 0, c
             assert curves._linked_crossings((c,)) == ends // 2 + zero, c
             non_simple += ends + zero > 0
+            # a parallel copy's rays tie with the curve's, and ties are never linked
+            for w in (c.reversed(), ClosedCurve(c.scheme, c.tokens[1:] + c.tokens[:1])):
+                ends, zero = brute_linked((c, w))
+                assert curves._linked_crossings((c, w)) == ends // 2 + zero, (c, w)
         assert non_simple > 150
 
     def test_pair_counts(self):
@@ -160,6 +164,54 @@ class TestAgainstBruteForce:
             if x.canonical(oriented=False) != c.canonical(oriented=False):
                 ends, zero = brute_linked((x, c))
                 assert geometric_intersection(x, c) == ends // 2 + zero
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_large_family_members(self, n):
+        # words on four edges of a large polygon: a side sees many first
+        # steps, so the dominance trees over them are several levels deep
+        sc = family_scenario(n)
+        sch = sc.scheme
+        rng = random.Random(n)
+        edges = rng.sample(sorted(s for s, _ in sch.glued_classes), 4)
+        slots = edges + [sch.partner[s] for s in edges]
+        pool = []
+        while len(pool) < 24:
+            c = ClosedCurve(sch, [rng.choice(slots) for _ in range(rng.randint(6, 24))])
+            if not c.is_null and c.primitive_root()[1] == 1:
+                pool.append(c)
+        non_simple = 0
+        for c in pool:
+            ends, zero = brute_linked((c,))
+            assert curves._linked_crossings((c,)) == ends // 2 + zero, c
+            non_simple += ends + zero > 0
+        assert non_simple > 12
+        assert max(len(keys) for c in pool for keys, _ in curves._tables(c)[0].values()) >= 5
+
+        # the scenario's curves of one or two tokens on those edges, against
+        # the longer words, first and second
+        short = [c for c in sc.curves.values() if set(map(sch.primary, c.tokens)) & set(edges)]
+        assert len(short) >= 3
+        crossed = []
+        for u in pool:
+            for c in rng.sample(short, 3) + rng.sample(pool, 2):
+                if u.canonical(oriented=False) == c.canonical(oriented=False):
+                    continue
+                for w in (c, c.reversed()):
+                    ends, zero = brute_linked((u, w))
+                    assert curves._linked_crossings((u, w)) == ends // 2 + zero, (u, w)
+                    assert curves._linked_crossings((w, u)) == ends // 2 + zero, (w, u)
+                    if ends + zero and c in short:
+                        crossed.append((u, c))
+        assert len(crossed) > 20
+
+        # T_c^k(x) runs along c k times, so c's rays tie with its rays
+        for x, c in rng.sample(crossed, 3):
+            for k in (1, 2, 5, 8):
+                y = dehn_twist(x, c, k)
+                for w in (c, c.reversed()):
+                    ends, zero = brute_linked((y, w))
+                    assert curves._linked_crossings((y, w)) == ends // 2 + zero, (y, w)
+                    assert curves._linked_crossings((w, y)) == ends // 2 + zero, (w, y)
 
 
 # -- seeded properties on the family members -------------------------------
@@ -260,10 +312,19 @@ def _dense(values):
 
 
 def assert_joint_ranks(u, v):
-    """The merged ranks order the rays of ``u`` and ``v`` as ``_ray_ranks`` does, node by node."""
+    """The placement and the shorter curve's own ranks order the rays of ``u`` and ``v`` as ``_ray_ranks`` does.
+
+    A ray of the shorter curve tied with class ``i`` of the longer sits
+    with it; rays in the gap before class ``i`` follow their own ranks.
+    """
+    big, small, code = curves._joint_ranks(u, v)
+    assert len(big.tokens) >= len(small.tokens)
+    at_big = [(2 * a + 1, 0) for a in curves._ray_table(big)[0]]
+    at_small = [(code[a], 0 if code[a] & 1 else a) for a in curves._ray_table(small)[0]]
+    joint = at_big + at_small if big is u else at_small + at_big
     # the reference's last node ends an arc's ray, which no closed curve reaches
     n = 2 * (len(u.tokens) + len(v.tokens))
-    assert _dense(curves._joint_ranks(u, v)) == _dense(curves._ray_ranks((u, v))[0][:n]), (u, v)
+    assert _dense(joint) == _dense(curves._ray_ranks((u, v))[0][:n]), (u, v)
 
 
 class TestJointRanks:
@@ -373,16 +434,18 @@ class TestCost:
         assert i == geometric_intersection(x, c3) ** 2
 
     def test_kept_table_is_small(self):
-        # the same keys kept in lists of ints took 6.0 MB on this rung
+        # the same keys kept in lists of ints took 6.0 MB on this rung; the
+        # dominance tables hold each ray in about two lists of its side
         _, x = _rung(9)
         curves._ray_steps(x)
-        tracemalloc.start()
-        try:
-            curves._ray_table(x)
-            kept = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert kept < 2_000_000
+        for build, most in ((curves._ray_table, 2_000_000), (curves._tables, 3_000_000)):
+            tracemalloc.start()
+            try:
+                build(x)
+                kept = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert kept < most, build
 
 
 # -- builds ---------------------------------------------------------------
@@ -458,6 +521,22 @@ class TestBuilds:
         for call in calls:
             call()
         assert ranked == []
+
+    def test_pair_after_simplicity_builds_no_table(self, monkeypatch):
+        # is_simple keeps x's dominance tables, and a pair with a shorter
+        # curve queries them with the shorter curve's rows alone
+        sc = get_scenario("negative-modification")
+        _, x = _rung(5)
+        built = []
+        fenwick = curves._fenwick
+        monkeypatch.setattr(curves, "_fenwick", lambda groups: built.append(groups) or fenwick(groups))
+        assert is_simple(x)
+        assert built
+        del built[:]
+        for c in sc.curves.values():
+            assert len(c.tokens) <= 2
+            assert geometric_intersection(x, c) == geometric_intersection(c, x)
+        assert built == []
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_joining_pairs_have_no_bigons(self, name):
