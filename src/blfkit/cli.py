@@ -11,9 +11,10 @@ Subcommands::
     blfkit render SCENARIO -o FILE.svg
 
 Exit status: 0 when all checks pass, 1 when a verification fails, 2 on
-usage errors.  All output is deterministic; the cross-check seed defaults
-to the ``BLFKIT_SEED`` environment variable (or 0), read when the command
-runs.
+usage errors, 3 when the engine rejects an input (a ``BlfkitError``,
+reported as one ``blfkit: <message>`` line on stderr).  All output is
+deterministic; the cross-check seed defaults to the ``BLFKIT_SEED``
+environment variable (or 0), read when the command runs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import handles, oracle, render, scenarios
+from .errors import BlfkitError
 
 
 def _dump(obj) -> str:
@@ -142,7 +144,11 @@ _parser = functools.lru_cache(maxsize=None)(build_parser)
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BlfkitError as exc:
+        print(f"blfkit: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

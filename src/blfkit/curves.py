@@ -49,16 +49,17 @@ curve's classes round by round, and only the shorter curve's rows query
 the longer curve's tables, so no ray is ranked again and no row of the
 longer curve is visited for another query.
 
-Twists and band slides need only where a curve ``x`` crosses one simple
-curve ``c``, and the order of x's points among themselves never changes
-which of c's chords an x chord crosses.  So :func:`passage_crossings`
-keeps on ``c`` its points along each edge, sorted by the configuration's
-key from the ray ranks ``c`` already keeps (no configuration is built),
-a table from chord ends to crossing lists, and the words its twists
-insert at each crossing (:func:`insertion_words`).  Each point of ``x``
-is placed among c's points on its edge by the same key: differing first
-steps decide a comparison at once, and only equal ones start a memoized
-walk along the two rays, so the work is linear in ``|x| * |c|`` at worst.
+Twists, projections across a cut and smoothings need only where a curve
+``x`` crosses one simple curve ``c``, and the order of x's points among
+themselves never changes which of c's chords an x chord crosses.  So
+:func:`passage_crossings` keeps on ``c`` its points along each edge,
+sorted by the configuration's key from the ray ranks ``c`` already keeps
+(no configuration is built), a table from chord ends to crossing lists,
+and the words its twists insert at each crossing
+(:func:`insertion_words`).  Each point of ``x`` is placed among c's
+points on its edge by the same key: differing first steps decide a
+comparison at once, and only equal ones start a memoized walk along the
+two rays, so the work is linear in ``|x| * |c|`` at worst.
 Every step is read from a table of slot pairs kept on the scheme and
 filled on first use.
 """

@@ -26,7 +26,11 @@ class StandardizationError(BlfkitError):
 
 
 class ProjectionObstructedError(BlfkitError):
-    """A curve or arc cannot be pushed off the surgered curve by slides."""
+    """A curve or arc cannot be carried across a round surgery.
+
+    It crosses the cut curve, which no band slide over the round handle
+    undoes, or its projected word is invalid on the surgered surface.
+    """
 
 
 class HandleMoveError(BlfkitError):

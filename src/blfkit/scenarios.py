@@ -23,10 +23,11 @@ from .curves import (
     Anchor,
     Arc,
     ClosedCurve,
-    TautConfig,
     arcs_isotopic,
     curves_isotopic,
+    passage_crossings,
 )
+from .errors import SchemeError
 from .schemes import Relabeling, Scheme, antipodal_polygon_scheme
 from .surgery import Projection, project, round_surgery
 from .twists import TwistWord, dehn_twist, relabel_curve
@@ -87,7 +88,7 @@ def family_scenario(n: int) -> Scenario:
     under the rotation of order 2n+1.
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise SchemeError(f"family member n must be at least 1, got {n}")
     m = 2 * n + 1
     scheme = antipodal_polygon_scheme(m).build()
     rho = _rho(scheme, m)
@@ -337,15 +338,17 @@ class JoiningReport:
 
 def _smoothings(u: ClosedCurve, v: ClosedCurve) -> List[ClosedCurve]:
     """All oriented smoothings of crossings of ``u`` with ``v`` or its reverse."""
+    # both cycles are simple, so passage_crossings lists the crossings;
+    # each row is ordered along u's passage, and taken in w's passage order
     out = []
     for w in (v, v.reversed()):
-        cfg = TautConfig(u.scheme, {"u": u, "v": w})
-        for ku, kv, _sign in cfg.crossings("u", "v"):
-            word = (
-                u.tokens[ku:] + u.tokens[:ku]
-                + w.tokens[kv:] + w.tokens[:kv]
-            )
-            out.append(ClosedCurve(u.scheme, word))
+        for ku, row in enumerate(passage_crossings(u, w)):
+            for kv, _sign in sorted(row):
+                word = (
+                    u.tokens[ku:] + u.tokens[:ku]
+                    + w.tokens[kv:] + w.tokens[:kv]
+                )
+                out.append(ClosedCurve(u.scheme, word))
     return out
 
 

@@ -7,11 +7,12 @@ the half-edges fold onto each other inside each piece and the cut circles
 are capped with disks (the scars).  Slot ids survive the cut, so curves and
 arcs disjoint from the cut curve transfer verbatim.
 
-``project`` pushes a curve or arc of the old surface into the new one:
-first *band slides* remove any crossings with the cut curve (each reroutes
-the strand over the round handle once), then every remaining passage
-through the cut edge is slid across a capping disk and its token deleted.
-The total number of slides is reported.
+``project`` pushes a curve or arc of the old surface into the new one.  An
+item that crosses the cut curve is obstructed: no band slide over the round
+handle removes a crossing, so none is tried and ``band_slides`` is always
+0.  An item that misses the cut curve has each passage through the cut
+edge slid across a capping disk and its token deleted; these cap slides
+are counted.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     StandardizationError,
 )
 from .schemes import Scheme, SlotId
-from .twists import TwistWord, dehn_twist, insert_copies
+from .twists import TwistWord, dehn_twist
 
 
 @dataclass
@@ -42,7 +43,11 @@ class SurgeryResult:
     standardization: Optional[TwistWord] = None
 
 
-def standardize(curve: ClosedCurve, max_depth: int = 4) -> Tuple[ClosedCurve, Optional[TwistWord]]:
+# the number of twists ``standardize`` composes before it gives up
+STANDARDIZE_DEPTH = 4
+
+
+def standardize(curve: ClosedCurve) -> Tuple[ClosedCurve, Optional[TwistWord]]:
     """Move a simple closed curve to a one-token word by twisting, if possible.
 
     Returns the coordinate image and the twist word used (None when the
@@ -58,7 +63,7 @@ def standardize(curve: ClosedCurve, max_depth: int = 4) -> Tuple[ClosedCurve, Op
             generators.append(ClosedCurve(scheme, (s,)))
     seen = {curve.canonical()}
     frontier: List[Tuple[ClosedCurve, TwistWord]] = [(curve, TwistWord(()))]
-    for _ in range(max_depth):
+    for _ in range(STANDARDIZE_DEPTH):
         nxt = []
         for cur, word in frontier:
             for g, p in product(generators, (1, -1)):
@@ -124,7 +129,15 @@ class Projection:
 
 def project(sr: SurgeryResult, item: Item) -> Projection:
     """Carry a curve or arc of the cut surface into the surgered one."""
-    item, band = _resolve_bands(sr, item)
+    # The cut curve c has one token (round_surgery standardizes it), and
+    # against a one-token c the crossings passage_crossings lists are the
+    # taut ones.  A band slide inserts a parallel copy of c, which is
+    # disjoint from c, and the crossing where it goes in stays, so no slide
+    # lowers the count: a crossing is an obstruction.
+    if any(passage_crossings(item, sr.curve)):
+        raise ProjectionObstructedError(
+            "no band slide reduces the crossings with the cut curve"
+        )
     x, xbar = sr.cut_slots
     kept = [t for t in item.tokens if t not in (x, xbar)]
     caps = len(item.tokens) - len(kept)
@@ -137,33 +150,4 @@ def project(sr: SurgeryResult, item: Item) -> Projection:
         raise ProjectionObstructedError(
             f"projected word is not valid on the surgered surface: {exc}"
         ) from exc
-    return Projection(new, band + caps, band, caps)
-
-
-def _resolve_bands(sr: SurgeryResult, item: Item) -> Tuple[Item, int]:
-    """Slide the item over the round handle until it misses the cut curve."""
-    c = sr.curve
-    slides = 0
-    table = passage_crossings(item, c)
-    for _ in range(4 * (len(item.tokens) + 2)):
-        count = sum(map(len, table))
-        if not count:
-            return item, slides
-        # the first crossing in (x passage, c passage) order
-        k = next(i for i, row in enumerate(table) if row)
-        kc = min(j for j, _ in table[k])
-        best = None
-        for direction in (1, -1):
-            # one copy of c at that crossing alone: a slide over the handle
-            cand = insert_copies(item, c, table, lambda i, j, _s: direction if (i, j) == (k, kc) else 0)
-            cand_table = passage_crossings(cand, c)
-            ccount = sum(map(len, cand_table))
-            if ccount < count and (best is None or ccount < best[0]):
-                best = (ccount, cand, cand_table)
-        if best is None:
-            raise ProjectionObstructedError(
-                "no band slide reduces the crossings with the cut curve"
-            )
-        _, item, table = best
-        slides += 1
-    raise ProjectionObstructedError("band resolution did not terminate")
+    return Projection(new, caps, 0, caps)

@@ -18,7 +18,7 @@ twist by a relabeling is the twist along the relabeled curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .curves import (
     Arc,
@@ -32,43 +32,12 @@ from .curves import (
 from .schemes import Relabeling, Scheme, SlotId
 
 
-def insert_copies(
-    x: Item,
-    c: ClosedCurve,
-    table: Sequence[Sequence[Tuple[int, int]]],
-    copies: Callable[[int, int, int], int],
-) -> Item:
-    """Insert copies of ``c`` into ``x`` at their crossings.
-
-    ``table`` is ``passage_crossings(x, c)``.  At the crossing of passage
-    ``k`` of ``x`` with passage ``kc`` of ``c``, of sign ``sign``, the
-    strand picks up ``abs(n)`` copies of ``c`` for ``n = copies(k, kc,
-    sign)``: followed forward if ``n > 0``, backward if ``n < 0``.  The
-    words come from ``insertion_words(c)``, kept on ``c``.
-    """
-    words = insertion_words(c)
-    toks = x.tokens
-    new_tokens: List[SlotId] = []
-    # copies go in before token k, so x's tokens are copied in runs up to
-    # each crossing passage; an arc has one passage more than tokens, the
-    # last ending at its anchor
-    done = 0
-    for k, row in enumerate(table):
-        if row:
-            new_tokens += toks[done:k]
-            done = k
-            for kc, sign in row:
-                n = copies(k, kc, sign)
-                if n:
-                    new_tokens += words[kc, n]
-    new_tokens += toks[done:]
-    if isinstance(x, ClosedCurve):
-        return ClosedCurve(x.scheme, new_tokens)
-    return Arc(x.scheme, x.start, new_tokens, x.end)
-
-
 def dehn_twist(x: Item, c: ClosedCurve, power: int = 1, *, check_simple: bool = True) -> Item:
-    """Apply ``power`` right-handed twists along ``c`` (negative = left)."""
+    """Apply ``power`` right-handed twists along ``c`` (negative = left).
+
+    At a crossing of sign ``s`` the strand picks up ``abs(s * power)``
+    copies of ``c``, followed forward if ``s * power > 0``.
+    """
     if power == 0:
         return x
     if c.is_null:
@@ -77,7 +46,23 @@ def dehn_twist(x: Item, c: ClosedCurve, power: int = 1, *, check_simple: bool = 
         require_simple(c)
     if isinstance(x, ClosedCurve) and x.is_null:
         return x
-    return insert_copies(x, c, passage_crossings(x, c), lambda k, kc, sign: sign * power)
+    words = insertion_words(c)
+    toks = x.tokens
+    new_tokens: List[SlotId] = []
+    # copies go in before token k, so x's tokens are copied in runs up to
+    # each crossing passage; an arc has one passage more than tokens, the
+    # last ending at its anchor
+    done = 0
+    for k, row in enumerate(passage_crossings(x, c)):
+        if row:
+            new_tokens += toks[done:k]
+            done = k
+            for kc, sign in row:
+                new_tokens += words[kc, sign * power]
+    new_tokens += toks[done:]
+    if isinstance(x, ClosedCurve):
+        return ClosedCurve(x.scheme, new_tokens)
+    return Arc(x.scheme, x.start, new_tokens, x.end)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,20 @@ class TestVerify:
         assert proc.returncode == 2
 
 
+class TestRejectedInput:
+    @pytest.mark.parametrize("args", [
+        ("generate-family", "0"),
+        ("handle-sim", "--genus", "0"),
+    ])
+    def test_one_line_and_exit_three(self, args):
+        proc = run_cli(*args)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("blfkit: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
+
 class TestListScenarios:
     def test_lists_all_five(self):
         proc = run_cli("list-scenarios")

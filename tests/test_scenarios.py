@@ -2,8 +2,13 @@
 
 import pytest
 
+from blfkit import ClosedCurve
+from blfkit.curves import TautConfig
+from blfkit.errors import SchemeError
 from blfkit.scenarios import (
     SCENARIOS,
+    _smoothings,
+    family_scenario,
     get_scenario,
     run_scenario,
     verify_reduced_monodromy,
@@ -13,6 +18,11 @@ from blfkit.scenarios import (
 
 
 class TestRegistry:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_family_needs_a_positive_member(self, n):
+        with pytest.raises(SchemeError):
+            family_scenario(n)
+
     def test_all_scenarios_present(self):
         assert set(SCENARIOS) == {
             "negative-modification",
@@ -68,11 +78,38 @@ class TestReducedMonodromy:
         assert report.cap_slides == 2
 
 
+def reference_smoothings(u, v):
+    """``scenarios._smoothings`` as it read crossings off a two-item configuration."""
+    out = []
+    for w in (v, v.reversed()):
+        cfg = TautConfig(u.scheme, {"u": u, "v": w})
+        for ku, kv, _sign in cfg.crossings("u", "v"):
+            word = (
+                u.tokens[ku:] + u.tokens[:ku]
+                + w.tokens[kv:] + w.tokens[:kv]
+            )
+            out.append(ClosedCurve(u.scheme, word))
+    return out
+
+
 class TestVertexJoining:
     def test_positive_modification_recovers_standard_triple(self):
         report = verify_vertex_joining(get_scenario("positive-modification"))
         assert report.ok
         assert report.matches == {"D1+D2": "C3", "D2+D3": "C1", "D3+D1": "C2"}
+
+    def test_smoothings_match_configuration(self):
+        pairs = smoothed = 0
+        for name in sorted(SCENARIOS):
+            curves = get_scenario(name).curves.values()
+            for u in curves:
+                for v in curves:
+                    if u is not v:
+                        got = [c.tokens for c in _smoothings(u, v)]
+                        assert got == [c.tokens for c in reference_smoothings(u, v)], (name, u, v)
+                        pairs += 1
+                        smoothed += len(got)
+        assert pairs == 152 and smoothed > 100
 
 
 class TestRunScenario:

@@ -5,7 +5,9 @@ points along each edge before the key-based sort; the key must give
 exactly its order.  The ``reference_*`` functions are the twist and band
 slide code that read crossings off a two-item configuration before the
 crossing table of ``curves.passage_crossings``; the table must give
-exactly their results.
+exactly their results.  ``reference_project`` runs the band-slide search
+that projection across a round surgery ran before it took any crossing
+with the cut curve as an obstruction: the two must agree.
 """
 
 import contextlib
@@ -27,8 +29,8 @@ from blfkit import (
     round_surgery,
     square_torus_scheme,
 )
-from blfkit import curves, oracle, surgery, twists
-from blfkit.curves import TautConfig, intersection_form, passage_crossings
+from blfkit import Projection, curves, oracle, twists
+from blfkit.curves import TautConfig, geometric_intersection, intersection_form, passage_crossings
 from blfkit.errors import CurveError, ProjectionObstructedError
 from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
 
@@ -404,6 +406,24 @@ def reference_resolve_bands(sr, item):
     raise ProjectionObstructedError("band resolution did not terminate")
 
 
+def reference_project(sr, item):
+    """``surgery.project`` as it ran the band-slide search before deleting cut tokens."""
+    item, band = reference_resolve_bands(sr, item)
+    x, xbar = sr.cut_slots
+    kept = [t for t in item.tokens if t not in (x, xbar)]
+    caps = len(item.tokens) - len(kept)
+    try:
+        if isinstance(item, ClosedCurve):
+            new = ClosedCurve(sr.scheme, kept)
+        else:
+            new = Arc(sr.scheme, item.start, kept, item.end)
+    except Exception as exc:
+        raise ProjectionObstructedError(
+            f"projected word is not valid on the surgered surface: {exc}"
+        ) from exc
+    return Projection(new, band + caps, band, caps)
+
+
 def twist_inputs():
     """(x, c) pairs: seeded twist images on the hexagon and on family members
     2-4, every scenario's arc against every curve, and T_c^k x beside c."""
@@ -426,12 +446,21 @@ def twist_inputs():
     return out
 
 
-def _projection_or_error(sr, item):
+def _projection_or_error(sr, item, project=project):
     try:
         p = project(sr, item)
     except ProjectionObstructedError as exc:
         return str(exc)
     return p.item.tokens, p.band_slides, p.cap_slides
+
+
+def short_words(partner, length):
+    """Every reduced linear word of at most ``length`` tokens."""
+    out = frontier = [()]
+    for _ in range(length):
+        frontier = [w + (t,) for w in frontier for t in partner if not w or t != partner[w[-1]]]
+        out = out + frontier
+    return out
 
 
 class TestCrossingTable:
@@ -450,7 +479,7 @@ class TestCrossingTable:
                 x = y
         assert len(x.tokens) == 6300
 
-    def test_projections_match_configuration(self, monkeypatch):
+    def test_projections_match_configuration(self):
         obstructed = projected = 0
         for name in ("negative-modification", "positive-modification"):
             sc = get_scenario(name)
@@ -459,14 +488,42 @@ class TestCrossingTable:
             for _, x, arc, _ in twist_images(sc, 30, seed=50, max_steps=3):
                 items += [x, arc]
             got = [_projection_or_error(sr, item) for item in items]
-            with monkeypatch.context() as mp:
-                mp.setattr(surgery, "_resolve_bands", reference_resolve_bands)
-                assert got == [_projection_or_error(sr, item) for item in items]
+            assert got == [_projection_or_error(sr, item, reference_project) for item in items]
             obstructed += sum(isinstance(g, str) for g in got)
             projected += sum(isinstance(g, tuple) for g in got)
         # crossing items try both slides at their first crossing and are
         # obstructed; the others project
         assert obstructed > 10 and projected > 10
+
+    def test_projections_of_short_words_match_band_search(self):
+        # every arc of at most 3 tokens (at 4 the reference takes about 8 s
+        # on a 2-vCPU Xeon) and every closed curve of at most 5 tokens on
+        # the hexagon cut along C
+        h = hexagon_scheme().build()
+        sr = round_surgery(h, ClosedCurve(h, (0,)))
+        ends = h.boundary_slots
+        items = [
+            Arc(h, Anchor(a), w, Anchor(b, int(a == b)))
+            for w in short_words(h.partner, 3) for a in ends for b in ends
+        ]
+        closed = {}
+        for w in short_words(h.partner, 5):
+            with contextlib.suppress(CurveError):
+                c = ClosedCurve(h, w)
+                if not c.is_null:
+                    closed.setdefault(c.canonical(), c)
+        items += closed.values()
+        got = [_projection_or_error(sr, item) for item in items]
+        assert got == [_projection_or_error(sr, item, reference_project) for item in items]
+        # the search never completed a slide: every item projects unslid
+        # or is obstructed
+        assert {g[1] for g in got if isinstance(g, tuple)} == {0}
+        assert len(items) == 7600 and sum(isinstance(g, str) for g in got) == 6552
+        # against the one-token cut curve the listed crossings are taut
+        primitive = [c for c in closed.values() if c.primitive_root()[1] == 1]
+        assert len(primitive) == 832
+        for c in primitive:
+            assert sum(map(len, passage_crossings(c, sr.curve))) == geometric_intersection(c, sr.curve), c
 
     def test_rays_that_agree_for_ever_end_the_walk(self):
         # a curve beside itself, reversed or repeated: every ray of x equals
