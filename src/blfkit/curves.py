@@ -52,16 +52,18 @@ longer curve is visited for another query.
 Twists, projections across a cut and smoothings need only where a curve
 ``x`` crosses one simple curve ``c``, and the order of x's points among
 themselves never changes which of c's chords an x chord crosses.  So
-:func:`passage_crossings` keeps on ``c`` its points along each edge,
-sorted by the configuration's key from the ray ranks ``c`` already keeps
-(no configuration is built), a table from chord ends to crossing lists,
-and the words its twists insert at each crossing
-(:func:`insertion_words`).  Each point of ``x`` is placed among c's
-points on its edge by the same key: differing first steps decide a
-comparison at once, and only equal ones start a memoized walk along the
-two rays, so the work is linear in ``|x| * |c|`` at worst.
-Every step is read from a table of slot pairs kept on the scheme and
-filled on first use.
+:func:`passage_crossings` places each point of ``x`` among c's alone, by
+its forward ray among c's rays leaving the same slot, in one backward
+pass over ``x``: a first step that no ray of ``c`` takes places a point
+at once, and a shared one places it from the next point's place.  Along
+a run that ``x`` shares with ``c`` the run's forward end then decides
+the side ``x`` keeps: a linked run crosses once, at its backward end,
+and no bigon is left.  So the crossings listed are those of a minimal
+position, ``i(x, c)`` of them for a closed ``x`` (Farb and Margalit,
+*Primer*, section 3.1).  What the pass reads is kept on ``c``
+(``_crossing_data``), and the pass takes time and memory linear in
+``|x| + |c|``.  Every step is read from a table of slot pairs kept on
+the scheme and filled on first use.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from __future__ import annotations
 import functools
 from array import array
 from collections import defaultdict
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -243,6 +245,8 @@ class Arc:
                 raise CurveError(f"anchor slot {a.slot!r} is not a boundary slot")
             if a.slot not in location:
                 raise CurveError(f"anchor slot {a.slot!r} unknown")
+        if start == end:
+            raise CurveError(f"anchor ({start.slot!r}, {start.index}) ends the arc twice")
         for t in tokens:
             if t not in partner:
                 raise CurveError(f"token {t!r} is not a glued slot")
@@ -845,29 +849,52 @@ class _InsertionWords(dict):
 def _crossing_data(c: ClosedCurve):
     """What ``passage_crossings`` keeps of ``c``, built once per curve.
 
-    Returns c's points along each edge in ``TautConfig``'s order (as token
-    indices), the number of c's points counterclockwise before each slot
-    of its polygon and before the end of each glued slot, the table of
-    chord crossings (``_ChordTable``) and the insertion words
-    (``_InsertionWords``).  The order is read from c's kept ray ranks: on
-    each edge, the ray on side ``e[0]`` descending, then the ray on side
-    ``e[1]`` ascending, then the token index, which is the configuration's
-    key for ``c`` alone; no configuration is built.
+    Returns, for each slot, the first steps of c's rays leaving it in rank
+    order (``firsts``); for each first step the map that places a ray
+    taking it from its successor's place (``maps``); the number of c's
+    points counterclockwise before each slot of its polygon and before the
+    end of each glued slot; the table of chord crossings
+    (``_ChordTable``); and the insertion words (``_InsertionWords``).
+
+    The rays of ``c`` that leave one slot with one first step ``f`` are
+    a block ``lo .. hi - 1`` of its list, and they continue, in the same
+    order, into a block of the rays leaving the partner of f's target
+    that starts at ``b``: one contiguous block, because c's chords from
+    one slot to another are parallel.  So a ray taking step ``f`` with
+    ``v`` of c's rays below its successor has ``clamp(v + lo - b, lo,
+    hi)`` below it, and ``maps[f]`` is ``(lo, hi, lo - b)``.  The ranks
+    are the ones ``c`` keeps; c's own points sit in rank order on both
+    sides of an edge, as ``c`` is simple.
     """
     if c._crossing_data is None:
         scheme = c.scheme
-        edge_of, location = scheme.edge_of, scheme.location
+        partner, location = scheme.partner, scheme.location
         toks = c.tokens
         m = len(toks)
         ranks = _ray_table(c)[0]
-        keyed: Dict[Tuple[SlotId, SlotId], List[Tuple[int, int, int]]] = {}
+        fwd, bwd = _ray_steps(c)
+        steps = fwd + bwd
+        # node k is the forward ray from point k, leaving partner(tokens[k]);
+        # node m + k the backward ray, leaving tokens[k]
+        leaving: Dict[SlotId, list] = defaultdict(list)
         for k, t in enumerate(toks):
-            e = edge_of[t]
-            fwd, bwd = ranks[k], ranks[m + k]
-            # the backward ray runs into the polygon of the token's own slot
-            r0, r1 = (bwd, fwd) if t == e[0] else (fwd, bwd)
-            keyed.setdefault(e, []).append((-r0, r1, k))
-        order = {e: [k for _, _, k in sorted(row)] for e, row in keyed.items()}
+            leaving[partner[t]].append((ranks[k], k))
+            leaving[t].append((ranks[m + k], m + k))
+        place = [0] * (2 * m)
+        firsts: Dict[SlotId, List[int]] = {}
+        for s, rays in leaving.items():
+            rays.sort()
+            firsts[s] = [steps[node] for _, node in rays]
+            for i, (_, node) in enumerate(rays):
+                place[node] = i
+        # a step's lowest ray comes first, and its successor starts the block
+        maps: Dict[int, Tuple[int, int, int]] = {}
+        for s, rays in leaving.items():
+            row = firsts[s]
+            for lo, (_, node) in enumerate(rays):
+                f = row[lo]
+                if f not in maps:
+                    maps[f] = (lo, bisect_right(row, f), lo - place[_ahead(node, m, 1)])
         before: Dict[SlotId, int] = {}
         after: Dict[SlotId, int] = {}
         sizes = []
@@ -875,24 +902,19 @@ def _crossing_data(c: ClosedCurve):
             n = 0
             for s in poly:
                 before[s] = n
-                n += len(order.get(edge_of.get(s), ()))
+                n += len(firsts.get(s, ()))
                 after[s] = n
             sizes.append(n)
-        # c's own point k sits at index i of its edge, so its ends are the
-        # positions an x point with i of c's points before it takes, less
-        # one on side e[1]
-        exit_pos = [0] * m
-        cross_pos = [0] * m
-        for (s0, s1), row in order.items():
-            for i, k in enumerate(row):
-                if toks[k] == s0:
-                    exit_pos[k], cross_pos[k] = before[s0] + i, after[s1] - i - 1
-                else:
-                    exit_pos[k], cross_pos[k] = after[s1] - i - 1, before[s0] + i
+        # c's point k, with place[k] rays below its forward ray, sits that
+        # many points into its exit slot and one more back from the end of
+        # the partner slot; passage k runs from point k - 1 to point k
         chords: Dict[int, List[Tuple[int, int, int]]] = {}
-        for i, t in enumerate(toks):
-            chords.setdefault(location[t][0], []).append((i, cross_pos[i - 1], exit_pos[i]))
-        c._crossing_data = (order, before, after, _ChordTable(sizes, chords), _InsertionWords(c))
+        fplace = place[:m]
+        for k, t in enumerate(toks):
+            entry = after[partner[toks[k - 1]]] - fplace[k - 1] - 1
+            chords.setdefault(location[t][0], []).append((k, entry, before[t] + fplace[k]))
+        table = _ChordTable(sizes, chords)
+        c._crossing_data = (firsts, maps, before, after, table, _InsertionWords(c))
     return c._crossing_data
 
 
@@ -901,120 +923,67 @@ def insertion_words(c: ClosedCurve) -> Dict[Tuple[int, int], TokenWord]:
 
     See ``_InsertionWords``; a twist along ``c`` reads them at every crossing.
     """
-    return _crossing_data(c)[4]
-
-
-def _walker(
-    x_steps: Tuple[List[int], List[int]], c_steps: Tuple[List[int], List[int]]
-) -> Callable[[bool, int, bool, int], int]:
-    """Compare a ray of an item ``x`` with a ray of a closed curve ``c``.
-
-    The arguments are ``_ray_steps(x)`` and ``_ray_steps(c)``.
-    ``walk(xfwd, i, cfwd, j)`` compares x's ray from point ``i`` (forward
-    if ``xfwd``) with c's ray from point ``j`` (forward if ``cfwd``): -1, 0
-    or 1 as x's is lower, equal or higher.  Along a run where the two rays
-    agree, every pair of points on the run compares the same, so one walk
-    decides them all; rays that agree for ``2 * (|x| + |c|) + 4`` steps
-    agree for ever (Fine and Wilf 1965).  Each pair of rays is walked at
-    most once.
-    """
-    xf, xb = x_steps
-    cf, cb = c_steps
-    m, mc = len(xf), len(cf)
-    cap = 2 * (m + mc) + 4
-    # one memo per pair of directions, x forward or not times c forward or not
-    memos: Tuple[Dict[int, int], ...] = ({}, {}, {}, {})
-
-    def walk(xfwd: bool, i: int, cfwd: bool, j: int) -> int:
-        # an arc's ray ends at an anchor, on a boundary slot, where no ray
-        # of c goes: the walk stops there and never wraps
-        xs, dx = (xf, 1) if xfwd else (xb, -1)
-        cs, dc = (cf, 1) if cfwd else (cb, -1)
-        seen = memos[2 * xfwd + cfwd]
-        path = []
-        while True:
-            key = i * mc + j
-            r = seen.get(key)
-            if r is not None:
-                break
-            path.append(key)
-            a, b = xs[i], cs[j]
-            if a != b:
-                r = -1 if a < b else 1
-                break
-            if len(path) > cap:
-                r = 0
-                break
-            i, j = (i + dx) % m, (j + dc) % mc
-        for key in path:
-            seen[key] = r
-        return r
-
-    return walk
+    return _crossing_data(c)[5]
 
 
 def passage_crossings(x: Item, c: ClosedCurve) -> List[Tuple[Tuple[int, int], ...]]:
     """The crossings of each passage of ``x`` with ``c``, ordered from its entry point.
 
-    Entry ``k`` lists the (c-passage index, sign) pairs of passage ``k``
-    as a ``TautConfig`` of ``c`` and ``x`` places them, with the signs of
-    ``TautConfig.crossings``.  Requires the chords of ``c`` to be pairwise
-    disjoint (``c`` simple), which makes the order along the chord the
-    order of the near endpoints.  Only the places of x's points among c's
-    decide the crossings, so what depends on ``c`` alone is kept on the
-    curve, and each chord of ``x`` is looked up by the number of c's points
-    counterclockwise before its two ends.
+    Entry ``k`` lists the (c-passage index, sign) pairs of passage ``k``,
+    with the signs of ``TautConfig.crossings``, for ``x`` and ``c`` in
+    minimal position (see the module docstring).  Requires the chords of
+    ``c`` to be pairwise disjoint (``c`` simple), which makes the order
+    along the chord the order of the near endpoints.
 
-    One pass over ``x`` places each of its points among c's points on its
-    edge by binary search, in the configuration's order with ``c`` named
-    before ``x``: the ray on side ``e[0]`` descending, then the ray on side
-    ``e[1]`` ascending, then a full tie puts c's point first.  Rays whose
-    first steps differ are decided by them, and only equal ones are walked
-    (``_walker``).  The rays on side ``e[1]`` are never compared: ``c`` is
-    closed, so when the rays on side ``e[0]`` agree for ever, ``x`` runs
-    along a power of ``c`` or of its reverse from that point (an arc's ray
-    ends at its anchor first), and the rays on side ``e[1]`` agree for ever
-    too.  A point with ``g`` of c's points before it sits ``g`` points
-    into side ``e[0]`` and ``g`` points back from the end of side ``e[1]``.
+    Point ``k`` of ``x`` has ``v`` of c's rays below its forward ray among
+    those leaving the same slot, comparing steps lexicographically.  A
+    first step that no ray of ``c`` takes gives ``v`` by binary search, a
+    shared one by the step's map from the ``v`` of point ``k + 1``; an
+    arc's last ray ends at its anchor, where no ray of ``c`` goes.  When
+    ``c`` takes every step of a closed ``x``, point 0's ``v`` is the fixed
+    point of the maps composed once round ``x``, where a ray of ``c`` that
+    ``x`` follows for ever counts below x's ray.  The point sits ``v``
+    points into its exit slot and ``v`` points back from the end of the
+    partner slot, and each chord of ``x`` is looked up by the number of
+    c's points counterclockwise before its two ends.
     """
     scheme = c.scheme
     if x.scheme is not scheme:
         raise CurveError(f"{x!r} lives on a different scheme from {c!r}")
-    order, before, after, table, _ = _crossing_data(c)
-    partner, edge_of, location = scheme.partner, scheme.edge_of, scheme.location
-    xf, xb = x_steps = _ray_steps(x)
-    cf, cb = c_steps = _ray_steps(c)
-    walk = _walker(x_steps, c_steps)
-    ctoks = c.tokens
-    exits: List[int] = []
-    entries: List[int] = []
-    for k, t in enumerate(x.tokens):
-        e = edge_of[t]
-        e0 = e[0]
-        row = order.get(e)
-        g = 0
-        if row:
-            # the forward ray runs into the polygon of the partner slot
-            x0 = t != e0
-            first = xf[k] if x0 else xb[k]
-            hi = len(row)
-            while g < hi:
-                mid = (g + hi) // 2
-                j = row[mid]
-                c0 = ctoks[j] != e0
-                c_first = cf[j] if c0 else cb[j]
-                # c's point first when x's ray on side e[0] is lower or equal
-                if first < c_first or first == c_first and walk(x0, k, c0, j) <= 0:
-                    g = mid + 1
-                else:
-                    hi = mid
-        if t == e0:
-            exits.append(before[t] + g)
-            entries.append(after[partner[t]] - g)
+    firsts, maps, before, after, table, _ = _crossing_data(c)
+    partner, location = scheme.partner, scheme.location
+    toks = x.tokens
+    xf = _ray_steps(x)[0]
+    m = len(toks)
+    exits = [0] * m
+    entries = [0] * m
+    start = m - 1
+    while start >= 0 and xf[start] in maps:
+        start -= 1
+    v = 0
+    if start < 0:
+        start = m - 1
+        if m:
+            # maps[xf[0]] . maps[xf[1]] . ... . maps[xf[m - 1]]
+            lo, hi, shift = maps[xf[0]]
+            for f in xf[1:]:
+                flo, fhi, fshift = maps[f]
+                lo, hi, shift = (min(max(flo + shift, lo), hi),
+                                 min(max(fhi + shift, lo), hi), shift + fshift)
+            v = hi if shift >= 0 else lo
+    for k in range(start, start - m, -1):
+        f = xf[k]
+        t = toks[k]
+        s = partner[t]
+        step = maps.get(f)
+        if step is None:
+            v = bisect_left(firsts.get(s, ()), f)
         else:
-            exits.append(after[t] - g)
-            entries.append(before[partner[t]] + g)
-    polys = [location[t][0] for t in x.tokens]
+            lo, hi, shift = step
+            v = min(max(v + shift, lo), hi)
+        exits[k] = before[t] + v
+        entries[k] = after[s] - v
+    polys = [location[t][0] for t in toks]
     if isinstance(x, ClosedCurve):
         entries = entries[-1:] + entries[:-1]
     else:

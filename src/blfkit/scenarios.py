@@ -338,8 +338,9 @@ class JoiningReport:
 
 def _smoothings(u: ClosedCurve, v: ClosedCurve) -> List[ClosedCurve]:
     """All oriented smoothings of crossings of ``u`` with ``v`` or its reverse."""
-    # both cycles are simple, so passage_crossings lists the crossings;
-    # each row is ordered along u's passage, and taken in w's passage order
+    # both cycles are simple, so passage_crossings lists the crossings of a
+    # minimal position, none for curves that can be made disjoint; each row
+    # is ordered along u's passage, and taken in w's passage order
     out = []
     for w in (v, v.reversed()):
         for ku, row in enumerate(passage_crossings(u, w)):

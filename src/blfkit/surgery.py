@@ -67,7 +67,7 @@ def standardize(curve: ClosedCurve) -> Tuple[ClosedCurve, Optional[TwistWord]]:
         nxt = []
         for cur, word in frontier:
             for g, p in product(generators, (1, -1)):
-                img = dehn_twist(cur, g, p, check_simple=False)
+                img = dehn_twist(cur, g, p)
                 key = img.canonical()
                 if key in seen:
                     continue
@@ -129,9 +129,8 @@ class Projection:
 
 def project(sr: SurgeryResult, item: Item) -> Projection:
     """Carry a curve or arc of the cut surface into the surgered one."""
-    # The cut curve c has one token (round_surgery standardizes it), and
-    # against a one-token c the crossings passage_crossings lists are the
-    # taut ones.  A band slide inserts a parallel copy of c, which is
+    # passage_crossings lists the crossings of a minimal position with the
+    # cut curve c.  A band slide inserts a parallel copy of c, which is
     # disjoint from c, and the crossing where it goes in stays, so no slide
     # lowers the count: a crossing is an obstruction.
     if any(passage_crossings(item, sr.curve)):

@@ -236,6 +236,18 @@ class TestArcs:
         with pytest.raises(CurveError):
             Arc(hexagon, Anchor(0), (), Anchor("u2"))
 
+    @pytest.mark.parametrize("tokens", [(), (0, 1, 5, 1, 0, 4)])
+    def test_ends_must_be_two_anchors(self, hexagon, tokens):
+        # one anchor at both ends is rejected as TautConfig rejects it; one
+        # slot with two indices is two anchors
+        with pytest.raises(CurveError):
+            Arc(hexagon, Anchor("u1"), tokens, Anchor("u1"))
+        with pytest.raises(CurveError):
+            TautConfig(hexagon, {"a": Arc(hexagon, Anchor("u1"), tokens, Anchor("u2", 0)),
+                                 "b": Arc(hexagon, Anchor("u3"), tokens, Anchor("u2", 0))})
+        arc = Arc(hexagon, Anchor("u1"), tokens, Anchor("u1", 1))
+        assert arcs_isotopic(arc, arc.reversed())
+
     def test_rel_endpoints(self, hexagon):
         a = Arc(hexagon, Anchor("u1"), (), Anchor("u2"))
         b = Arc(hexagon, Anchor("u1"), (0, 1, 5, 1, 0, 4), Anchor("u2"))

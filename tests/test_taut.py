@@ -4,10 +4,12 @@
 points along each edge before the key-based sort; the key must give
 exactly its order.  The ``reference_*`` functions are the twist and band
 slide code that read crossings off a two-item configuration before the
-crossing table of ``curves.passage_crossings``; the table must give
-exactly their results.  ``reference_project`` runs the band-slide search
-that projection across a round surgery ran before it took any crossing
-with the cut curve as an obstruction: the two must agree.
+crossing table of ``curves.passage_crossings``.  The table lists only
+the crossings of a minimal position, where the configuration may keep
+bigons, so twists must agree with the references up to isotopy, and the
+rows must count ``i(x, c)``.  ``reference_project`` runs the band-slide
+search that projection across a round surgery ran before it took any
+crossing with the cut curve as an obstruction: the two must agree.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import functools
 import random
 import signal
 import time
+import tracemalloc
 
 import pytest
 
@@ -30,7 +33,13 @@ from blfkit import (
     square_torus_scheme,
 )
 from blfkit import Projection, curves, oracle, twists
-from blfkit.curves import TautConfig, geometric_intersection, intersection_form, passage_crossings
+from blfkit.curves import (
+    TautConfig,
+    algebraic_intersection,
+    geometric_intersection,
+    intersection_form,
+    passage_crossings,
+)
 from blfkit.errors import CurveError, ProjectionObstructedError
 from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
 
@@ -284,6 +293,37 @@ def brute_on_passage(cfg, x_name, k, c_name):
     return [(kc, sign) for _, kc, sign in sorted(found)]
 
 
+def assert_taut_rows(x, c, rows, brute=None):
+    """Rows of ``passage_crossings(x, c)`` against invariants of the pair.
+
+    A closed ``x`` has ``i(x, c)`` rows, none when its primitive root is
+    ``c`` up to orientation (``geometric_intersection`` is 0 then), and
+    their signs add up to the algebraic intersection.  An arc has no more
+    rows than ``brute``, the configuration's crossings of it with ``c``
+    (each ending in its sign), and the same sum of signs, which is
+    invariant rel endpoints.
+    """
+    count = sum(map(len, rows))
+    signs = sum(sign for row in rows for _, sign in row)
+    if isinstance(x, ClosedCurve):
+        assert count == geometric_intersection(x, c), (x, c)
+        assert signs == algebraic_intersection(x, c), (x, c)
+    else:
+        if brute is None:
+            brute = TautConfig(x.scheme, {"c": c, "x": x}).crossings("x", "c")
+        assert count <= len(brute), (x, c)
+        assert signs == sum(sign for *_, sign in brute), (x, c)
+
+
+def assert_isotopic(got, want):
+    """Equal oriented canonical forms for closed images, equal words rel endpoints for arcs."""
+    if isinstance(want, ClosedCurve):
+        assert isinstance(got, ClosedCurve) and got.canonical() == want.canonical(), (got, want)
+    else:
+        # an arc's reduced word is a complete invariant rel endpoints
+        assert (got.start, got.tokens, got.end) == (want.start, want.tokens, want.end), (got, want)
+
+
 class TestCrossingQueries:
     def configs(self):
         return hexagon_configs()[:40] + family_configs()[:12] + anchored_arc_configs()[:8]
@@ -305,19 +345,25 @@ class TestCrossingQueries:
         assert total > 100
 
     def test_passage_crossings_match_all_pairs(self):
+        # the rows are the crossings of a minimal position, where the
+        # configuration's order may keep bigons
         checked = 0
         for items in self.configs() + parallel_copy_configs():
             if "c" not in items:
                 continue
             cfg = _config(items)
+            c = items["c"]
             for x_name in sorted(items):
                 if x_name == "c":
                     continue
+                x = items[x_name]
                 with deadline(2.0):
-                    got = passage_crossings(items[x_name], items["c"])
+                    got = passage_crossings(x, c)
                 assert len(got) == sum(p.item == x_name for p in cfg.passages)
-                for k, row in enumerate(got):
-                    assert list(row) == brute_on_passage(cfg, x_name, k, "c"), (items, x_name, k)
+                brute = [
+                    pair for k in range(len(got)) for pair in brute_on_passage(cfg, x_name, k, "c")
+                ]
+                assert_taut_rows(x, c, got, brute)
                 checked += 1
         assert checked > 150
 
@@ -466,8 +512,9 @@ def short_words(partner, length):
 class TestCrossingTable:
     def test_twists_match_configuration(self):
         for x, c in twist_inputs():
+            assert_taut_rows(x, c, passage_crossings(x, c))
             for power in (1, -1, 2):
-                assert dehn_twist(x, c, power).tokens == reference_twist(x, c, power).tokens, (x, c)
+                assert_isotopic(dehn_twist(x, c, power), reference_twist(x, c, power))
 
     def test_long_twists_match_configuration(self):
         sc = get_scenario("negative-modification")
@@ -526,16 +573,14 @@ class TestCrossingTable:
             assert sum(map(len, passage_crossings(c, sr.curve))) == geometric_intersection(c, sr.curve), c
 
     def test_rays_that_agree_for_ever_end_the_walk(self):
-        # a curve beside itself, reversed or repeated: every ray of x equals
-        # one of c's, so each comparison stops at the step cap
+        # a curve beside itself, reversed or repeated: c takes every step of
+        # x, and the rays of c that x follows for ever count below x's, so x
+        # runs beside c and crosses it nowhere
         sc = get_scenario("negative-modification")
         c = dehn_twist(sc.curves["C2"], sc.curves["C1"], 3)
         with deadline(2.0):
             for x in (c, c.reversed(), ClosedCurve(c.scheme, c.tokens * 3)):
-                assert passage_crossings(x, c) == [
-                    tuple(reference_on_passage(_config({"c": c, "x": x}), "x", k, "c"))
-                    for k in range(len(x.tokens))
-                ]
+                assert passage_crossings(x, c) == [()] * len(x.tokens)
 
     def test_no_build_after_the_first_twist(self, monkeypatch):
         sc = get_scenario("negative-modification")
@@ -641,7 +686,7 @@ class TestTwistKernel:
         assert len(pairs) > 400
         for x, c in pairs:
             for power in (1, -1, 2, -2):
-                assert dehn_twist(x, c, power).tokens == reference_twist(x, c, power).tokens, (x, c, power)
+                assert_isotopic(dehn_twist(x, c, power), reference_twist(x, c, power))
 
 
 class TestCost:
@@ -664,6 +709,122 @@ class TestCost:
         cfg = TautConfig(sc.scheme, {"c": c, "x": z})
         assert time.perf_counter() - start < 0.5
         assert len(cfg.crossings("x", "c")) == len(cfg.crossings("c", "x"))
+
+
+    def test_long_near_parallel_word(self):
+        # T_c^2(C3) runs beside c for most of its 46,168 tokens: the
+        # configuration's order listed 34,219 crossings here, walking rays
+        # with a memo that peaked at 121 MB under tracemalloc
+        sc, c = ladder_rung("C2", 4)
+        x = dehn_twist(sc.curves["C3"], c, 2)
+        assert (len(c.tokens), len(x.tokens)) == (135, 46168)
+        tracemalloc.start()
+        try:
+            rows = passage_crossings(x, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+        start = time.perf_counter()
+        assert passage_crossings(x, c) == rows
+        assert time.perf_counter() - start < 1.0
+        assert sum(map(len, rows)) == 171 == geometric_intersection(x, c)
+
+
+def shared_step_words(c, rng, count):
+    """Closed words each of whose steps ``c`` or its reverse takes.
+
+    Random walks on the pairs of consecutive tokens of ``c`` and of its
+    reverse, closed when the last token may precede the first: powers of
+    ``c`` and of its reverse, and pieces of the two glued where ``c``
+    visits a token twice.
+    """
+    follow = {}
+    for w in (c.tokens, c.reversed().tokens):
+        for a, b in zip(w, w[1:] + w[:1]):
+            follow.setdefault(a, set()).add(b)
+    out = []
+    for _ in range(count):
+        word = [rng.choice(c.tokens)]
+        for _ in range(rng.randint(1, 4 * len(c.tokens))):
+            word.append(rng.choice(sorted(follow[word[-1]])))
+            if word[0] in follow[word[-1]] and rng.random() < 0.2:
+                out.append(ClosedCurve(c.scheme, word))
+                break
+    return out
+
+
+def reference_rows(x, c):
+    """``passage_crossings`` with x's points placed by ``_ray_ranks((c, x))``.
+
+    Each point of ``x`` has below it the rays of ``c`` leaving the slot its
+    forward ray leaves that are lower than that ray or equal to it, in the
+    joint ranks; its two ends, and the crossings of x's chords, are then
+    read from what ``c`` keeps, as ``passage_crossings`` reads them.
+    """
+    ranks, (_, base) = curves._ray_ranks((c, x))
+    m = len(c.tokens)
+    partner, location = c.scheme.partner, c.scheme.location
+    leaving = {}
+    for k, t in enumerate(c.tokens):
+        leaving.setdefault(partner[t], []).append(ranks[k])
+        leaving.setdefault(t, []).append(ranks[m + k])
+    before, after, table = curves._crossing_data(c)[2:5]
+    exits, entries = [], []
+    for k, t in enumerate(x.tokens):
+        v = sum(r <= ranks[base + k] for r in leaving.get(partner[t], ()))
+        exits.append(before[t] + v)
+        entries.append(after[partner[t]] - v)
+    polys = [location[t][0] for t in x.tokens]
+    if isinstance(x, ClosedCurve):
+        entries = entries[-1:] + entries[:-1]
+    else:
+        entries.insert(0, before[x.start.slot])
+        exits.append(before[x.end.slot])
+        polys.append(location[x.end.slot][0])
+    return [table[key] for key in zip(polys, entries, exits)]
+
+
+class TestTautStress:
+    def test_family_twists(self):
+        # seeded simple curves c on family members 1-3, against random
+        # closed words and their powers, arcs, T_c^k(y), and words all of
+        # whose steps c takes; and c = T_a^k(b), winding k times round a,
+        # against a
+        rng = random.Random(23)
+        pairs = []
+        shared = 0
+        for n in (1, 2, 3):
+            fam = family_scenario(n)
+            names = sorted(fam.curves)
+            for _ in range(8):
+                word = TwistWord(tuple(
+                    (fam.curves[rng.choice(names)], rng.choice((1, -1)))
+                    for _ in range(rng.randint(1, 3))
+                ))
+                c = word.apply(fam.curves[rng.choice(names)])
+                ys = random_items(fam.scheme, rng, 6)
+                xs = ys + [
+                    ClosedCurve(y.scheme, y.tokens * rng.randint(2, 3))
+                    for y in ys if isinstance(y, ClosedCurve) and not y.is_null
+                ]
+                xs += [dehn_twist(y, c, rng.choice((1, -1, 2))) for y in ys]
+                walks = shared_step_words(c, rng, 6)
+                parallel = c.canonical(oriented=False)
+                shared += sum(w.primitive_root()[0].canonical(oriented=False) != parallel
+                              for w in walks)
+                pairs += [(x, c) for x in xs + walks]
+            a, b = (fam.curves[name] for name in rng.sample(names, 2))
+            c = dehn_twist(b, a, rng.choice((2, 3, -2, -3)))
+            pairs += [(x, c) for x in (a, a.reversed(), ClosedCurve(a.scheme, a.tokens * 2))]
+        for x, c in pairs:
+            rows = passage_crossings(x, c)
+            assert rows == reference_rows(x, c), (x, c)
+            assert_taut_rows(x, c, rows)
+            for power in (1, -2):
+                assert_isotopic(dehn_twist(x, c, power), reference_twist(x, c, power))
+        closed = sum(isinstance(x, ClosedCurve) for x, _ in pairs)
+        assert closed > 250 and len(pairs) - closed > 100 and shared > 50
 
 
 class TestIntersectionFormCache:

@@ -1,6 +1,9 @@
 """Dehn twists: fixtures, group identities, homology shadow."""
 
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -12,13 +15,15 @@ from blfkit import (
     arcs_isotopic,
     curves_isotopic,
     dehn_twist,
+    geometric_intersection,
     hexagon_scheme,
     relabel_curve,
     square_torus_scheme,
 )
 from blfkit.curves import homology_class, intersection_form, pair_homology
-from blfkit.errors import NotSimpleError
-from blfkit.scenarios import family_scenario
+from blfkit import twists
+from blfkit.errors import CurveError, NotSimpleError
+from blfkit.scenarios import family_scenario, get_scenario
 from blfkit.schemes import Relabeling
 from blfkit.twists import transvection
 
@@ -187,3 +192,37 @@ class TestHomologyShadow:
         both = word * word.inverse()
         x = ClosedCurve(hexagon, (0, 1))
         assert curves_isotopic(both.apply(x), x, oriented=True)
+
+
+class TestBounds:
+    def test_bound_counts_the_word_before_reduction(self, monkeypatch):
+        # |x| + |power| * |c| * i(x, c)
+        sc = get_scenario("negative-modification")
+        x, c = sc.curves["C2"], sc.curves["C1"]
+        size = len(x.tokens) + 5 * len(c.tokens) * geometric_intersection(x, c)
+        monkeypatch.setattr(twists, "MAX_TWIST_TOKENS", size)
+        assert len(dehn_twist(x, c, -5).tokens) <= size
+        monkeypatch.setattr(twists, "MAX_TWIST_TOKENS", size - 1)
+        with pytest.raises(CurveError, match=f"builds {size} tokens"):
+            dehn_twist(x, c, -5)
+
+    def test_huge_power_fails_before_building(self):
+        # in a child process limited to 1 GB of address space, where
+        # building the copies raised MemoryError before the bound
+        code = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from blfkit import dehn_twist
+            from blfkit.errors import CurveError
+            from blfkit.scenarios import get_scenario
+            sc = get_scenario("negative-modification")
+            try:
+                dehn_twist(sc.curves["C2"], sc.curves["C1"], 10 ** 9)
+            except CurveError as exc:
+                print(exc)
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith(f"more than {twists.MAX_TWIST_TOKENS}\n")
