@@ -31,24 +31,7 @@ The order need not be taut: along a run of edges that two strands share,
 the side whose ray decides flips with the slot labels, which can leave
 bigons, pairs of crossings of opposite sign.
 
-Intersection numbers therefore do not read the configuration.  Two points
-on one edge are *linked* when their rays on the two sides order them the
-same way round; the strands through them then cross once somewhere along
-their maximal shared run.  :func:`geometric_intersection` and
-:func:`is_simple` count linked pairs where their run ends (half of the
-ends) plus the interleaving chords of four distinct slots (runs of length
-zero), from the ranked rays (Cohen and Lustig 1987): no configuration is
-built.  Each curve ranks its own rays once and keeps the ranks with the
-sorted keys of every prefix-doubling round, and keeps dominance tables
-built from them: on each edge side, a Fenwick tree over the first steps
-of the rays leaving it, holding their ranks on the other side, and in
-each polygon one over the low slots of its chords, holding their high
-slots.  A self-count queries the curve's own tables with each of its
-rows.  For a pair, the shorter curve's rays are placed among the longer
-curve's classes round by round, and only the shorter curve's rows query
-the longer curve's tables, so no ray is ranked again and no row of the
-longer curve is visited for another query.
-
+Neither intersection numbers nor twists therefore read the configuration.
 Twists, projections across a cut and smoothings need only where a curve
 ``x`` crosses one simple curve ``c``, and the order of x's points among
 themselves never changes which of c's chords an x chord crosses.  So
@@ -62,8 +45,29 @@ and no bigon is left.  So the crossings listed are those of a minimal
 position, ``i(x, c)`` of them for a closed ``x`` (Farb and Margalit,
 *Primer*, section 3.1).  What the pass reads is kept on ``c``
 (``_crossing_data``), and the pass takes time and memory linear in
-``|x| + |c|``.  Every step is read from a table of slot pairs kept on
-the scheme and filled on first use.
+``|x| + |c|`` and the crossings it lists: c's chords in a polygon nest
+like brackets, so a chord of ``x`` finds those it crosses in one step
+each (``_ChordTable``).  Every step is read from a table of slot pairs
+kept on the scheme and filled on first use.
+
+:func:`geometric_intersection` counts those taut rows when the shorter
+of its two primitive roots is simple, as every twist curve and vanishing
+cycle is: the longer curve is then read once, never ranked or tabled.
+Other pairs, and :func:`is_simple`, count *linked* pairs of points: two
+points on one edge whose rays on the two sides order them the same way
+round start strands that cross once somewhere along their maximal shared
+run.  A linked pair is counted where its run ends (half of the ends),
+plus the interleaving chords of four distinct slots (runs of length
+zero), from the ranked rays (Cohen and Lustig 1987).  Each curve counted
+this way ranks its own rays once and keeps the ranks with the sorted
+keys of every prefix-doubling round, and keeps dominance tables built
+from them: on each edge side, a Fenwick tree over the first steps of the
+rays leaving it, holding their ranks on the other side, and in each
+polygon one over the low slots of its chords, holding their high slots.
+A self-count queries the curve's own tables with each of its rows.  For
+a pair, the shorter curve's rays are placed among the longer curve's
+classes round by round, and only the shorter curve's rows query the
+longer curve's tables.
 """
 
 from __future__ import annotations
@@ -800,26 +804,75 @@ class _ChordTable(dict):
     Key ``(pi, a, b)`` is a chord of polygon ``pi`` whose ends sit just
     before c's points ``a`` and ``b``; the value lists the (c-passage,
     sign) pairs of its crossings ordered from ``a``, computed on first use.
+
+    The chords of ``c`` pair off the points of a polygon without crossing,
+    so read from point 0 they nest like brackets: a point opens its chord
+    when the other end comes later.  A chord from ``a`` to ``b > a``
+    crosses the chords with one end among ``a .. b - 1``: first those that
+    close there below the bracket depth at ``a``, then those that open
+    there and stay open past ``b``.  Each polygon keeps, for every
+    position ``q``, the first point from ``q`` on that closes below the
+    depth at ``q``, and the last point before ``q`` that opens below it,
+    so a lookup takes one step per crossing.  A chord from ``a`` round
+    past point 0 to ``b < a`` crosses the chords that cross the chord from
+    ``b`` to ``a``, at their other ends, met in the reverse order.
     """
 
     def __init__(self, sizes: List[int], chords: Dict[int, List[Tuple[int, int, int]]]):
         super().__init__()
         self.sizes, self.chords = sizes, chords
+        self.brackets: Dict[int, tuple] = {}
+
+    def _brackets(self, pi: int) -> tuple:
+        found = self.brackets.get(pi)
+        if found is None:
+            n = self.sizes[pi]
+            # each point's (c-passage, sign, other end): +1 where c enters
+            ends: list = [None] * n
+            for j, ca, cb in self.chords.get(pi, ()):
+                ends[ca] = (j, 1, cb)
+                ends[cb] = (j, -1, ca)
+            depth = [0] * (n + 1)
+            for p, end in enumerate(ends):
+                depth[p + 1] = depth[p] + (1 if end[2] > p else -1)
+            # the depth moves by one per point, so the first drop below
+            # depth[q] after q, and the last one before it, reach depth[q] - 1
+            closes = [n] * (n + 1)
+            seen: Dict[int, int] = {}
+            for q in range(n, -1, -1):
+                closes[q] = seen.get(depth[q] - 1, n + 1) - 1
+                seen[depth[q]] = q
+            opens = [-1] * (n + 1)
+            seen = {}
+            for q in range(n + 1):
+                opens[q] = seen.get(depth[q] - 1, -1)
+                seen[depth[q]] = q
+            found = self.brackets[pi] = (ends, closes, opens)
+        return found
 
     def __missing__(self, key: Tuple[int, int, int]) -> Tuple[Tuple[int, int], ...]:
-        # c's point p lies on the counterclockwise way from a to b iff it is
-        # one of a, a + 1, ..., b - 1
         pi, a, b = key
         n = self.sizes[pi]
-        span = (b - a) % n if n else 0
-        hits = []
-        for j, ca, cb in self.chords.get(pi, ()):
-            da, db = (ca - a) % n, (cb - a) % n
-            inside = da < span
-            if inside != (db < span):
-                hits.append((da if inside else db, j, 1 if inside else -1))
-        hits.sort()
-        found = self[key] = tuple((j, sign) for _, j, sign in hits)
+        points = []
+        if n and (a - b) % n:
+            ends, closes, opens = self._brackets(pi)
+            lo, hi = sorted((a % n, b % n))
+            closed, opened = [], []
+            p = closes[lo]
+            while p < hi:
+                closed.append(p)
+                p = closes[p + 1]
+            p = opens[hi]
+            while p >= lo:
+                opened.append(p)
+                p = opens[p]
+            # opened is read backwards from hi
+            if a % n < b % n:
+                points = closed + opened[::-1]
+            else:
+                points = [ends[p][2] for p in opened + closed[::-1]]
+            points = [ends[p][:2] for p in points]
+        found = self[key] = tuple(points)
         return found
 
 
@@ -1157,7 +1210,13 @@ def _linked_crossings(items: Sequence[ClosedCurve]) -> int:
 
 
 def geometric_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
-    """The least number of crossings of curves freely homotopic to ``u`` and ``v``."""
+    """The least number of crossings of curves freely homotopic to ``u`` and ``v``.
+
+    Counted from the shorter primitive root's taut rows when it is simple,
+    and from linked runs otherwise (see the module docstring).
+    """
+    if u.scheme is not v.scheme:
+        raise CurveError(f"{u!r} lives on a different scheme from {v!r}")
     if u.is_null or v.is_null:
         return 0
     ru, pu = u.primitive_root()
@@ -1167,6 +1226,10 @@ def geometric_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
         ru.canonical(oriented=False) == rv.canonical(oriented=False)
     ):
         return 0
+    if len(ru.tokens) < len(rv.tokens):
+        ru, rv = rv, ru
+    if is_simple(rv):
+        return pu * pv * sum(map(len, passage_crossings(ru, rv)))
     return pu * pv * _linked_crossings((ru, rv))
 
 

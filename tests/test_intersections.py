@@ -28,8 +28,10 @@ from blfkit import (
 )
 from blfkit import curves
 from blfkit.curves import TautConfig
+from blfkit.errors import CurveError
 from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
 from blfkit.twists import relabel_curve
+from helpers import linked_intersection
 
 
 def _ray(item, k, forward, length):
@@ -303,6 +305,51 @@ class TestFamilyProperties:
         assert curves._linked_crossings((relabel_curve(sc.rho, x),)) == count
 
 
+# -- taut rows against linked runs -------------------------------------------
+
+
+class TestTautRowCounts:
+    def test_against_linked_runs(self):
+        # simple curves c from short twist words, each against random words,
+        # its powers and reverse, and twists along it, in both orders
+        rng = random.Random(9)
+        scenarios = [family_scenario(n) for n in (1, 2, 3)]
+        shorter_simple = {True: 0, False: 0}
+        parallel = 0
+        for _ in range(200):
+            sc = rng.choice(scenarios)
+            sch = sc.scheme
+            names = sorted(sc.curves)
+            word = TwistWord(tuple(
+                (sc.curves[rng.choice(names)], rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 3))
+            ))
+            c = word.apply(sc.curves[rng.choice(names)])
+            y = ClosedCurve(sch, random_word(sch, rng, rng.randint(1, 14)))
+            k = rng.choice((-2, -1, 1, 2))
+            xs = [
+                y,
+                ClosedCurve(sch, random_word(sch, rng, rng.randint(2, 6))),
+                ClosedCurve(sch, c.tokens * rng.randint(1, 3)),
+                c.reversed(),
+                dehn_twist(y, c, k),
+                dehn_twist(sc.curves[rng.choice(names)], c, k),
+            ]
+            for x in xs:
+                for u, v in ((x, c), (c, x)):
+                    assert geometric_intersection(u, v) == linked_intersection(u, v), (u, v)
+                if x.is_null:
+                    continue
+                rx, rc = x.primitive_root()[0], c.primitive_root()[0]
+                if rx.canonical(oriented=False) == rc.canonical(oriented=False):
+                    parallel += 1
+                else:
+                    shorter = rx if len(rx.tokens) < len(rc.tokens) else rc
+                    shorter_simple[is_simple(shorter)] += 1
+        assert parallel > 200
+        assert min(shorter_simple.values()) > 40, shorter_simple
+
+
 # -- joint ranks -------------------------------------------------------------
 
 
@@ -417,8 +464,8 @@ class TestCost:
         assert abs(alg) <= i and (i - alg) % 2 == 0
 
     def test_two_fresh_long_curves(self):
-        # both curves' rays are ranked, then merged; ranking the two
-        # together took 0.12 s and 0.6 s
+        # the shorter curve is ranked for its simplicity, and the longer is
+        # read once against it; ranking the two together took 0.12 s and 0.6 s
         sc, x = _rung(8)
         assert len(x.tokens) == 6300
         c3 = sc.curves["C3"]
@@ -432,6 +479,56 @@ class TestCost:
         assert time.perf_counter() - start < 2.0
         # Farb and Margalit, Prop. 3.2
         assert i == geometric_intersection(x, c3) ** 2
+
+    def test_long_word_against_a_simple_curve(self, monkeypatch):
+        # T_c^2(C3) runs beside c for most of its 46,168 tokens; ranking its
+        # rays for the linked-run count took 0.61-0.70 s
+        sc, c = _rung(4)
+        x = dehn_twist(sc.curves["C3"], c, 2)
+        assert (len(c.tokens), len(x.tokens)) == (135, 46168)
+        ranked = []
+        rank = curves._rank_rays
+        monkeypatch.setattr(curves, "_rank_rays", lambda steps, *a: ranked.append(steps) or rank(steps, *a))
+        start = time.perf_counter()
+        assert geometric_intersection(x, c) == 171
+        assert time.perf_counter() - start < 0.5
+        assert geometric_intersection(c, x) == 171
+        fwd, bwd = curves._ray_steps(x)
+        assert fwd + bwd not in ranked
+
+    def test_two_fresh_long_curves_neither_simple(self):
+        # the shorter curve's self-count finds it not simple, and the pair
+        # counts linked runs: 0.76-0.88 s here, 0.61-0.74 s without that
+        # self-count; the ladder is a homeomorphism, so it keeps the count
+        sc, _ = _rung(0)
+        short = [ClosedCurve(sc.scheme, w) for w in ((0, 1, 2), (0, 1, 5))]
+        u, v = short
+        for _ in range(9):
+            u, v = (dehn_twist(dehn_twist(z, sc.curves["C1"], -1), sc.curves["C"], 1) for z in (u, v))
+        u, v = ClosedCurve(sc.scheme, u.tokens), ClosedCurve(sc.scheme, v.tokens)
+        assert (len(u.tokens), len(v.tokens)) == (25841, 18699)
+        start = time.perf_counter()
+        i = geometric_intersection(u, v)
+        assert time.perf_counter() - start < 2.0
+        assert not is_simple(v)
+        assert i == linked_intersection(*short) == 4
+
+    def test_long_simple_curve_against_a_longer_word(self):
+        # the taut rows of a 6300-token simple curve take 0.12-0.17 s here;
+        # looking up each chord among all of its chords in the polygon took
+        # 5.5-6.0 s, and the linked-run count 0.27-0.41 s
+        sc, x = _rung(8)
+        y0 = ClosedCurve(sc.scheme, (0, 1, 5))
+        y = dehn_twist(dehn_twist(y0, sc.curves["C1"], -1), sc.curves["C"], 1)
+        short = y
+        for _ in range(8):
+            y = dehn_twist(dehn_twist(y, sc.curves["C1"], -1), sc.curves["C"], 1)
+        y = ClosedCurve(sc.scheme, y.tokens)
+        assert (len(x.tokens), len(y.tokens)) == (6300, 18699)
+        start = time.perf_counter()
+        i = geometric_intersection(y, x)
+        assert time.perf_counter() - start < 1.0
+        assert i == linked_intersection(short, sc.curves["C2"])
 
     def test_kept_table_is_small(self):
         # the same keys kept in lists of ints took 6.0 MB on this rung; the
@@ -523,20 +620,31 @@ class TestBuilds:
         assert ranked == []
 
     def test_pair_after_simplicity_builds_no_table(self, monkeypatch):
-        # is_simple keeps x's dominance tables, and a pair with a shorter
-        # curve queries them with the shorter curve's rows alone
-        sc = get_scenario("negative-modification")
-        _, x = _rung(5)
+        # is_simple keeps each curve's dominance tables, and a pair whose
+        # shorter curve is simple reads x once against that curve's kept rows
+        sc, x = _rung(5)
         built = []
         fenwick = curves._fenwick
         monkeypatch.setattr(curves, "_fenwick", lambda groups: built.append(groups) or fenwick(groups))
         assert is_simple(x)
+        for c in sc.curves.values():
+            assert len(c.tokens) <= 2
+            assert is_simple(c)
         assert built
         del built[:]
         for c in sc.curves.values():
-            assert len(c.tokens) <= 2
             assert geometric_intersection(x, c) == geometric_intersection(c, x)
         assert built == []
+
+    def test_curves_on_two_schemes_raise(self):
+        # two builds of one scenario give two schemes, whose slots coincide
+        sc, x = _rung(5)
+        other = get_scenario("negative-modification")
+        for c in other.curves.values():
+            with pytest.raises(CurveError):
+                geometric_intersection(x, c)
+            with pytest.raises(CurveError):
+                geometric_intersection(c, x)
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_joining_pairs_have_no_bigons(self, name):

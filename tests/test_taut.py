@@ -36,12 +36,12 @@ from blfkit import Projection, curves, oracle, twists
 from blfkit.curves import (
     TautConfig,
     algebraic_intersection,
-    geometric_intersection,
     intersection_form,
     passage_crossings,
 )
 from blfkit.errors import CurveError, ProjectionObstructedError
 from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
+from helpers import linked_intersection
 
 _STOP = ("stop",)
 
@@ -296,8 +296,9 @@ def brute_on_passage(cfg, x_name, k, c_name):
 def assert_taut_rows(x, c, rows, brute=None):
     """Rows of ``passage_crossings(x, c)`` against invariants of the pair.
 
-    A closed ``x`` has ``i(x, c)`` rows, none when its primitive root is
-    ``c`` up to orientation (``geometric_intersection`` is 0 then), and
+    A closed ``x`` has ``i(x, c)`` rows, counted from linked runs
+    (``linked_intersection``), none when its primitive root is ``c`` up
+    to orientation, and
     their signs add up to the algebraic intersection.  An arc has no more
     rows than ``brute``, the configuration's crossings of it with ``c``
     (each ending in its sign), and the same sum of signs, which is
@@ -306,7 +307,7 @@ def assert_taut_rows(x, c, rows, brute=None):
     count = sum(map(len, rows))
     signs = sum(sign for row in rows for _, sign in row)
     if isinstance(x, ClosedCurve):
-        assert count == geometric_intersection(x, c), (x, c)
+        assert count == linked_intersection(x, c), (x, c)
         assert signs == algebraic_intersection(x, c), (x, c)
     else:
         if brute is None:
@@ -509,12 +510,49 @@ def short_words(partner, length):
     return out
 
 
+def noncrossing_chords(points, rng):
+    """A random pairing of ``points`` (even in number) by chords that do not cross."""
+    if not points:
+        return []
+    k = rng.randrange(1, len(points), 2)
+    return ([(points[0], points[k])] + noncrossing_chords(points[1:k], rng)
+            + noncrossing_chords(points[k + 1:], rng))
+
+
+def scanned_chord_crossings(n, chords, a, b):
+    """The lookup of ``curves._ChordTable`` by a scan of every chord of the polygon."""
+    span = (b - a) % n if n else 0
+    hits = []
+    for j, ca, cb in chords:
+        da, db = (ca - a) % n, (cb - a) % n
+        inside = da < span
+        if inside != (db < span):
+            hits.append((da if inside else db, j, 1 if inside else -1))
+    return tuple((j, sign) for _, j, sign in sorted(hits))
+
+
 class TestCrossingTable:
     def test_twists_match_configuration(self):
         for x, c in twist_inputs():
             assert_taut_rows(x, c, passage_crossings(x, c))
             for power in (1, -1, 2):
                 assert_isotopic(dehn_twist(x, c, power), reference_twist(x, c, power))
+
+    def test_chord_lookup_matches_scan(self):
+        # every chord between two of n points, round past point 0 or not,
+        # against simple curves' chords in random nestings and directions
+        rng = random.Random(3)
+        for _ in range(400):
+            n = 2 * rng.randint(0, 10)
+            chords = [
+                (j, *(pair if rng.random() < 0.5 else pair[::-1]))
+                for j, pair in enumerate(noncrossing_chords(list(range(n)), rng))
+            ]
+            rng.shuffle(chords)
+            table = curves._ChordTable([n], {0: chords})
+            for a in range(n + 1):
+                for b in range(n + 1):
+                    assert table[0, a, b] == scanned_chord_crossings(n, chords, a, b), (chords, a, b)
 
     def test_long_twists_match_configuration(self):
         sc = get_scenario("negative-modification")
@@ -570,7 +608,7 @@ class TestCrossingTable:
         primitive = [c for c in closed.values() if c.primitive_root()[1] == 1]
         assert len(primitive) == 832
         for c in primitive:
-            assert sum(map(len, passage_crossings(c, sr.curve))) == geometric_intersection(c, sr.curve), c
+            assert sum(map(len, passage_crossings(c, sr.curve))) == linked_intersection(c, sr.curve), c
 
     def test_rays_that_agree_for_ever_end_the_walk(self):
         # a curve beside itself, reversed or repeated: c takes every step of
@@ -728,7 +766,7 @@ class TestCost:
         start = time.perf_counter()
         assert passage_crossings(x, c) == rows
         assert time.perf_counter() - start < 1.0
-        assert sum(map(len, rows)) == 171 == geometric_intersection(x, c)
+        assert sum(map(len, rows)) == 171 == linked_intersection(x, c)
 
 
 def shared_step_words(c, rng, count):
