@@ -50,33 +50,51 @@ like brackets, so a chord of ``x`` finds those it crosses in one step
 each (``_ChordTable``).  Every step is read from a table of slot pairs
 kept on the scheme and filled on first use.
 
-:func:`geometric_intersection` counts those taut rows when the shorter
-of its two primitive roots is simple, as every twist curve and vanishing
-cycle is: the longer curve is then read once, never ranked or tabled.
-Other pairs, and :func:`is_simple`, count *linked* pairs of points: two
-points on one edge whose rays on the two sides order them the same way
-round start strands that cross once somewhere along their maximal shared
-run.  A linked pair is counted where its run ends (half of the ends),
-plus the interleaving chords of four distinct slots (runs of length
-zero), from the ranked rays (Cohen and Lustig 1987).  Each curve counted
-this way ranks its own rays once and keeps the ranks with the sorted
-keys of every prefix-doubling round, and keeps dominance tables built
-from them: on each edge side, a Fenwick tree over the first steps of the
-rays leaving it, holding their ranks on the other side, and in each
-polygon one over the low slots of its chords, holding their high slots.
-A self-count queries the curve's own tables with each of its rows.  For
-a pair, the shorter curve's rays are placed among the longer curve's
-classes round by round, and only the shorter curve's rows query the
-longer curve's tables.
+:func:`is_simple` reads the curve's own chords and ranks no rays
+(Erickson and Nayyeri 2013; Farb and Margalit, *Primer*, sections
+1.2-1.3).  An embedded curve isotoped into minimal position with the
+edges stays embedded and reads its reduced word, so its chords in each
+polygon are pairwise disjoint and join two distinct slots.  Disjoint
+chords are fixed by their counts by *unordered* slot pair: no two types
+interleave (types sharing a slot do not); along each slot, one block of
+endpoints per type, in the order of the other end's counterclockwise
+offset, descending; in a block of ``n`` parallel chords, endpoint ``j``
+on one slot pairs with endpoint ``n - 1 - j`` on the other; and gluing
+an edge reverses positions along it.  So ``c`` is simple exactly when
+its types do not interleave and that one arrangement, traced from one
+point, closes after ``|c|`` steps reading c's word up to rotation and
+orientation (chords have no direction, so the trace may run against
+``c``).  A power ``d^k`` closes after ``|d|`` steps, and for a curve
+that must cross itself, an arrangement whose types do not interleave
+is another curve or several.  The check takes time linear in ``|c|``.
+
+:func:`geometric_intersection` counts the taut rows of
+:func:`passage_crossings` when the shorter of its two primitive roots is
+simple, as every twist curve and vanishing cycle is: the longer curve is
+then read once, never ranked or tabled.  Other pairs count *linked*
+pairs of points: two points on one edge whose rays on the two sides
+order them the same way round start strands that cross once somewhere
+along their maximal shared run.  A linked pair is counted where its run
+ends (half of the ends), plus the interleaving chords of four distinct
+slots (runs of length zero), from the ranked rays (Cohen and Lustig
+1987).  Each curve counted this way ranks its own rays once and keeps
+the ranks with the sorted keys of every prefix-doubling round, and keeps
+dominance tables built from them: on each edge side, a Fenwick tree
+over the first steps of the rays leaving it, holding their ranks on the
+other side, and in each polygon one over the low slots of its chords,
+holding their high slots.  The shorter curve's rays are placed among
+the longer curve's classes round by round, and only the shorter curve's
+rows query the longer curve's tables.
 """
 
 from __future__ import annotations
 
 import functools
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import CurveError, NotSimpleError
@@ -176,6 +194,10 @@ class ClosedCurve:
         self._rays: Optional[tuple] = None
         self._tables: Optional[tuple] = None
         self._homology: Optional[Tuple[int, ...]] = None
+        # set for a power only: a primitive curve's root is itself, and
+        # keeping it would make a reference cycle
+        self._root: Optional[ClosedCurve] = None
+        self._power: Optional[int] = None
 
     @property
     def is_null(self) -> bool:
@@ -198,15 +220,18 @@ class ClosedCurve:
     def primitive_root(self) -> Tuple["ClosedCurve", int]:
         """Return (root, power) with self = root^power as a cyclic word.
 
-        A primitive curve is its own root, so what is kept on it serves its root.
+        A primitive curve is its own root, so what is kept on it serves its
+        root.  A power keeps its root, found once, so what is kept on the
+        root survives between calls.
         """
-        m = len(self.tokens)
-        if m == 0:
-            return self, 1
-        for p in range(1, m):
-            if m % p == 0 and self.tokens[p:] + self.tokens[:p] == self.tokens:
-                return ClosedCurve(self.scheme, self.tokens[:p]), m // p
-        return self, 1
+        if self._power is None:
+            m = len(self.tokens)
+            self._power = 1
+            for p in range(1, m):
+                if m % p == 0 and self.tokens[p:] + self.tokens[:p] == self.tokens:
+                    self._root, self._power = ClosedCurve(self.scheme, self.tokens[:p]), m // p
+                    break
+        return (self if self._root is None else self._root), self._power
 
     def homology(self) -> Tuple[int, ...]:
         """The homology class in the edge-class basis, computed once."""
@@ -1134,11 +1159,13 @@ def _tables(c: ClosedCurve) -> Tuple[Dict[SlotId, tuple], Dict[int, tuple]]:
     return c._tables
 
 
-def _linked_crossings(items: Sequence[ClosedCurve]) -> int:
-    """Crossings of two primitive closed curves, or self-crossings of one.
+def _linked_crossings(u: ClosedCurve, v: ClosedCurve) -> int:
+    """Crossings of two primitive closed curves.
 
     The two curves must differ up to orientation: the rays of a curve and
-    of a parallel copy tie, and ties are never linked.
+    of a parallel copy tie, and ties are never linked.  Simplicity is
+    decided by tracing a chord arrangement instead (see the module
+    docstring).
 
     Two points on one edge start strands that run together through a
     maximal shared run in each direction.  Their rays on the two sides
@@ -1152,38 +1179,18 @@ def _linked_crossings(items: Sequence[ClosedCurve]) -> int:
 
     On one side, rays with different first steps are ordered by their
     first steps alone, so each pair is counted from the dominance tables
-    (``_tables``) of one curve, kept on it: a ray counts the rays of
-    earlier first-step groups with a lower rank on the other side, and a
-    chord the chords with a lower low slot whose high slot lies between
-    its own two.  A self-count queries each of the curve's own rows.  For
-    a pair, only the shorter curve's rows query the longer curve's tables,
-    with ranks on the other side placed by ``_joint_ranks``; a ray also
-    counts the rays of later groups with a higher rank, and a chord the
-    chords whose low slot lies between its own two and whose high slot is
-    above its own.
+    (``_tables``) of one curve, kept on it.  Only the shorter curve's rows
+    query the longer curve's tables, with ranks on the other side placed
+    by ``_joint_ranks``: a ray counts the rays of earlier first-step
+    groups with a lower rank on the other side and those of later groups
+    with a higher rank, and a chord the chords with a lower low slot whose
+    high slot lies between its own two, and those whose low slot lies
+    between its own two and whose high slot is above its own.
     """
-    if len(items) == 1:
-        big = small = items[0]
-        code = None
-    else:
-        big, small, code = _joint_ranks(*items)
+    big, small, code = _joint_ranks(u, v)
     sides, polygons = _tables(big)
     rays, chords = _rows(small)
     ends = zero = 0
-    if code is None:
-        # each row of a self-count finds its own curve's table
-        for side, step, r in rays:
-            keys, tree = sides[side]
-            g = bisect_left(keys, step)
-            if g:
-                ends += _below(tree, g, r)
-        for pi, lo, hi in chords:
-            keys, tree = polygons[pi]
-            g = bisect_left(keys, lo)
-            if g:
-                # lo' < lo < hi' < hi
-                zero += _below(tree, g, hi) - _below(tree, g, lo + 1)
-        return ends // 2 + zero
     for side, step, r in rays:
         table = sides.get(side)
         if table is None:
@@ -1230,17 +1237,87 @@ def geometric_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
         ru, rv = rv, ru
     if is_simple(rv):
         return pu * pv * sum(map(len, passage_crossings(ru, rv)))
-    return pu * pv * _linked_crossings((ru, rv))
+    return pu * pv * _linked_crossings(ru, rv)
+
+
+def _traces_once(c: ClosedCurve) -> bool:
+    """Does the non-crossing arrangement of c's chords trace c once round?
+
+    The arrangement argument is in the module docstring.  Point ``p`` of
+    slot ``s`` is entry ``base[s] + p`` of one list.  Following the chord
+    at an entry, and crossing the edge at its other end, reaches the next
+    entry; a block of parallel chords maps its entries to a run of
+    entries.
+    """
+    scheme = c.scheme
+    partner, location, polygons, rank = scheme.partner, scheme.location, scheme.polygons, scheme.rank
+    toks = c.tokens
+    m = len(toks)
+    entries = list(map(partner.__getitem__, toks[-1:] + toks[:-1]))
+    # chords by unordered slot pair, counted under both orders
+    chords = Counter(zip(chain(entries, toks), chain(toks, entries)))
+    rows: Dict[SlotId, List[Tuple[int, SlotId, int]]] = defaultdict(list)
+    spans: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+    for (s, t), n in chords.items():
+        (pi, i), j = location[s], location[t][1]
+        rows[s].append(((j - i) % len(polygons[pi]), t, n))
+        if i < j:
+            spans[pi].append((i, -j))
+    # by low end, the outer first on a shared one: each span must end
+    # inside the innermost span still open at its low end, or the two
+    # types interleave
+    for found in spans.values():
+        found.sort()
+        stack: List[int] = []
+        for i, j in found:
+            while stack and stack[-1] <= i:
+                stack.pop()
+            if stack and stack[-1] < -j:
+                return False
+            stack.append(-j)
+    # on each slot, one block per type, the farthest counterclockwise first
+    start: Dict[Tuple[SlotId, SlotId], int] = {}
+    base: Dict[SlotId, int] = {}
+    end: Dict[SlotId, int] = {}
+    total = 0
+    for s, row in rows.items():
+        row.sort(reverse=True)
+        base[s] = total
+        for _, t, n in row:
+            start[s, t] = total
+            total += n
+        end[s] = total
+    nxt = [0] * total
+    word = [""] * total
+    for (s, t), n in chords.items():
+        # entry j of the block leaves through t at its point n - 1 - j, and
+        # enters through partner(t) at the reversed position
+        g = start[s, t]
+        h = base[partner[t]] + end[t] - start[t, s] - n
+        nxt[g:g + n] = range(h, h + n)
+        word[g:g + n] = chr(rank[t]) * n
+    walk = [0] * m
+    p = 0
+    for k in range(m):
+        walk[k] = p
+        p = nxt[p]
+    if p or walk.count(0) > 1:
+        return False
+    traced = "".join(map(word.__getitem__, walk))
+    forward = "".join(map(chr, map(rank.__getitem__, toks)))
+    # the entries reversed are a rotation of the reversed word
+    backward = "".join(map(chr, map(rank.__getitem__, reversed(entries))))
+    return traced in forward * 2 or traced in backward * 2
 
 
 def is_simple(c: ClosedCurve) -> bool:
-    """Is ``c`` an embedded essential curve?  Decided once per curve."""
+    """Is ``c`` an embedded essential curve?  Decided once per curve.
+
+    Traces the non-crossing arrangement of c's chords, in time linear in
+    ``|c|`` (see the module docstring); no ray is ranked.
+    """
     if c._simple is None:
-        c._simple = (
-            not c.is_null
-            and c.primitive_root()[1] == 1
-            and _linked_crossings((c,)) == 0
-        )
+        c._simple = not c.is_null and _traces_once(c)
     return c._simple
 
 

@@ -19,7 +19,7 @@ import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import HandleMoveError
+from .errors import HandleMoveError, SchemeError
 
 
 # -- integer linear algebra ------------------------------------------------
@@ -313,7 +313,7 @@ def fibration_presentation(genus: int) -> HandlePresentation:
     3-handle its incidence.
     """
     if genus < 1:
-        raise HandleMoveError("need genus at least one")
+        raise SchemeError("need genus at least one")
     us = [f"u{i}" for i in range(1, 2 * genus + 1)]
     ones = us + ["hr", "hb"]
     twos = ["F", "R", "L1", "L2", "L3"]

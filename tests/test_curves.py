@@ -99,6 +99,7 @@ class TestCanonical:
         c = ClosedCurve(hexagon, (1, 2, 1, 2, 1, 2))
         root, power = c.primitive_root()
         assert root.tokens == (1, 2) and power == 3
+        assert c.primitive_root()[0] is root
         assert ClosedCurve(hexagon, (0, 0)).primitive_root()[0].tokens == (0,)
 
 

@@ -2,8 +2,8 @@
 
 import pytest
 
-from blfkit import handles
-from blfkit.errors import HandleMoveError
+from blfkit import cli, handles
+from blfkit.errors import HandleMoveError, SchemeError
 from blfkit.handles import (
     expected_final_profile,
     fibration_presentation,
@@ -48,6 +48,15 @@ class TestFibrationPresentation:
     def test_initial_profile_matches_final(self, genus):
         pres = fibration_presentation(genus)
         assert pres.homology_profile() == expected_final_profile(genus)
+
+    @pytest.mark.parametrize("genus", [0, -1])
+    def test_genus_below_one_is_an_input_error(self, genus, capsys):
+        # rejected as family_scenario(n < 1) is: a bad input, not an illegal move
+        with pytest.raises(SchemeError, match="need genus at least one") as info:
+            fibration_presentation(genus)
+        assert not isinstance(info.value, HandleMoveError)
+        assert cli.main(["handle-sim", "--genus", str(genus)]) == 3
+        assert capsys.readouterr() == ("", "blfkit: need genus at least one\n")
 
 
 class TestSimplificationScript:

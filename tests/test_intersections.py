@@ -1,11 +1,12 @@
-"""Intersection numbers and simplicity from linked runs.
+"""Intersection numbers from linked runs and taut rows, and simplicity.
 
 ``brute_linked`` is the quadratic reference: it compares the rays of every
 pair of points on an edge step by step and tests every pair of chords in a
-polygon.  The seeded properties are identities of geometric intersection
-numbers that hold for every labelling of the surface (Farb and Margalit,
-*A Primer on Mapping Class Groups*, Section 3.1): an edge order that keeps
-bigons breaks them.
+polygon.  ``helpers.self_crossings``, the linked-run self-count, is the
+reference for the traced simplicity verdict.  The seeded properties are
+identities of geometric intersection numbers that hold for every
+labelling of the surface (Farb and Margalit, *A Primer on Mapping Class
+Groups*, Section 3.1): an edge order that keeps bigons breaks them.
 """
 
 import functools
@@ -31,7 +32,7 @@ from blfkit.curves import TautConfig
 from blfkit.errors import CurveError
 from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
 from blfkit.twists import relabel_curve
-from helpers import linked_intersection
+from helpers import linked_intersection, self_crossings, simple_by_self_count
 
 
 def _ray(item, k, forward, length):
@@ -128,12 +129,13 @@ class TestAgainstBruteForce:
         for c in seeded_curves(1, 300):
             ends, zero = brute_linked((c,))
             assert ends % 2 == 0, c
-            assert curves._linked_crossings((c,)) == ends // 2 + zero, c
+            assert self_crossings(c) == ends // 2 + zero, c
+            assert is_simple(c) == (ends + zero == 0), c
             non_simple += ends + zero > 0
             # a parallel copy's rays tie with the curve's, and ties are never linked
             for w in (c.reversed(), ClosedCurve(c.scheme, c.tokens[1:] + c.tokens[:1])):
                 ends, zero = brute_linked((c, w))
-                assert curves._linked_crossings((c, w)) == ends // 2 + zero, (c, w)
+                assert curves._linked_crossings(c, w) == ends // 2 + zero, (c, w)
         assert non_simple > 150
 
     def test_pair_counts(self):
@@ -147,7 +149,7 @@ class TestAgainstBruteForce:
             for w in (v, v.reversed()):
                 ends, zero = brute_linked((u, w))
                 assert ends % 2 == 0, (u, w)
-                assert curves._linked_crossings((u, w)) == ends // 2 + zero, (u, w)
+                assert curves._linked_crossings(u, w) == ends // 2 + zero, (u, w)
                 crossing += ends + zero > 0
         assert crossing > 200
 
@@ -184,7 +186,8 @@ class TestAgainstBruteForce:
         non_simple = 0
         for c in pool:
             ends, zero = brute_linked((c,))
-            assert curves._linked_crossings((c,)) == ends // 2 + zero, c
+            assert self_crossings(c) == ends // 2 + zero, c
+            assert is_simple(c) == (ends + zero == 0), c
             non_simple += ends + zero > 0
         assert non_simple > 12
         assert max(len(keys) for c in pool for keys, _ in curves._tables(c)[0].values()) >= 5
@@ -200,8 +203,8 @@ class TestAgainstBruteForce:
                     continue
                 for w in (c, c.reversed()):
                     ends, zero = brute_linked((u, w))
-                    assert curves._linked_crossings((u, w)) == ends // 2 + zero, (u, w)
-                    assert curves._linked_crossings((w, u)) == ends // 2 + zero, (w, u)
+                    assert curves._linked_crossings(u, w) == ends // 2 + zero, (u, w)
+                    assert curves._linked_crossings(w, u) == ends // 2 + zero, (w, u)
                     if ends + zero and c in short:
                         crossed.append((u, c))
         assert len(crossed) > 20
@@ -212,8 +215,49 @@ class TestAgainstBruteForce:
                 y = dehn_twist(x, c, k)
                 for w in (c, c.reversed()):
                     ends, zero = brute_linked((y, w))
-                    assert curves._linked_crossings((y, w)) == ends // 2 + zero, (y, w)
-                    assert curves._linked_crossings((w, y)) == ends // 2 + zero, (w, y)
+                    assert curves._linked_crossings(y, w) == ends // 2 + zero, (y, w)
+                    assert curves._linked_crossings(w, y) == ends // 2 + zero, (w, y)
+
+
+# -- simplicity from the chord arrangement ---------------------------------
+
+
+class TestSimplicity:
+    def test_against_the_self_count(self):
+        # random words, most of them not simple, and simple twist images c
+        # with their powers, reverses and products on families 1-4; every
+        # verdict is taken on a fresh curve, with nothing kept on it
+        rng = random.Random(14)
+        scenarios = [family_scenario(n) for n in (1, 2, 3, 4)]
+        verdicts = {True: 0, False: 0}
+        for _ in range(400):
+            sc = rng.choice(scenarios)
+            sch = sc.scheme
+            names = sorted(sc.curves)
+            word = TwistWord(tuple(
+                (sc.curves[rng.choice(names)], rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 3))
+            ))
+            c = word.apply(sc.curves[rng.choice(names)])
+            y = ClosedCurve(sch, random_word(sch, rng, rng.randint(1, 16)))
+            other = sc.curves[rng.choice(names)]
+            for tokens in (
+                y.tokens,
+                c.tokens,
+                c.reversed().tokens,
+                c.tokens * rng.randint(2, 3),
+                c.tokens + y.tokens,
+                c.tokens + other.tokens,
+                c.tokens + c.reversed().tokens,
+                dehn_twist(y, c, rng.choice((-2, -1, 1, 2))).tokens,
+            ):
+                x = ClosedCurve(sch, tokens)
+                if x.is_null:
+                    continue
+                expected = simple_by_self_count(x)
+                assert is_simple(ClosedCurve(sch, tokens)) == expected, x
+                verdicts[expected] += 1
+        assert min(verdicts.values()) > 1000, verdicts
 
 
 # -- seeded properties on the family members -------------------------------
@@ -300,9 +344,9 @@ class TestFamilyProperties:
         x = ClosedCurve(sc.scheme, random_word(sc.scheme, random.Random(seed), length))
         if x.is_null or x.primitive_root()[1] != 1:
             return
-        count = curves._linked_crossings((x,))
-        assert curves._linked_crossings((dehn_twist(x, sc.curves[twist], k),)) == count
-        assert curves._linked_crossings((relabel_curve(sc.rho, x),)) == count
+        count = self_crossings(x)
+        assert self_crossings(dehn_twist(x, sc.curves[twist], k)) == count
+        assert self_crossings(relabel_curve(sc.rho, x)) == count
 
 
 # -- taut rows against linked runs -------------------------------------------
@@ -464,8 +508,8 @@ class TestCost:
         assert abs(alg) <= i and (i - alg) % 2 == 0
 
     def test_two_fresh_long_curves(self):
-        # the shorter curve is ranked for its simplicity, and the longer is
-        # read once against it; ranking the two together took 0.12 s and 0.6 s
+        # the shorter curve is ranked for its crossing data, and the longer
+        # is read once against it; ranking the two together took 0.12 s and 0.6 s
         sc, x = _rung(8)
         assert len(x.tokens) == 6300
         c3 = sc.curves["C3"]
@@ -497,9 +541,9 @@ class TestCost:
         assert fwd + bwd not in ranked
 
     def test_two_fresh_long_curves_neither_simple(self):
-        # the shorter curve's self-count finds it not simple, and the pair
-        # counts linked runs: 0.76-0.88 s here, 0.61-0.74 s without that
-        # self-count; the ladder is a homeomorphism, so it keeps the count
+        # the shorter curve's trace finds it not simple in 0.01 s, and the
+        # pair counts linked runs: 0.71-0.88 s here; the ladder is a
+        # homeomorphism, so it keeps the count
         sc, _ = _rung(0)
         short = [ClosedCurve(sc.scheme, w) for w in ((0, 1, 2), (0, 1, 5))]
         u, v = short
@@ -529,6 +573,22 @@ class TestCost:
         i = geometric_intersection(y, x)
         assert time.perf_counter() - start < 1.0
         assert i == linked_intersection(short, sc.curves["C2"])
+
+    def test_simplicity_of_a_long_word(self, monkeypatch):
+        # T_c^2(C3), 46,168 tokens: the self-count ranked its rays and built
+        # its dominance tables in 0.55-0.60 s; the trace takes 0.03-0.05 s
+        sc, c = _rung(4)
+        x = dehn_twist(sc.curves["C3"], c, 2)
+        x = ClosedCurve(x.scheme, x.tokens)
+        assert len(x.tokens) == 46168
+        called = []
+        for name in ("_rank_rays", "_fenwick"):
+            monkeypatch.setattr(curves, name, lambda *a, name=name: called.append(name))
+        start = time.perf_counter()
+        assert is_simple(x)
+        assert time.perf_counter() - start < 0.25
+        assert not is_simple(ClosedCurve(x.scheme, x.tokens * 2))
+        assert called == []
 
     def test_kept_table_is_small(self):
         # the same keys kept in lists of ints took 6.0 MB on this rung; the
@@ -575,8 +635,8 @@ class TestBuilds:
         assert builds == []
 
     def test_first_twist_along_a_fresh_curve_builds_nothing(self, builds, monkeypatch):
-        # c's crossing data is read off the ray ranks that its simplicity
-        # check keeps, so its rays are ranked once
+        # c's simplicity is traced without ranks, and its crossing data
+        # ranks its rays once
         sc = get_scenario("negative-modification")
         c = dehn_twist(sc.curves["C2"], sc.curves["C1"], 2)
         del builds[:]
@@ -611,7 +671,8 @@ class TestBuilds:
         ]
         for call in calls:
             call()
-        assert times_ranked(z) == 1
+        # is_simple ranks no rays, and z is the longer curve of each pair
+        assert times_ranked(z) <= 1
         assert times_ranked(a) <= 1 and times_ranked(b) <= 1
         assert len(ranked) == times_ranked(z) + times_ranked(a) + times_ranked(b)
         del ranked[:]
@@ -620,8 +681,8 @@ class TestBuilds:
         assert ranked == []
 
     def test_pair_after_simplicity_builds_no_table(self, monkeypatch):
-        # is_simple keeps each curve's dominance tables, and a pair whose
-        # shorter curve is simple reads x once against that curve's kept rows
+        # is_simple builds no dominance table, and a pair whose shorter
+        # curve is simple reads x once against that curve's crossing data
         sc, x = _rung(5)
         built = []
         fenwick = curves._fenwick
@@ -630,11 +691,26 @@ class TestBuilds:
         for c in sc.curves.values():
             assert len(c.tokens) <= 2
             assert is_simple(c)
-        assert built
-        del built[:]
+        assert built == []
         for c in sc.curves.values():
             assert geometric_intersection(x, c) == geometric_intersection(c, x)
         assert built == []
+
+    def test_a_power_keeps_its_root(self, monkeypatch):
+        # the root of c^2 is found once and kept, so its crossing data is
+        # built, and its rays ranked, on the first count only
+        sc, c = _rung(4)
+        y = dehn_twist(sc.curves["C3"], c)
+        c2 = ClosedCurve(c.scheme, c.tokens * 2)
+        root, power = c2.primitive_root()
+        assert power == 2 and c2.primitive_root()[0] is root
+        ranked = []
+        rank = curves._rank_rays
+        monkeypatch.setattr(curves, "_rank_rays", lambda steps, *a: ranked.append(steps) or rank(steps, *a))
+        fwd, bwd = curves._ray_steps(root)
+        counts = [geometric_intersection(y, c2) for _ in range(3)]
+        assert counts == [2 * geometric_intersection(y, c)] * 3
+        assert ranked.count(fwd + bwd) == 1
 
     def test_curves_on_two_schemes_raise(self):
         # two builds of one scenario give two schemes, whose slots coincide
