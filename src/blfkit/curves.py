@@ -31,9 +31,10 @@ The order need not be taut: along a run of edges that two strands share,
 the side whose ray decides flips with the slot labels, which can leave
 bigons, pairs of crossings of opposite sign.
 
-Neither intersection numbers nor twists therefore read the configuration.
-Twists, projections across a cut and smoothings need only where a curve
-``x`` crosses one simple curve ``c``, and the order of x's points among
+Twists and geometric intersection numbers never read the configuration,
+and signed counts only when neither curve is simple.  Twists, projections
+across a cut, smoothings and signed counts need only where a curve ``x``
+crosses one simple curve ``c``, and the order of x's points among
 themselves never changes which of c's chords an x chord crosses.  So
 :func:`passage_crossings` places each point of ``x`` among c's alone, by
 its forward ray among c's rays leaving the same slot, in one backward
@@ -170,22 +171,26 @@ def _reverse_word(partner: Dict[SlotId, SlotId], word: TokenWord) -> TokenWord:
     return tuple([partner[t] for t in reversed(word)])
 
 
+def _require_glued(partner: Dict[SlotId, SlotId], tokens: Sequence[SlotId]) -> None:
+    if not partner.keys() >= set(tokens):
+        bad = next(t for t in tokens if t not in partner)
+        raise CurveError(f"token {bad!r} is not a glued slot")
+
+
 class ClosedCurve:
     """A free homotopy class of closed curves, stored as a reduced word."""
 
     def __init__(self, scheme: Scheme, tokens: Sequence[SlotId]):
         self.scheme = scheme
         partner, location = scheme.partner, scheme.location
-        for t in tokens:
-            if t not in partner:
-                raise CurveError(f"token {t!r} is not a glued slot")
+        _require_glued(partner, tokens)
         reduced = tuple(_reduce_cyclic(partner, tokens))
-        for i, t in enumerate(reduced):
-            prev = reduced[i - 1]
-            if location[partner[prev]][0] != location[t][0]:
-                raise CurveError(
-                    f"tokens {prev!r} -> {t!r} do not share a polygon"
-                )
+        # on one polygon every passage stays in it
+        if len(scheme.polygons) > 1:
+            for i, t in enumerate(reduced):
+                prev = reduced[i - 1]
+                if location[partner[prev]][0] != location[t][0]:
+                    raise CurveError(f"tokens {prev!r} -> {t!r} do not share a polygon")
         self.tokens: TokenWord = reduced
         self._canonical: Dict[bool, TokenWord] = {}
         self._simple: Optional[bool] = None
@@ -276,15 +281,14 @@ class Arc:
                 raise CurveError(f"anchor slot {a.slot!r} unknown")
         if start == end:
             raise CurveError(f"anchor ({start.slot!r}, {start.index}) ends the arc twice")
-        for t in tokens:
-            if t not in partner:
-                raise CurveError(f"token {t!r} is not a glued slot")
+        _require_glued(partner, tokens)
         reduced = tuple(_reduce_linear(partner, tokens))
-        entries = [start.slot] + [partner[t] for t in reduced]
-        exits = list(reduced) + [end.slot]
-        for e, x in zip(entries, exits):
-            if location[e][0] != location[x][0]:
-                raise CurveError(f"passage {e!r} -> {x!r} does not stay in one polygon")
+        if len(scheme.polygons) > 1:
+            entries = [start.slot] + [partner[t] for t in reduced]
+            exits = list(reduced) + [end.slot]
+            for e, x in zip(entries, exits):
+                if location[e][0] != location[x][0]:
+                    raise CurveError(f"passage {e!r} -> {x!r} does not stay in one polygon")
         self.tokens: TokenWord = reduced
         self._steps: Optional[Tuple[List[int], List[int]]] = None
 
@@ -1009,21 +1013,17 @@ def passage_crossings(x: Item, c: ClosedCurve) -> List[Tuple[Tuple[int, int], ..
 
     Entry ``k`` lists the (c-passage index, sign) pairs of passage ``k``,
     with the signs of ``TautConfig.crossings``, for ``x`` and ``c`` in
-    minimal position (see the module docstring).  Requires the chords of
-    ``c`` to be pairwise disjoint (``c`` simple), which makes the order
-    along the chord the order of the near endpoints.
+    minimal position (see the module docstring).  Requires ``c`` simple,
+    so that the order along a chord is the order of the near endpoints.
 
     Point ``k`` of ``x`` has ``v`` of c's rays below its forward ray among
-    those leaving the same slot, comparing steps lexicographically.  A
-    first step that no ray of ``c`` takes gives ``v`` by binary search, a
-    shared one by the step's map from the ``v`` of point ``k + 1``; an
-    arc's last ray ends at its anchor, where no ray of ``c`` goes.  When
-    ``c`` takes every step of a closed ``x``, point 0's ``v`` is the fixed
-    point of the maps composed once round ``x``, where a ray of ``c`` that
-    ``x`` follows for ever counts below x's ray.  The point sits ``v``
-    points into its exit slot and ``v`` points back from the end of the
-    partner slot, and each chord of ``x`` is looked up by the number of
-    c's points counterclockwise before its two ends.
+    those leaving its slot: by binary search for a first step no ray of
+    ``c`` takes (as an arc's last, ending at its anchor), else by the
+    step's map from point ``k + 1``'s ``v``, or, when ``c`` takes every
+    step of a closed ``x``, as the fixed point of the maps composed once
+    round it (a ray of ``c`` that ``x`` follows for ever counts below).
+    The point sits ``v`` points into its exit slot and ``v`` back from the
+    partner slot's end; a chord is looked up by c's points before its ends.
     """
     scheme = c.scheme
     if x.scheme is not scheme:
@@ -1075,6 +1075,11 @@ def passage_crossings(x: Item, c: ClosedCurve) -> List[Tuple[Tuple[int, int], ..
 
 
 def algebraic_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
+    """Signed crossings of ``u`` with ``v``: bigons cancel, so any position serves."""
+    pairs = ((u, v, 1), (v, u, -1))
+    for x, c, sign in pairs if len(v.tokens) <= len(u.tokens) else pairs[::-1]:
+        if is_simple(c):
+            return sign * sum(s for row in passage_crossings(x, c) for _, s in row)
     cfg = TautConfig(u.scheme, {"u": u, "v": v})
     return sum(s for _, _, s in cfg.crossings("u", "v"))
 
@@ -1163,19 +1168,14 @@ def _linked_crossings(u: ClosedCurve, v: ClosedCurve) -> int:
     """Crossings of two primitive closed curves.
 
     The two curves must differ up to orientation: the rays of a curve and
-    of a parallel copy tie, and ties are never linked.  Simplicity is
-    decided by tracing a chord arrangement instead (see the module
-    docstring).
+    of a parallel copy tie, and ties are never linked.
 
-    Two points on one edge start strands that run together through a
-    maximal shared run in each direction.  Their rays on the two sides
-    order them the same way round (``(r0_p - r0_q) * (r1_p - r1_q) >
-    0``) exactly when the strands must cross somewhere along the run, a
-    *linked* pair.  A run ends at an edge on the side where the two rays
-    differ at their first step; so a linked run of length at least one
-    is seen at both of its ends, and half of those ends count it.  Chords
-    of one polygon with four distinct interleaving slots are the linked
-    runs of length zero (Cohen and Lustig 1987; Despré and Lazarus 2019).
+    Points ``p`` and ``q`` on one edge are linked when ``(r0_p - r0_q) *
+    (r1_p - r1_q) > 0`` for their rays' ranks on the two sides.  A run
+    ends on the side where the two rays differ at their first step, so a
+    linked run is seen at both of its ends and half of those ends count
+    it, with the runs of length zero (see the module docstring; Despré
+    and Lazarus 2019).
 
     On one side, rays with different first steps are ordered by their
     first steps alone, so each pair is counted from the dominance tables

@@ -20,6 +20,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .errors import BlfkitError
+
 Word = Tuple[int, ...]
 
 
@@ -245,14 +247,20 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
     base curves each image is isotopic to (unoriented), and the twists'
     action on homology must be the oracle's abelianization.  The scheme,
     curves and generators come from ``_hexagon_fixture``, built once per
-    process; each key is computed once per image, and nothing that depends
-    on a word outlives the call.
+    process.  An oracle image is reduced and rotated once for both keys,
+    and its inverse only if no longer than some base word.  A negative
+    ``count`` or a ``max_length`` below 1 raises ``BlfkitError``.
     """
     from .curves import curves_isotopic
     from .twists import TwistWord
 
+    if count < 0:
+        raise BlfkitError(f"count must be at least 0, not {count}")
+    if max_length < 1:
+        raise BlfkitError(f"max length must be at least 1, not {max_length}")
     scheme, base_curves, engine_gens, base_keys = _hexagon_fixture()
     base_names = sorted(BASE_WORDS)
+    longest = max(map(len, base_keys.values()))
     words_ok = verdicts_ok = homology_ok = 0
     failures: List[dict] = []
     for idx, gens in enumerate(random_twist_words(count, seed, max_length)):
@@ -267,10 +275,13 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
         images = []
         for name in base_names:
             engine_img = tword.apply(base_curves[name])
-            oracle_img = auto.apply(BASE_WORDS[name])
-            if conjugacy_key(tokens_to_word(engine_img.tokens)) != conjugacy_key(oracle_img):
-                word_match = False
-            images.append((engine_img, conjugacy_key(oracle_img, oriented=False)))
+            oracle_img = cyclically_reduce([y for x in BASE_WORDS[name] for y in auto.image_of(x)])
+            oracle_key = least_rotation(oracle_img)
+            word_match &= conjugacy_key(tokens_to_word(engine_img.tokens)) == oracle_key
+            # an image longer than every base word matches none either way
+            if len(oracle_img) <= longest:
+                oracle_key = min(oracle_key, least_rotation(invert_word(oracle_img)))
+            images.append((engine_img, oracle_key))
         verdict_match = all(
             curves_isotopic(engine_img, base_curves[other]) == (oracle_key == base_keys[other])
             for engine_img, oracle_key in images

@@ -10,8 +10,8 @@ A twist acts at the crossings of ``x`` and ``c`` in minimal position
 ``curves.insertion_words``, both kept on ``c``: it is one pass over the
 twisted word, knows its image's length before building it, and builds no
 configuration.  The homology action reads each curve's class, kept on the
-curve, and builds each transvection from one product of the intersection
-form with it.
+curve, and applies each transvection to the columns of the matrix built
+so far, in time quadratic in the rank per twist; no matrix is multiplied.
 
 Relabelings (scheme symmetries) act on curves token-wise; conjugation of a
 twist by a relabeling is the twist along the relabeled curve.
@@ -91,10 +91,6 @@ class TwistWord:
 
     steps: Tuple[Tuple[ClosedCurve, int], ...]
 
-    @staticmethod
-    def of(*steps: Tuple[ClosedCurve, int]) -> "TwistWord":
-        return TwistWord(tuple(steps))
-
     def apply(self, x: Item) -> Item:
         for c, p in reversed(self.steps):
             x = dehn_twist(x, c, p)
@@ -110,10 +106,15 @@ class TwistWord:
         """The composite transvection matrix (columns = images of the basis)."""
         form = intersection_form(scheme)
         n = len(form)
-        mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
         for c, p in reversed(self.steps):
-            mat = _matmul(transvection(form, c.homology(), p), mat)
-        return mat
+            vc = c.homology()
+            w = [p * sum(f * v for f, v in zip(row, vc)) for row in form]
+            # col -> col + p <col, c> c, and p <col, c> is col times w
+            for col in cols:
+                k = sum(x * y for x, y in zip(col, w))
+                col[:] = [x + k * v for x, v in zip(col, vc)]
+        return [list(row) for row in zip(*cols)]
 
 
 def transvection(form: List[List[int]], vc: Sequence[int], power: int) -> List[List[int]]:
@@ -125,11 +126,6 @@ def transvection(form: List[List[int]], vc: Sequence[int], power: int) -> List[L
     n = len(form)
     w = [power * sum(f * v for f, v in zip(row, vc)) for row in form]
     return [[(1 if i == j else 0) + w[i] * vc[j] for i in range(n)] for j in range(n)]
-
-
-def _matmul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
 def relabel_curve(r: Relabeling, x: Item) -> Item:

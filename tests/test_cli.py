@@ -47,6 +47,9 @@ class TestRejectedInput:
     @pytest.mark.parametrize("args", [
         ("generate-family", "0"),
         ("handle-sim", "--genus", "0"),
+        ("oracle-crosscheck", "--max-length", "0"),
+        ("oracle-crosscheck", "--max-length", "-3"),
+        ("oracle-crosscheck", "--count", "-1"),
     ])
     def test_one_line_and_exit_three(self, args):
         proc = run_cli(*args)

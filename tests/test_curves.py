@@ -17,6 +17,7 @@ from blfkit import (
     geometric_intersection,
     hexagon_scheme,
     is_simple,
+    round_surgery,
     square_torus_scheme,
 )
 from blfkit import curves
@@ -254,6 +255,44 @@ class TestArcs:
         b = Arc(hexagon, Anchor("u1"), (0, 1, 5, 1, 0, 4), Anchor("u2"))
         assert not arcs_isotopic(a, b)
         assert arcs_isotopic(a, a.reversed())
+
+
+class TestConstructionChecks:
+    @pytest.fixture(scope="class")
+    def annulus(self, hexagon):
+        # the hexagon cut along C: polygons (u1, 1, u2, 2, u3) and (u4, 4, u5, 5, u0)
+        sch = round_surgery(hexagon, ClosedCurve(hexagon, (0,))).scheme
+        assert len(sch.polygons) == 2
+        return sch
+
+    def test_consecutive_tokens_in_two_polygons_raise(self, annulus):
+        # (1, 5) enters polygon 0 through 2's partner and polygon 1 through 4
+        assert ClosedCurve(annulus, (1, 5)).tokens == (1, 5)
+        with pytest.raises(CurveError, match="do not share a polygon"):
+            ClosedCurve(annulus, (1, 2))
+        with pytest.raises(CurveError, match="does not stay in one polygon"):
+            Arc(annulus, Anchor("u1"), (2,), Anchor("u2"))
+        assert Arc(annulus, Anchor("u1"), (2,), Anchor("u0")).tokens == (2,)
+
+    @pytest.mark.parametrize("tokens, bad", [(("u0",), "u0"), ((1, "u3", 99), "u3"), ((1, 99), 99)])
+    def test_unglued_token_is_named(self, hexagon, annulus, tokens, bad):
+        # the first token that is not a glued slot is named, before reduction
+        for sch in (hexagon, annulus):
+            message = f"token {bad!r} is not a glued slot"
+            with pytest.raises(CurveError, match=message):
+                ClosedCurve(sch, tokens)
+            with pytest.raises(CurveError, match=message):
+                Arc(sch, Anchor("u1"), tokens, Anchor("u2"))
+
+    def test_one_polygon_words_of_every_length(self, hexagon):
+        rng = random.Random(5)
+        partner = hexagon.partner
+        glued = sorted(partner)
+        for length in range(40):
+            tokens = [rng.choice(glued) for _ in range(length)]
+            assert ClosedCurve(hexagon, tokens).tokens == tuple(curves._reduce_cyclic(partner, tokens))
+            arc = Arc(hexagon, Anchor("u1"), tokens, Anchor("u4"))
+            assert arc.tokens == tuple(curves._reduce_linear(partner, tokens))
 
 
 class TestHomology:

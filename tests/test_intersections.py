@@ -13,6 +13,7 @@ import functools
 import random
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +29,7 @@ from blfkit import (
     square_torus_scheme,
 )
 from blfkit import curves
-from blfkit.curves import TautConfig
+from blfkit.curves import TautConfig, intersection_form, pair_homology
 from blfkit.errors import CurveError
 from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
 from blfkit.twists import relabel_curve
@@ -392,6 +393,64 @@ class TestTautRowCounts:
                     shorter_simple[is_simple(shorter)] += 1
         assert parallel > 200
         assert min(shorter_simple.values()) > 40, shorter_simple
+
+
+# -- signed counts -----------------------------------------------------------
+
+
+def config_signs(u, v):
+    """The signed count of ``u`` against ``v`` on a fresh two-curve configuration."""
+    return sum(s for _, _, s in TautConfig(u.scheme, {"u": u, "v": v}).crossings("u", "v"))
+
+
+class TestAlgebraicIntersection:
+    def test_against_a_configuration(self):
+        # seeded pairs on one scheme, each in both orders: a simple curve
+        # from a short twist word against random words, its powers and
+        # twists along it, and pairs of random words
+        rng = random.Random(12)
+        scenarios = [family_scenario(n) for n in (1, 2, 3)]
+        which = Counter()
+        for _ in range(150):
+            sc = rng.choice(scenarios)
+            sch = sc.scheme
+            names = sorted(sc.curves)
+            word = TwistWord(tuple(
+                (sc.curves[rng.choice(names)], rng.choice((1, -1)))
+                for _ in range(rng.randint(0, 3))
+            ))
+            c = word.apply(sc.curves[rng.choice(names)])
+            y = ClosedCurve(sch, random_word(sch, rng, rng.randint(1, 14)))
+            pairs = [
+                (y, c),
+                (ClosedCurve(sch, c.tokens * rng.randint(2, 3)), y),
+                (dehn_twist(y, c, rng.choice((-1, 1))), c),
+                (y, ClosedCurve(sch, random_word(sch, rng, rng.randint(1, 14)))),
+            ]
+            for u, v in pairs:
+                for a, b in ((u, v), (v, u)):
+                    assert algebraic_intersection(a, b) == config_signs(a, b), (a, b)
+                    shorter, longer = sorted((a, b), key=lambda z: len(z.tokens))
+                    which[is_simple(shorter), is_simple(longer)] += 1
+        # every branch: the shorter curve simple, only the longer, neither
+        assert min(which[True, False], which[False, True], which[False, False]) > 20, which
+
+    def test_long_word_against_a_simple_curve(self, builds):
+        # the configuration of T_c^2(C3), 46,168 tokens, and c took 1.6 s;
+        # twisting along c keeps the pairing with c
+        sc, c = _rung(4)
+        x = dehn_twist(sc.curves["C3"], c, 2)
+        assert len(x.tokens) == 46168
+        form = intersection_form(x.scheme)
+        del builds[:]
+        start = time.perf_counter()
+        alg = algebraic_intersection(x, c)
+        assert time.perf_counter() - start < 0.5
+        assert alg == algebraic_intersection(sc.curves["C3"], c)
+        assert alg == pair_homology(form, x.homology(), c.homology())
+        assert algebraic_intersection(c, x) == -alg
+        assert abs(alg) <= geometric_intersection(x, c) == 171
+        assert builds == []
 
 
 # -- joint ranks -------------------------------------------------------------

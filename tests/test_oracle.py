@@ -8,6 +8,7 @@ import pytest
 
 from blfkit import ClosedCurve, TwistWord, cli, curves, curves_isotopic, dehn_twist, hexagon_scheme
 from blfkit import oracle
+from blfkit.errors import BlfkitError
 from blfkit.oracle import (
     BASE_WORDS,
     GENERATORS,
@@ -269,35 +270,57 @@ class TestSuiteDoesNoRepeatedWork:
             assert curve is base[name.upper()] and p == power
 
     def test_second_call_builds_no_taut_config(self, monkeypatch):
-        seed, max_length = 5, 5
-        (word,) = random_twist_words(1, seed, max_length)
-        assert len(word) > 1
-        run_agreement_suite(1, seed, max_length)
         builds = []
-        keys = []
-        init, key = curves.TautConfig.__init__, oracle.conjugacy_key
+        rotations = []
+        init, rotate = curves.TautConfig.__init__, oracle.least_rotation
 
         def counting_init(self, *args, **kwargs):
             builds.append(args)
             init(self, *args, **kwargs)
 
-        def counting_key(*args, **kwargs):
-            keys.append(args)
-            return key(*args, **kwargs)
-
-        monkeypatch.setattr(curves.TautConfig, "__init__", counting_init)
-        monkeypatch.setattr(oracle, "conjugacy_key", counting_key)
-        report = run_agreement_suite(1, seed, max_length)
-        assert report.ok
-        # the generators' crossing tables were built by the first call: no
-        # twist, form or simplicity check builds a configuration
-        assert builds == []
-        # an oriented key of both images and an unoriented key of the
-        # oracle's, per base curve
-        assert len(keys) == 3 * len(BASE_WORDS)
+        longest = max(len(cyclically_reduce(w)) for w in BASE_WORDS.values())
+        # every oracle image of seed 5's word is longer than every base word,
+        # and one of seed 6's is not
+        for seed, short in ((5, 0), (6, 1)):
+            (word,) = random_twist_words(1, seed, 5)
+            assert len(word) > 1
+            auto = IDENTITY
+            for g in word:
+                auto = GENERATORS[g].compose(auto)
+            images = [cyclically_reduce(auto.apply(w)) for w in BASE_WORDS.values()]
+            assert sum(len(w) <= longest for w in images) == short
+            run_agreement_suite(1, seed, 5)
+            builds.clear()
+            rotations.clear()
+            with monkeypatch.context() as m:
+                m.setattr(curves.TautConfig, "__init__", counting_init)
+                m.setattr(oracle, "least_rotation", lambda w: rotations.append(w) or rotate(w))
+                report = run_agreement_suite(1, seed, 5)
+            assert report.ok
+            # the generators' crossing tables were built by the first call:
+            # no twist, form or simplicity check builds a configuration
+            assert builds == []
+            # one rotation per engine image and per oracle image, and one of
+            # the inverse per oracle image no longer than some base word
+            assert len(rotations) == 2 * len(BASE_WORDS) + short
 
 
 class TestCrosscheckCommand:
+    @pytest.mark.parametrize("count, max_length, message", [
+        (-1, 5, "count must be at least 0, not -1"),
+        (3, 0, "max length must be at least 1, not 0"),
+        (3, -3, "max length must be at least 1, not -3"),
+        (-2, 0, "count must be at least 0, not -2"),
+    ])
+    def test_bad_arguments_raise(self, count, max_length, message):
+        with pytest.raises(BlfkitError, match=message):
+            run_agreement_suite(count, 0, max_length)
+
+    def test_smallest_arguments_run(self):
+        assert run_agreement_suite(0, 0, 5).to_json()["ok"] is True
+        report = run_agreement_suite(5, 0, 1)
+        assert report.ok and report.word_agreements == 5
+
     def test_seed_read_from_environment_when_command_runs(self, monkeypatch, capsys):
         for seed in (3, 11):
             monkeypatch.setenv("BLFKIT_SEED", str(seed))
