@@ -72,31 +72,24 @@ is another curve or several.  The check takes time linear in ``|c|``.
 :func:`geometric_intersection` counts the taut rows of
 :func:`passage_crossings` when the shorter of its two primitive roots is
 simple, as every twist curve and vanishing cycle is: the longer curve is
-then read once, never ranked or tabled.  Other pairs count *linked*
-pairs of points: two points on one edge whose rays on the two sides
-order them the same way round start strands that cross once somewhere
-along their maximal shared run.  A linked pair is counted where its run
-ends (half of the ends), plus the interleaving chords of four distinct
-slots (runs of length zero), from the ranked rays (Cohen and Lustig
-1987).  Each curve counted this way ranks its own rays once and keeps
-the ranks with the sorted keys of every prefix-doubling round, and keeps
-dominance tables built from them: on each edge side, a Fenwick tree
-over the first steps of the rays leaving it, holding their ranks on the
-other side, and in each polygon one over the low slots of its chords,
-holding their high slots.  The shorter curve's rays are placed among
-the longer curve's classes round by round, and only the shorter curve's
-rows query the longer curve's tables.
+then read once, never ranked.  Other pairs count *linked* pairs of
+points: two points on one edge whose rays on the two sides order them
+the same way round start strands that cross once somewhere along their
+maximal shared run.  A linked pair is counted where its run ends (half
+of the ends), plus the interleaving chords of four distinct slots (runs
+of length zero) (Cohen and Lustig 1987).  The rays of the two curves are
+ranked together once, and each edge side and each polygon is then one
+sorted sweep over its rays or chords; nothing is kept on either curve.
 """
 
 from __future__ import annotations
 
 import functools
-from array import array
 from collections import Counter, defaultdict
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import CurveError, NotSimpleError
 from .schemes import Scheme, SlotId
@@ -196,8 +189,6 @@ class ClosedCurve:
         self._simple: Optional[bool] = None
         self._steps: Optional[Tuple[List[int], List[int]]] = None
         self._crossing_data: Optional[tuple] = None
-        self._rays: Optional[tuple] = None
-        self._tables: Optional[tuple] = None
         self._homology: Optional[Tuple[int, ...]] = None
         # set for a power only: a primitive curve's root is itself, and
         # keeping it would make a reference cycle
@@ -440,44 +431,28 @@ def _ray_steps(item: Item) -> Tuple[List[int], List[int]]:
     return item._steps
 
 
-def _rank_rays(
-    steps: List[int],
-    ahead: Callable[[List[int], int], List[int]],
-    rounds: Optional[List[array]] = None,
-) -> List[int]:
+def _rank_rays(steps: List[int], nxt: List[int]) -> List[int]:
     """Ranks of the rays whose first steps are ``steps``.
 
-    ``ahead(r, d)`` lists, for each ray, the entry of ``r`` for the ray
-    ``d`` steps on; it is called with ``d = 1, 2, 4, ...`` in turn.
-    Prefix doubling (Manber and Myers 1993): after round ``j`` the ranks
-    order the first ``2**j`` steps lexicographically.  A round that splits
-    no class proves every tied pair equal for ever, so the ranks are final;
-    two rays of items of lengths ``m1`` and ``m2`` that agree for
-    ``m1 + m2`` steps agree for ever (Fine and Wilf 1965), so this takes
-    at most ``log2(2 * max length) + 2`` rounds.  Equal rays tie.
-
-    With ``rounds`` given, each round's sorted keys are appended to it:
-    round 0's are the distinct steps, and a later round's keys are ``a *
-    classes + b`` for the ranks ``a`` and ``b`` of a ray's two halves in
-    the round before, which has ``classes`` classes.  Ranks index the keys
-    of their round.
+    Ray ``nxt[j]`` is ray ``j`` one step on.  Prefix doubling (Manber and
+    Myers 1993): after round ``j`` the ranks order the first ``2**j``
+    steps lexicographically.  A round that splits no class proves every
+    tied pair equal for ever, so the ranks are final; two rays of items of
+    lengths ``m1`` and ``m2`` that agree for ``m1 + m2`` steps agree for
+    ever (Fine and Wilf 1965), so this takes at most ``log2(2 * max
+    length) + 2`` rounds.  Equal rays tie.
     """
     levels = sorted(set(steps))
     r = list(map(dict(zip(levels, range(len(levels)))).__getitem__, steps))
-    d = 1
-    while True:
-        if rounds is not None:
-            rounds.append(array("q", levels))
-        if len(levels) == len(r):
-            break
+    while len(levels) < len(r):
         width = len(levels)
-        keys = [a * width + b for a, b in zip(r, ahead(r, d))]
+        keys = [a * width + r[j] for a, j in zip(r, nxt)]
         split = sorted(set(keys))
         if len(split) == width:
             break
         levels = split
         r = list(map(dict(zip(levels, range(len(levels)))).__getitem__, keys))
-        d *= 2
+        nxt = [nxt[j] for j in nxt]
     return r
 
 
@@ -524,121 +499,7 @@ def _ray_ranks(items: Sequence[Item]) -> Tuple[List[int], List[int]]:
         nxt += range(b + m, b + 2 * m - 1)
     steps.append(0)
     nxt.append(end)
-
-    def ahead(r: List[int], d: int) -> List[int]:
-        nonlocal nxt
-        if d > 1:
-            nxt = [nxt[j] for j in nxt]
-        return [r[j] for j in nxt]
-
-    return _rank_rays(steps, ahead), bases
-
-
-def _ray_table(c: ClosedCurve) -> Tuple[array, array, List[array]]:
-    """The ranks of c's rays, a ray of each class, and each round's keys.
-
-    Node ``k`` is c's forward ray from point ``k``, node ``m + k`` its
-    backward ray, as in ``_ray_ranks((c,))``; the rounds are those
-    ``_rank_rays`` keeps, and the ranks index the last round's keys.
-    Computed once per curve, in arrays, which take at most a fifth of the
-    memory of lists of ints.
-    """
-    if c._rays is None:
-        fwd, bwd = _ray_steps(c)
-        m = len(fwd)
-        rounds: List[array] = []
-        ranks = _rank_rays(fwd + bwd, lambda r, d: _rotated(r, m, d), rounds)
-        reps = array("i", [0]) * len(rounds[-1])
-        for node, a in enumerate(ranks):
-            reps[a] = node
-        c._rays = (array("i", ranks), reps, rounds)
-    return c._rays
-
-
-def _rotated(r: Sequence[int], m: int, d: int) -> Sequence[int]:
-    """The entries of ``r`` for the rays ``d`` steps on, of one closed curve of ``m`` tokens.
-
-    Forward rays step up the word and backward rays down it.
-    """
-    s = d % m
-    f, b = r[:m], r[m:]
-    return f[s:] + f[:s] + b[m - s:] + b[:m - s]
-
-
-def _ahead(node: int, m: int, d: int) -> int:
-    """The node ``d`` steps along the ray of ``node`` of a closed curve of ``m`` tokens."""
-    return (node + d) % m if node < m else m + (node - d) % m
-
-
-def _joint_ranks(u: ClosedCurve, v: ClosedCurve) -> Tuple[ClosedCurve, ClosedCurve, List[int]]:
-    """Place the shorter curve's rays among the longer's, from the tables kept on each.
-
-    Returns the longer curve (``u`` if the lengths are equal), the shorter,
-    and for each class ``a`` of the shorter curve's rays (its kept ranks)
-    the code of its place among the longer curve's classes: ``2i + 1``
-    when it is tied with class ``i``, ``2i`` when it falls in the gap just
-    before it.  With the shorter curve's own ranks ordering rays in one
-    gap, this orders the rays of both as ``_ray_ranks((u, v))`` does.
-
-    Each class of round ``j`` is coded among the longer curve's classes of
-    that round.  A class of round ``j + 1`` is a pair of classes of round
-    ``j``, its first ``2**j`` steps and the next ``2**j``, read off the
-    shorter curve's keys; their codes place it among the longer curve's
-    keys of round ``j + 1``, as ``_rank_rays`` would have ranked it.  A
-    curve whose classes are final pairs each class with the class of its
-    representative ray ``2**j`` steps on.  Once the longer curve's classes
-    are final, a class still tied with one of them is compared with its
-    representative ray at doubling shifts up to the Fine and Wilf bound,
-    after which the two are equal.
-    """
-    swap = len(u.tokens) < len(v.tokens)
-    big, small = (v, u) if swap else (u, v)
-    big_ranks, big_reps, big_rounds = _ray_table(big)
-    small_ranks, small_reps, small_rounds = _ray_table(small)
-    mb, m = len(big.tokens), len(small.tokens)
-
-    keys = big_rounds[0]
-    n = len(keys)
-    code = []
-    for k in small_rounds[0]:
-        i = bisect_left(keys, k)
-        code.append(2 * i + 1 if i < n and keys[i] == k else 2 * i)
-    j, d = 0, 1
-    while (j + 1 < len(small_rounds) or j + 1 < len(big_rounds)
-           or d < m + mb and any(x & 1 for x in code)):
-        # the codes of the two halves of each class of round j + 1
-        if j + 1 < len(small_rounds):
-            classes = len(small_rounds[j])
-            pairs = small_rounds[j + 1]
-            xs = [code[k // classes] for k in pairs]
-            ys = [code[k % classes] for k in pairs]
-        else:
-            ahead = _rotated(small_ranks, m, d)
-            xs = code
-            ys = [code[ahead[p]] for p in small_reps]
-        if j + 1 < len(big_rounds):
-            # a class tied with class a whose second half is tied with
-            # class b has the key a * width + b; one whose second half falls
-            # just before b sits just before that key, and one that falls
-            # just before a just before a * width
-            keys, width = big_rounds[j + 1], len(big_rounds[j])
-            n = len(keys)
-            wanted = [(x >> 1) * width + (y >> 1 if x & 1 else 0) for x, y in zip(xs, ys)]
-            found = [bisect_left(keys, k) for k in wanted]
-            code = [2 * i + 1 if x & y & 1 and i < n and keys[i] == k else 2 * i
-                    for i, k, x, y in zip(found, wanted, xs, ys)]
-        else:
-            code = []
-            for x, y in zip(xs, ys):
-                if x & 1:
-                    z = 2 * big_ranks[_ahead(big_reps[x >> 1], mb, d)] + 1
-                    if y != z:
-                        x += 1 if y > z else -1
-                code.append(x)
-        j += 1
-        d *= 2
-
-    return big, small, code
+    return _rank_rays(steps, nxt), bases
 
 
 @dataclass(frozen=True)
@@ -944,16 +805,16 @@ def _crossing_data(c: ClosedCurve):
     that starts at ``b``: one contiguous block, because c's chords from
     one slot to another are parallel.  So a ray taking step ``f`` with
     ``v`` of c's rays below its successor has ``clamp(v + lo - b, lo,
-    hi)`` below it, and ``maps[f]`` is ``(lo, hi, lo - b)``.  The ranks
-    are the ones ``c`` keeps; c's own points sit in rank order on both
-    sides of an edge, as ``c`` is simple.
+    hi)`` below it, and ``maps[f]`` is ``(lo, hi, lo - b)``.  c's own
+    points sit in the order of its ranked rays on both sides of an edge,
+    as ``c`` is simple.
     """
     if c._crossing_data is None:
         scheme = c.scheme
         partner, location = scheme.partner, scheme.location
         toks = c.tokens
         m = len(toks)
-        ranks = _ray_table(c)[0]
+        ranks = _ray_ranks((c,))[0]
         fwd, bwd = _ray_steps(c)
         steps = fwd + bwd
         # node k is the forward ray from point k, leaving partner(tokens[k]);
@@ -969,14 +830,16 @@ def _crossing_data(c: ClosedCurve):
             firsts[s] = [steps[node] for _, node in rays]
             for i, (_, node) in enumerate(rays):
                 place[node] = i
-        # a step's lowest ray comes first, and its successor starts the block
+        # a step's lowest ray comes first, and its successor starts the
+        # block; forward rays step up the word and backward rays down it
         maps: Dict[int, Tuple[int, int, int]] = {}
         for s, rays in leaving.items():
             row = firsts[s]
             for lo, (_, node) in enumerate(rays):
                 f = row[lo]
                 if f not in maps:
-                    maps[f] = (lo, bisect_right(row, f), lo - place[_ahead(node, m, 1)])
+                    succ = (node + 1) % m if node < m else m + (node - 1) % m
+                    maps[f] = (lo, bisect_right(row, f), lo - place[succ])
         before: Dict[SlotId, int] = {}
         after: Dict[SlotId, int] = {}
         sizes = []
@@ -1084,136 +947,81 @@ def algebraic_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
     return sum(s for _, _, s in cfg.crossings("u", "v"))
 
 
-def _rows(c: ClosedCurve) -> Tuple[list, list]:
-    """The rays and the chords of ``c``, each as ``(place, group, value)``.
+def _sweep(rows: List[Tuple[int, int, int, int, int]], cross: int) -> int:
+    """Pairs of rows ``(x, group, owner, y, lo)`` with the first before the second.
 
-    A ray is ``(side, first step, rank on the other side)``: the forward
-    ray from point ``k`` leaves from the partner of ``tokens[k]``, the
-    backward ray from ``tokens[k]``, and the other side is where the
-    opposite ray of the point leaves.  A chord is ``(polygon, low slot,
-    high slot)``, by the slots' positions in the polygon; its two slots
-    differ, as the word is reduced.
+    Counts pairs ``p``, ``q`` with ``x_p < x_q`` in different groups (a
+    group is a run of equal ``group`` values in ``x`` order) and ``lo_q <=
+    y_p < y_q``, of different owners if ``cross`` is 1 and of any if 0.
+    One pass in ``x`` order keeps the ``y`` of finished groups sorted.
     """
-    partner, location = c.scheme.partner, c.scheme.location
-    toks = c.tokens
-    m = len(toks)
-    ranks = _ray_table(c)[0]
-    fwd, bwd = _ray_steps(c)
-    rays = list(zip(map(partner.__getitem__, toks), fwd, ranks[m:]))
-    rays += zip(toks, bwd, ranks[:m])
-    chords = []
-    for e, t in zip(map(partner.__getitem__, toks[-1:] + toks[:-1]), toks):
-        pi, i = location[e]
-        j = location[t][1]
-        chords.append((pi, i, j) if i < j else (pi, j, i))
-    return rays, chords
+    rows.sort()
+    done: Tuple[List[int], List[int]] = ([], [])
+    pending: List[Tuple[int, int]] = []
+    total = 0
+    group = None
+    for _, g, owner, y, lo in rows:
+        if g != group:
+            for o, py in pending:
+                insort(done[o], py)
+            pending = []
+            group = g
+        seen = done[owner ^ cross]
+        total += bisect_left(seen, y) - bisect_left(seen, lo)
+        pending.append((owner, y))
+    return total
 
 
-def _fenwick(groups: Dict[int, List[int]]) -> Tuple[List[int], list]:
-    """A Fenwick tree of sorted lists over the groups, in key order.
-
-    Returns the sorted keys and the tree: entry ``i`` (from 1) holds the
-    values of groups ``i - (i & -i)`` to ``i - 1``, sorted.
-    """
-    keys = sorted(groups)
-    tree: list = [None]
-    for i in range(1, len(keys) + 1):
-        values: List[int] = []
-        for key in keys[i - (i & -i):i]:
-            values += groups[key]
-        values.sort()
-        tree.append(values)
-    return keys, tree
-
-
-def _below(tree: list, g: int, v: int) -> int:
-    """The values under ``v`` in the first ``g`` groups of a ``_fenwick`` tree."""
-    n = 0
-    while g:
-        n += bisect_left(tree[g], v)
-        g &= g - 1
-    return n
-
-
-def _at_least(tree: list, g: int, v: int) -> int:
-    """The values of at least ``v`` in the first ``g`` groups of a ``_fenwick`` tree."""
-    n = 0
-    while g:
-        values = tree[g]
-        n += len(values) - bisect_left(values, v)
-        g &= g - 1
-    return n
-
-
-def _tables(c: ClosedCurve) -> Tuple[Dict[SlotId, tuple], Dict[int, tuple]]:
-    """The dominance tables of ``c``, by edge side and by polygon, built once.
-
-    Each is a ``_fenwick`` tree of ``_rows(c)``: on a side, the rays
-    leaving it grouped by first step, holding their ranks on the other
-    side; in a polygon, the chords grouped by low slot, holding their high
-    slots.
-    """
-    if c._tables is None:
-        tables = []
-        for rows in _rows(c):
-            grouped = defaultdict(lambda: defaultdict(list))
-            for place, group, value in rows:
-                grouped[place][group].append(value)
-            tables.append({place: _fenwick(groups) for place, groups in grouped.items()})
-        c._tables = tuple(tables)
-    return c._tables
-
-
-def _linked_crossings(u: ClosedCurve, v: ClosedCurve) -> int:
-    """Crossings of two primitive closed curves.
+def _linked_crossings(items: Sequence[ClosedCurve]) -> int:
+    """Crossings of two primitive closed curves, or self-crossings of one.
 
     The two curves must differ up to orientation: the rays of a curve and
-    of a parallel copy tie, and ties are never linked.
-
-    Points ``p`` and ``q`` on one edge are linked when ``(r0_p - r0_q) *
-    (r1_p - r1_q) > 0`` for their rays' ranks on the two sides.  A run
-    ends on the side where the two rays differ at their first step, so a
-    linked run is seen at both of its ends and half of those ends count
-    it, with the runs of length zero (see the module docstring; Despré
-    and Lazarus 2019).
-
-    On one side, rays with different first steps are ordered by their
-    first steps alone, so each pair is counted from the dominance tables
-    (``_tables``) of one curve, kept on it.  Only the shorter curve's rows
-    query the longer curve's tables, with ranks on the other side placed
-    by ``_joint_ranks``: a ray counts the rays of earlier first-step
-    groups with a lower rank on the other side and those of later groups
-    with a higher rank, and a chord the chords with a lower low slot whose
-    high slot lies between its own two, and those whose low slot lies
-    between its own two and whose high slot is above its own.
+    of a parallel copy tie, and ties are never linked.  Points ``p`` and
+    ``q`` on one edge are linked when ``(r0_p - r0_q) * (r1_p - r1_q) >
+    0`` for their rays' ranks on the two sides; a run ends on the side
+    where the two rays differ at their first step, so half of the linked
+    ends count the runs, with the interleaving chords (see the module
+    docstring; Despré and Lazarus 2019).  On a side, a pair is seen from
+    rays sorted by rank there, grouped by first step; in a polygon, from
+    chords sorted by low slot.
     """
-    big, small, code = _joint_ranks(u, v)
-    sides, polygons = _tables(big)
-    rays, chords = _rows(small)
-    ends = zero = 0
-    for side, step, r in rays:
-        table = sides.get(side)
-        if table is None:
-            continue
-        keys, tree = table
-        g = bisect_left(keys, step)
-        after = g + (g < len(keys) and keys[g] == step)
-        # the longer curve's rays below the place, class i, in earlier
-        # groups and at or above it in later ones; a ray of class i itself
-        # ties, and is a parallel copy's, in this ray's group
-        i = code[r] >> 1
-        ends += _below(tree, g, i) + _at_least(tree, len(keys), i) - _at_least(tree, after, i)
-    for pi, lo, hi in chords:
-        table = polygons.get(pi)
-        if table is None:
-            continue
-        keys, tree = table
-        g = bisect_left(keys, lo)
-        first, last = bisect_left(keys, lo + 1), bisect_left(keys, hi)
-        # lo' < lo < hi' < hi, and lo < lo' < hi < hi'
-        zero += (_below(tree, g, hi) - _below(tree, g, lo + 1)
-                 + _at_least(tree, last, hi + 1) - _at_least(tree, first, hi + 1))
-    return ends // 2 + zero
+    scheme = items[0].scheme
+    partner, location = scheme.partner, scheme.location
+    ranks, bases = _ray_ranks(items)
+    # each item's rows by the slot a ray leaves from, and by polygon
+    sides: List[Dict[SlotId, list]] = []
+    polygons: List[Dict[int, list]] = []
+    for owner, (item, b) in enumerate(zip(items, bases)):
+        toks = item.tokens
+        m = len(toks)
+        fwd_steps, bwd_steps = _ray_steps(item)
+        by_side: Dict[SlotId, list] = defaultdict(list)
+        by_polygon: Dict[int, list] = defaultdict(list)
+        entries = list(map(partner.__getitem__, toks[-1:] + toks[:-1]))
+        # the forward ray leaves from the partner slot, the backward ray
+        # from the token's own slot; each sorts by its rank and groups by
+        # its first step
+        for t, s, fwd, bwd, fs, bs in zip(toks, entries[1:] + entries[:1], ranks[b:b + m],
+                                          ranks[b + m:b + 2 * m], fwd_steps, bwd_steps):
+            by_side[s].append((fwd, fs, owner, bwd, 0))
+            by_side[t].append((bwd, bs, owner, fwd, 0))
+        for e, t in zip(entries, toks):
+            pi, i = location[e]
+            j = location[t][1]
+            lo, hi = (i, j) if i < j else (j, i)
+            by_polygon[pi].append((lo, lo, owner, hi, lo + 1))
+        sides.append(by_side)
+        polygons.append(by_polygon)
+
+    cross = len(items) - 1
+
+    def count(by_owner: List[dict]) -> int:
+        # pairs of two items meet only where both have rows
+        first, last = by_owner[0], by_owner[-1]
+        return sum(_sweep(first[k] + last[k] if cross else first[k], cross)
+                   for k in first.keys() & last.keys())
+
+    return count(sides) // 2 + count(polygons)
 
 
 def geometric_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
@@ -1237,7 +1045,7 @@ def geometric_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
         ru, rv = rv, ru
     if is_simple(rv):
         return pu * pv * sum(map(len, passage_crossings(ru, rv)))
-    return pu * pv * _linked_crossings(ru, rv)
+    return pu * pv * _linked_crossings((ru, rv))
 
 
 def _traces_once(c: ClosedCurve) -> bool:

@@ -5,7 +5,11 @@ token, i.e. a curve running parallel to a glued edge whose two sides lie in
 the same polygon.  The polygon splits at the two chord copies of the curve;
 the half-edges fold onto each other inside each piece and the cut circles
 are capped with disks (the scars).  Slot ids survive the cut, so curves and
-arcs disjoint from the cut curve transfer verbatim.
+arcs disjoint from the cut curve transfer verbatim.  A simple curve of
+more than one token is first moved to a coordinate curve by a word of
+twists (``standardize``), kept as ``SurgeryResult.standardization``, and
+every projected item is carried through that word before it is read
+against the cut curve.
 
 ``project`` pushes a curve or arc of the old surface into the new one.  An
 item that crosses the cut curve is obstructed: no band slide over the round
@@ -129,6 +133,8 @@ class Projection:
 
 def project(sr: SurgeryResult, item: Item) -> Projection:
     """Carry a curve or arc of the cut surface into the surgered one."""
+    if sr.standardization is not None:
+        item = sr.standardization.apply(item)
     # passage_crossings lists the crossings of a minimal position with the
     # cut curve c.  A band slide inserts a parallel copy of c, which is
     # disjoint from c, and the crossing where it goes in stays, so no slide

@@ -1,8 +1,17 @@
 """Reference counts shared by the test modules."""
 
-from bisect import bisect_left
-
 from blfkit import curves
+
+
+def random_word(sch, rng, length):
+    """A random word of glued slots in which consecutive tokens share a polygon."""
+    partner, location = sch.partner, sch.location
+    glued = sorted(partner, key=sch.rank.get)
+    word = [rng.choice(glued)]
+    while len(word) < length:
+        here = location[partner[word[-1]]][0]
+        word.append(rng.choice([t for t in glued if location[t][0] == here]))
+    return word
 
 
 def linked_intersection(u, v):
@@ -18,35 +27,16 @@ def linked_intersection(u, v):
     rv, pv = v.primitive_root()
     if ru.canonical(oriented=False) == rv.canonical(oriented=False):
         return 0
-    return pu * pv * curves._linked_crossings(ru, rv)
+    return pu * pv * curves._linked_crossings((ru, rv))
 
 
 def self_crossings(c):
     """The self-crossings of a primitive closed curve, counted from linked runs.
 
     The reference for ``is_simple``, which traces a chord arrangement
-    instead: each of the curve's rows queries its own dominance tables,
-    as ``curves._linked_crossings`` does for the shorter of two curves.  A
-    ray counts the rays of earlier first-step groups on its side with a
-    lower rank on the other side; linked runs of length at least one are
-    seen at both ends.  A chord counts the chords with a lower low slot
-    whose high slot lies strictly between its own two.
+    instead and ranks no rays.
     """
-    sides, polygons = curves._tables(c)
-    rays, chords = curves._rows(c)
-    ends = zero = 0
-    for side, step, r in rays:
-        keys, tree = sides[side]
-        g = bisect_left(keys, step)
-        if g:
-            ends += curves._below(tree, g, r)
-    for pi, lo, hi in chords:
-        keys, tree = polygons[pi]
-        g = bisect_left(keys, lo)
-        if g:
-            # lo' < lo < hi' < hi
-            zero += curves._below(tree, g, hi) - curves._below(tree, g, lo + 1)
-    return ends // 2 + zero
+    return curves._linked_crossings((c,))
 
 
 def simple_by_self_count(c):

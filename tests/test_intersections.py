@@ -33,7 +33,7 @@ from blfkit.curves import TautConfig, intersection_form, pair_homology
 from blfkit.errors import CurveError
 from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
 from blfkit.twists import relabel_curve
-from helpers import linked_intersection, self_crossings, simple_by_self_count
+from helpers import linked_intersection, random_word, self_crossings, simple_by_self_count
 
 
 def _ray(item, k, forward, length):
@@ -98,17 +98,6 @@ def brute_linked(items):
     return ends, zero
 
 
-def random_word(sch, rng, length):
-    """A random word of glued slots in which consecutive tokens share a polygon."""
-    partner, location = sch.partner, sch.location
-    glued = sorted(partner, key=sch.rank.get)
-    word = [rng.choice(glued)]
-    while len(word) < length:
-        here = location[partner[word[-1]]][0]
-        word.append(rng.choice([t for t in glued if location[t][0] == here]))
-    return word
-
-
 def seeded_curves(seed, count):
     """Random primitive closed curves, most of them not simple, on several surfaces."""
     rng = random.Random(seed)
@@ -136,7 +125,7 @@ class TestAgainstBruteForce:
             # a parallel copy's rays tie with the curve's, and ties are never linked
             for w in (c.reversed(), ClosedCurve(c.scheme, c.tokens[1:] + c.tokens[:1])):
                 ends, zero = brute_linked((c, w))
-                assert curves._linked_crossings(c, w) == ends // 2 + zero, (c, w)
+                assert curves._linked_crossings((c, w)) == ends // 2 + zero, (c, w)
         assert non_simple > 150
 
     def test_pair_counts(self):
@@ -150,7 +139,7 @@ class TestAgainstBruteForce:
             for w in (v, v.reversed()):
                 ends, zero = brute_linked((u, w))
                 assert ends % 2 == 0, (u, w)
-                assert curves._linked_crossings(u, w) == ends // 2 + zero, (u, w)
+                assert curves._linked_crossings((u, w)) == ends // 2 + zero, (u, w)
                 crossing += ends + zero > 0
         assert crossing > 200
 
@@ -173,7 +162,7 @@ class TestAgainstBruteForce:
     @pytest.mark.parametrize("n", [8, 16])
     def test_large_family_members(self, n):
         # words on four edges of a large polygon: a side sees many first
-        # steps, so the dominance trees over them are several levels deep
+        # steps, so its sweep finishes many groups
         sc = family_scenario(n)
         sch = sc.scheme
         rng = random.Random(n)
@@ -191,7 +180,14 @@ class TestAgainstBruteForce:
             assert is_simple(c) == (ends + zero == 0), c
             non_simple += ends + zero > 0
         assert non_simple > 12
-        assert max(len(keys) for c in pool for keys, _ in curves._tables(c)[0].values()) >= 5
+        firsts = {}
+        for c in pool:
+            fwd, bwd = curves._ray_steps(c)
+            # the forward ray from point k leaves partner(tokens[k]), the backward one tokens[k]
+            for t, f, b in zip(c.tokens, fwd, bwd):
+                firsts.setdefault((id(c), sch.partner[t]), set()).add(f)
+                firsts.setdefault((id(c), t), set()).add(b)
+        assert max(map(len, firsts.values())) >= 5
 
         # the scenario's curves of one or two tokens on those edges, against
         # the longer words, first and second
@@ -204,8 +200,8 @@ class TestAgainstBruteForce:
                     continue
                 for w in (c, c.reversed()):
                     ends, zero = brute_linked((u, w))
-                    assert curves._linked_crossings(u, w) == ends // 2 + zero, (u, w)
-                    assert curves._linked_crossings(w, u) == ends // 2 + zero, (w, u)
+                    assert curves._linked_crossings((u, w)) == ends // 2 + zero, (u, w)
+                    assert curves._linked_crossings((w, u)) == ends // 2 + zero, (w, u)
                     if ends + zero and c in short:
                         crossed.append((u, c))
         assert len(crossed) > 20
@@ -216,8 +212,8 @@ class TestAgainstBruteForce:
                 y = dehn_twist(x, c, k)
                 for w in (c, c.reversed()):
                     ends, zero = brute_linked((y, w))
-                    assert curves._linked_crossings(y, w) == ends // 2 + zero, (y, w)
-                    assert curves._linked_crossings(w, y) == ends // 2 + zero, (w, y)
+                    assert curves._linked_crossings((y, w)) == ends // 2 + zero, (y, w)
+                    assert curves._linked_crossings((w, y)) == ends // 2 + zero, (w, y)
 
 
 # -- simplicity from the chord arrangement ---------------------------------
@@ -453,86 +449,6 @@ class TestAlgebraicIntersection:
         assert builds == []
 
 
-# -- joint ranks -------------------------------------------------------------
-
-
-def _dense(values):
-    at = {v: i for i, v in enumerate(sorted(set(values)))}
-    return [at[v] for v in values]
-
-
-def assert_joint_ranks(u, v):
-    """The placement and the shorter curve's own ranks order the rays of ``u`` and ``v`` as ``_ray_ranks`` does.
-
-    A ray of the shorter curve tied with class ``i`` of the longer sits
-    with it; rays in the gap before class ``i`` follow their own ranks.
-    """
-    big, small, code = curves._joint_ranks(u, v)
-    assert len(big.tokens) >= len(small.tokens)
-    at_big = [(2 * a + 1, 0) for a in curves._ray_table(big)[0]]
-    at_small = [(code[a], 0 if code[a] & 1 else a) for a in curves._ray_table(small)[0]]
-    joint = at_big + at_small if big is u else at_small + at_big
-    # the reference's last node ends an arc's ray, which no closed curve reaches
-    n = 2 * (len(u.tokens) + len(v.tokens))
-    assert _dense(joint) == _dense(curves._ray_ranks((u, v))[0][:n]), (u, v)
-
-
-class TestJointRanks:
-    def test_seeded_pools(self):
-        rng = random.Random(6)
-        pool = seeded_curves(6, 200)
-        for u in pool:
-            for v in rng.sample([w for w in pool if w.scheme is u.scheme], 3):
-                assert_joint_ranks(u, v)
-                assert_joint_ranks(u, v.reversed())
-
-    def test_equal_lengths(self):
-        groups = {}
-        for c in seeded_curves(7, 300):
-            groups.setdefault((id(c.scheme), len(c.tokens)), []).append(c)
-        pairs = 0
-        for group in groups.values():
-            for u, v in zip(group, group[1:]):
-                assert_joint_ranks(u, v)
-                assert_joint_ranks(v, u.reversed())
-                pairs += 1
-            for u in group:
-                assert_joint_ranks(u, u.reversed())
-        assert pairs > 100
-
-    def test_twist_powers_beside_their_curve(self, monkeypatch):
-        # T_c^k(x) runs along c k times: rays of c stay tied with classes of
-        # T_c^k(x) past its last round, until its representative rays,
-        # followed with ``_ahead``, decide them
-        steps_along = []
-        ahead = curves._ahead
-        monkeypatch.setattr(curves, "_ahead", lambda node, m, d: steps_along.append(m) or ahead(node, m, d))
-        sc = get_scenario("negative-modification")
-        decided = 0
-        for c in sc.curves.values():
-            for x in sc.curves.values():
-                for k in (*range(1, 9), -1, -2, -4):
-                    y = dehn_twist(x, c, k)
-                    for w in (c, c.reversed()):
-                        del steps_along[:]
-                        assert_joint_ranks(y, w)
-                        assert_joint_ranks(w, y)
-                        longer = len(y.tokens)
-                        decided += longer > len(c.tokens) and longer in steps_along
-        assert decided > 10
-
-    def test_twist_words_beside_their_curve(self):
-        sc = get_scenario("negative-modification")
-        names = sorted(sc.curves)
-        rng = random.Random(8)
-        for _ in range(40):
-            c = sc.curves[rng.choice(names)]
-            word = TwistWord(tuple((c, rng.choice((1, -1))) for _ in range(3)))
-            x = word.apply(sc.curves[rng.choice(names)])
-            assert_joint_ranks(x, c)
-            assert_joint_ranks(c, x.reversed())
-
-
 # -- cost ---------------------------------------------------------------------
 
 
@@ -549,6 +465,44 @@ def _rung(k):
     """(T_C T_C1^-1)^k (C2) on the hexagon, as a fresh curve with nothing kept on it."""
     sc, rungs = _ladder()
     return sc, ClosedCurve(sc.scheme, rungs[k].tokens)
+
+
+@functools.lru_cache(maxsize=None)
+def _long_words():
+    """The ninth ladder images of (0, 1, 2) and (0, 1, 5), and those two words."""
+    sc, _ = _ladder()
+    short = [(0, 1, 2), (0, 1, 5)]
+    long = []
+    for w in short:
+        z = ClosedCurve(sc.scheme, w)
+        for _ in range(9):
+            z = dehn_twist(dehn_twist(z, sc.curves["C1"], -1), sc.curves["C"], 1)
+        long.append(z.tokens)
+    return sc, short, long
+
+
+def _long_pair():
+    """Two fresh long curves, neither simple, with nothing kept on them, and their short seeds."""
+    sc, short, long = _long_words()
+    return [ClosedCurve(sc.scheme, w) for w in long], [ClosedCurve(sc.scheme, w) for w in short]
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """The first steps of every ray ranking while the test runs.
+
+    ``_ray_ranks`` ends its steps with one for the end of an arc's ray;
+    it is dropped, so one curve ranked alone records its ``fwd + bwd``.
+    """
+    seen = []
+    rank = curves._rank_rays
+
+    def counting(steps, nxt):
+        seen.append(steps[:-1])
+        return rank(steps, nxt)
+
+    monkeypatch.setattr(curves, "_rank_rays", counting)
+    return seen
 
 
 class TestCost:
@@ -583,32 +537,24 @@ class TestCost:
         # Farb and Margalit, Prop. 3.2
         assert i == geometric_intersection(x, c3) ** 2
 
-    def test_long_word_against_a_simple_curve(self, monkeypatch):
+    def test_long_word_against_a_simple_curve(self, ranked):
         # T_c^2(C3) runs beside c for most of its 46,168 tokens; ranking its
         # rays for the linked-run count took 0.61-0.70 s
         sc, c = _rung(4)
         x = dehn_twist(sc.curves["C3"], c, 2)
         assert (len(c.tokens), len(x.tokens)) == (135, 46168)
-        ranked = []
-        rank = curves._rank_rays
-        monkeypatch.setattr(curves, "_rank_rays", lambda steps, *a: ranked.append(steps) or rank(steps, *a))
         start = time.perf_counter()
         assert geometric_intersection(x, c) == 171
         assert time.perf_counter() - start < 0.5
         assert geometric_intersection(c, x) == 171
         fwd, bwd = curves._ray_steps(x)
-        assert fwd + bwd not in ranked
+        assert ranked and fwd + bwd not in ranked
 
     def test_two_fresh_long_curves_neither_simple(self):
         # the shorter curve's trace finds it not simple in 0.01 s, and the
-        # pair counts linked runs: 0.71-0.88 s here; the ladder is a
-        # homeomorphism, so it keeps the count
-        sc, _ = _rung(0)
-        short = [ClosedCurve(sc.scheme, w) for w in ((0, 1, 2), (0, 1, 5))]
-        u, v = short
-        for _ in range(9):
-            u, v = (dehn_twist(dehn_twist(z, sc.curves["C1"], -1), sc.curves["C"], 1) for z in (u, v))
-        u, v = ClosedCurve(sc.scheme, u.tokens), ClosedCurve(sc.scheme, v.tokens)
+        # pair ranks its rays together and counts linked runs: 0.9-1.0 s
+        # here; the ladder is a homeomorphism, so it keeps the count
+        (u, v), short = _long_pair()
         assert (len(u.tokens), len(v.tokens)) == (25841, 18699)
         start = time.perf_counter()
         i = geometric_intersection(u, v)
@@ -633,35 +579,33 @@ class TestCost:
         assert time.perf_counter() - start < 1.0
         assert i == linked_intersection(short, sc.curves["C2"])
 
-    def test_simplicity_of_a_long_word(self, monkeypatch):
-        # T_c^2(C3), 46,168 tokens: the self-count ranked its rays and built
-        # its dominance tables in 0.55-0.60 s; the trace takes 0.03-0.05 s
+    def test_simplicity_of_a_long_word(self, ranked):
+        # T_c^2(C3), 46,168 tokens: the linked-run self-count took 0.55-0.60
+        # s; the trace takes 0.03-0.05 s
         sc, c = _rung(4)
         x = dehn_twist(sc.curves["C3"], c, 2)
         x = ClosedCurve(x.scheme, x.tokens)
         assert len(x.tokens) == 46168
-        called = []
-        for name in ("_rank_rays", "_fenwick"):
-            monkeypatch.setattr(curves, name, lambda *a, name=name: called.append(name))
+        del ranked[:]
         start = time.perf_counter()
         assert is_simple(x)
         assert time.perf_counter() - start < 0.25
         assert not is_simple(ClosedCurve(x.scheme, x.tokens * 2))
-        assert called == []
+        assert ranked == []
 
-    def test_kept_table_is_small(self):
-        # the same keys kept in lists of ints took 6.0 MB on this rung; the
-        # dominance tables hold each ray in about two lists of its side
-        _, x = _rung(9)
-        curves._ray_steps(x)
-        for build, most in ((curves._ray_table, 2_000_000), (curves._tables, 3_000_000)):
-            tracemalloc.start()
-            try:
-                build(x)
-                kept = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-            assert kept < most, build
+    def test_count_keeps_little(self):
+        # the kept ranks, rounds and dominance tables of this pair took 5.5
+        # MB; the first steps, which every count reads, are kept apart
+        (u, v), _ = _long_pair()
+        curves._ray_steps(u)
+        curves._ray_steps(v)
+        tracemalloc.start()
+        try:
+            geometric_intersection(u, v)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 1_000_000
 
 
 # -- builds ---------------------------------------------------------------
@@ -693,33 +637,25 @@ class TestBuilds:
         is_simple(ClosedCurve(x.scheme, x.tokens))
         assert builds == []
 
-    def test_first_twist_along_a_fresh_curve_builds_nothing(self, builds, monkeypatch):
+    def test_first_twist_along_a_fresh_curve_builds_nothing(self, builds, ranked):
         # c's simplicity is traced without ranks, and its crossing data
         # ranks its rays once
         sc = get_scenario("negative-modification")
         c = dehn_twist(sc.curves["C2"], sc.curves["C1"], 2)
         del builds[:]
-        ranked = []
-        rank = curves._rank_rays
-        monkeypatch.setattr(curves, "_rank_rays", lambda steps, *a: ranked.append(steps) or rank(steps, *a))
+        del ranked[:]
         dehn_twist(sc.curves["C3"], c)
         fwd, bwd = curves._ray_steps(c)
         assert builds == []
         assert ranked == [fwd + bwd]
 
-    def test_each_curve_is_ranked_once(self, monkeypatch):
+    def test_each_curve_is_ranked_once(self, ranked):
         sc = get_scenario("negative-modification")
         a, b = sc.curves["C"], sc.curves["C1"]
         z = dehn_twist(dehn_twist(sc.curves["C3"], b, -1), a, 1)
         z = ClosedCurve(z.scheme, z.tokens)
-        ranked = []
-        rank = curves._rank_rays
-
-        def counting(steps, ahead, rounds=None):
-            ranked.append(steps)
-            return rank(steps, ahead, rounds)
-
-        monkeypatch.setattr(curves, "_rank_rays", counting)
+        # the twists ranked a and b for their crossing data
+        del ranked[:]
 
         def times_ranked(c):
             fwd, bwd = curves._ray_steps(c)
@@ -739,23 +675,21 @@ class TestBuilds:
             call()
         assert ranked == []
 
-    def test_pair_after_simplicity_builds_no_table(self, monkeypatch):
-        # is_simple builds no dominance table, and a pair whose shorter
-        # curve is simple reads x once against that curve's crossing data
+    def test_pair_after_simplicity_builds_no_table(self, ranked):
+        # is_simple ranks no rays, and a pair whose shorter curve is simple
+        # reads x once against that curve's crossing data, never ranking x
         sc, x = _rung(5)
-        built = []
-        fenwick = curves._fenwick
-        monkeypatch.setattr(curves, "_fenwick", lambda groups: built.append(groups) or fenwick(groups))
         assert is_simple(x)
         for c in sc.curves.values():
             assert len(c.tokens) <= 2
             assert is_simple(c)
-        assert built == []
+        assert ranked == []
         for c in sc.curves.values():
             assert geometric_intersection(x, c) == geometric_intersection(c, x)
-        assert built == []
+        fwd, bwd = curves._ray_steps(x)
+        assert ranked and fwd + bwd not in ranked
 
-    def test_a_power_keeps_its_root(self, monkeypatch):
+    def test_a_power_keeps_its_root(self, ranked):
         # the root of c^2 is found once and kept, so its crossing data is
         # built, and its rays ranked, on the first count only
         sc, c = _rung(4)
@@ -763,9 +697,8 @@ class TestBuilds:
         c2 = ClosedCurve(c.scheme, c.tokens * 2)
         root, power = c2.primitive_root()
         assert power == 2 and c2.primitive_root()[0] is root
-        ranked = []
-        rank = curves._rank_rays
-        monkeypatch.setattr(curves, "_rank_rays", lambda steps, *a: ranked.append(steps) or rank(steps, *a))
+        # the twist ranked c, whose word is the root's
+        del ranked[:]
         fwd, bwd = curves._ray_steps(root)
         counts = [geometric_intersection(y, c2) for _ in range(3)]
         assert counts == [2 * geometric_intersection(y, c)] * 3

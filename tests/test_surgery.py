@@ -1,5 +1,7 @@
 """Cut-and-cap surgery and the projection of curves and arcs."""
 
+import random
+
 import pytest
 
 from blfkit import (
@@ -8,11 +10,13 @@ from blfkit import (
     ClosedCurve,
     arcs_isotopic,
     dehn_twist,
+    geometric_intersection,
     hexagon_scheme,
     project,
     round_surgery,
 )
 from blfkit.errors import InessentialCurveError, ProjectionObstructedError
+from helpers import random_word
 
 
 @pytest.fixture(scope="module")
@@ -44,9 +48,27 @@ class TestRoundSurgery:
             round_surgery(hexagon, ClosedCurve(hexagon, (0, 0)))
 
     def test_non_coordinate_curve_standardized(self, hexagon):
-        result = round_surgery(hexagon, ClosedCurve(hexagon, (3, 2)))
-        assert result.scheme.euler_characteristic() == 0
-        assert result.standardization is not None
+        # a cut along C1, C2 or C3 first twists the curve to one token, and
+        # each item goes through the same twists, so exactly the items that
+        # miss the cut curve project
+        rng = random.Random(5)
+        pool = [ClosedCurve(hexagon, random_word(hexagon, rng, rng.randint(1, 8))) for _ in range(300)]
+        for word in ((3, 2), (5, 4), (1, 0)):
+            c = ClosedCurve(hexagon, word)
+            result = round_surgery(hexagon, c)
+            assert result.scheme.euler_characteristic() == 0
+            assert result.standardization is not None
+            missed = 0
+            for y in pool + [c]:
+                if y.is_null:
+                    continue
+                if geometric_intersection(y, c):
+                    with pytest.raises(ProjectionObstructedError):
+                        project(result, y)
+                else:
+                    project(result, y)
+                    missed += 1
+            assert missed > 10, word
 
 
 class TestProjection:
