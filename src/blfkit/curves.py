@@ -45,11 +45,17 @@ the side ``x`` keeps: a linked run crosses once, at its backward end,
 and no bigon is left.  So the crossings listed are those of a minimal
 position, ``i(x, c)`` of them for a closed ``x`` (Farb and Margalit,
 *Primer*, section 3.1).  What the pass reads is kept on ``c``
-(``_crossing_data``), and the pass takes time and memory linear in
+(``_crossing_data``).  A point where ``x`` exits through token ``t`` and
+then through ``u`` has its forward ray's first step fixed by the pair
+``(t, u)``, and so is everything the pass needs there: the point's
+place if ``c`` takes no such step, else the map from the next point's
+place; c's points before the point's two ends; and the polygon of
+``t``.  That is one entry of a table keyed by token pairs and filled on
+first use (``_PairTable``), so the pass reads one entry per token and
+never computes x's own steps.  It takes time and memory linear in
 ``|x| + |c|`` and the crossings it lists: c's chords in a polygon nest
 like brackets, so a chord of ``x`` finds those it crosses in one step
-each (``_ChordTable``).  Every step is read from a table of slot pairs
-kept on the scheme and filled on first use.
+each (``_ChordTable``).
 
 :func:`is_simple` reads the curve's own chords and ranks no rays
 (Erickson and Nayyeri 2013; Farb and Margalit, *Primer*, sections
@@ -89,6 +95,8 @@ from collections import Counter, defaultdict
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import chain
+from math import inf
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import CurveError, NotSimpleError
@@ -218,15 +226,17 @@ class ClosedCurve:
 
         A primitive curve is its own root, so what is kept on it serves its
         root.  A power keeps its root, found once, so what is kept on the
-        root survives between calls.
+        root survives between calls.  The root's length is the word's least
+        period, found by one substring search of the word in itself doubled.
         """
         if self._power is None:
-            m = len(self.tokens)
+            toks = self.tokens
+            m = len(toks)
             self._power = 1
-            for p in range(1, m):
-                if m % p == 0 and self.tokens[p:] + self.tokens[:p] == self.tokens:
-                    self._root, self._power = ClosedCurve(self.scheme, self.tokens[:p]), m // p
-                    break
+            word = "".join(map(chr, map(self.scheme.rank.__getitem__, toks)))
+            p = (word + word).find(word, 1)
+            if 0 < p < m:
+                self._root, self._power = ClosedCurve(self.scheme, toks[:p]), m // p
         return (self if self._root is None else self._root), self._power
 
     def homology(self) -> Tuple[int, ...]:
@@ -397,6 +407,14 @@ class _StepTable(dict):
         return step
 
 
+def _step_table(scheme: Scheme) -> _StepTable:
+    """The scheme's table of steps between slots, made on first use."""
+    table = scheme._step_table
+    if table is None:
+        table = scheme._step_table = _StepTable(scheme)
+    return table
+
+
 def _ray_steps(item: Item) -> Tuple[List[int], List[int]]:
     """The first step of each strand leaving one of the item's crossing points.
 
@@ -414,9 +432,6 @@ def _ray_steps(item: Item) -> Tuple[List[int], List[int]]:
     """
     if item._steps is None:
         scheme = item.scheme
-        table = scheme._step_table
-        if table is None:
-            table = scheme._step_table = _StepTable(scheme)
         toks = item.tokens
         # the slot each strand enters its next polygon through
         entries = list(map(scheme.partner.__getitem__, toks))
@@ -426,7 +441,7 @@ def _ray_steps(item: Item) -> Tuple[List[int], List[int]]:
         else:
             nexts = toks[1:] + (item.end.slot,)
             prevs = [item.start.slot] + entries[:-1]
-        step = table.__getitem__
+        step = _step_table(scheme).__getitem__
         item._steps = (list(map(step, zip(entries, nexts))), list(map(step, zip(toks, prevs))))
     return item._steps
 
@@ -789,25 +804,57 @@ class _InsertionWords(dict):
         return word
 
 
+class _PairTable(dict):
+    """What ``passage_crossings`` reads at a point of ``x``, by x's token pair.
+
+    Key ``(t, u)``: ``x`` exits through ``t`` at the point and then through
+    ``u`` (an arc's last token pairs with its end anchor's slot), so the
+    point's forward ray takes the step from ``partner(t)`` to ``u``.  The
+    value is ``(lo, hi, shift, before[t], after[partner(t)], polygon of
+    t)``: a point with ``v`` of c's rays below its successor has
+    ``clamp(v + shift, lo, hi)`` below it, by the step's block map (see
+    ``_crossing_data``); for a step that no ray of ``c`` takes, ``lo ==
+    hi`` is the point's place by binary search, and ``shift`` is 0.
+    Filled on first use.
+    """
+
+    def __init__(self, scheme: Scheme, firsts: Dict[SlotId, List[int]],
+                 maps: Dict[int, Tuple[int, int, int]],
+                 before: Dict[SlotId, int], after: Dict[SlotId, int]):
+        super().__init__()
+        self.partner, self.location, self.steps = scheme.partner, scheme.location, _step_table(scheme)
+        self.firsts, self.maps, self.before, self.after = firsts, maps, before, after
+
+    def __missing__(self, pair: Tuple[SlotId, SlotId]) -> Tuple[int, int, int, int, int, int]:
+        t, u = pair
+        s = self.partner[t]
+        f = self.steps[s, u]
+        step = self.maps.get(f)
+        if step is None:
+            v = bisect_left(self.firsts.get(s, ()), f)
+            step = (v, v, 0)
+        found = self[pair] = step + (self.before[t], self.after[s], self.location[t][0])
+        return found
+
+
 def _crossing_data(c: ClosedCurve):
     """What ``passage_crossings`` keeps of ``c``, built once per curve.
 
-    Returns, for each slot, the first steps of c's rays leaving it in rank
-    order (``firsts``); for each first step the map that places a ray
-    taking it from its successor's place (``maps``); the number of c's
-    points counterclockwise before each slot of its polygon and before the
-    end of each glued slot; the table of chord crossings
+    Returns the table of x's token pairs (``_PairTable``), which keeps
+    the number of c's points counterclockwise before each slot of its
+    polygon and before the end of each slot; the table of chord crossings
     (``_ChordTable``); and the insertion words (``_InsertionWords``).
 
-    The rays of ``c`` that leave one slot with one first step ``f`` are
-    a block ``lo .. hi - 1`` of its list, and they continue, in the same
-    order, into a block of the rays leaving the partner of f's target
-    that starts at ``b``: one contiguous block, because c's chords from
-    one slot to another are parallel.  So a ray taking step ``f`` with
-    ``v`` of c's rays below its successor has ``clamp(v + lo - b, lo,
-    hi)`` below it, and ``maps[f]`` is ``(lo, hi, lo - b)``.  c's own
-    points sit in the order of its ranked rays on both sides of an edge,
-    as ``c`` is simple.
+    The pair table reads, for each slot, the first steps of c's rays
+    leaving it in rank order, and each step's block map.  The rays of
+    ``c`` that leave one slot with one first step ``f`` are a block ``lo
+    .. hi - 1`` of those, and they continue, in the same order, into a
+    block of the rays leaving the partner of f's target that starts at
+    ``b``: one contiguous block, because c's chords from one slot to
+    another are parallel.  So a ray taking step ``f`` with ``v`` of c's
+    rays below its successor has ``clamp(v + lo - b, lo, hi)`` below it.
+    c's own points sit in the order of its ranked rays on both sides of
+    an edge, as ``c`` is simple.
     """
     if c._crossing_data is None:
         scheme = c.scheme
@@ -858,8 +905,10 @@ def _crossing_data(c: ClosedCurve):
         for k, t in enumerate(toks):
             entry = after[partner[toks[k - 1]]] - fplace[k - 1] - 1
             chords.setdefault(location[t][0], []).append((k, entry, before[t] + fplace[k]))
-        table = _ChordTable(sizes, chords)
-        c._crossing_data = (firsts, maps, before, after, table, _InsertionWords(c))
+        c._crossing_data = (
+            _PairTable(scheme, firsts, maps, before, after), _ChordTable(sizes, chords),
+            _InsertionWords(c),
+        )
     return c._crossing_data
 
 
@@ -868,7 +917,7 @@ def insertion_words(c: ClosedCurve) -> Dict[Tuple[int, int], TokenWord]:
 
     See ``_InsertionWords``; a twist along ``c`` reads them at every crossing.
     """
-    return _crossing_data(c)[5]
+    return _crossing_data(c)[2]
 
 
 def passage_crossings(x: Item, c: ClosedCurve) -> List[Tuple[Tuple[int, int], ...]]:
@@ -879,58 +928,57 @@ def passage_crossings(x: Item, c: ClosedCurve) -> List[Tuple[Tuple[int, int], ..
     minimal position (see the module docstring).  Requires ``c`` simple,
     so that the order along a chord is the order of the near endpoints.
 
-    Point ``k`` of ``x`` has ``v`` of c's rays below its forward ray among
-    those leaving its slot: by binary search for a first step no ray of
-    ``c`` takes (as an arc's last, ending at its anchor), else by the
-    step's map from point ``k + 1``'s ``v``, or, when ``c`` takes every
-    step of a closed ``x``, as the fixed point of the maps composed once
-    round it (a ray of ``c`` that ``x`` follows for ever counts below).
-    The point sits ``v`` points into its exit slot and ``v`` back from the
-    partner slot's end; a chord is looked up by c's points before its ends.
+    Point ``k`` of ``x`` reads the entry of c's ``_PairTable`` for its
+    token and the next, and has ``v`` of c's rays below its forward ray
+    among those leaving its slot: the entry's fixed place, else the
+    entry's map applied to point ``k + 1``'s ``v``, or, when ``c`` takes
+    every step of a closed ``x``, the fixed point of the maps composed
+    once round it (a ray of ``c`` that ``x`` follows for ever counts
+    below), found by running round ``x`` twice.  The point sits ``v``
+    points into its exit slot and ``v`` back from the partner slot's end;
+    a chord is looked up by c's points before its ends.
     """
     scheme = c.scheme
     if x.scheme is not scheme:
         raise CurveError(f"{x!r} lives on a different scheme from {c!r}")
-    firsts, maps, before, after, table, _ = _crossing_data(c)
-    partner, location = scheme.partner, scheme.location
+    pairs, table, _ = _crossing_data(c)
     toks = x.tokens
-    xf = _ray_steps(x)[0]
-    m = len(toks)
-    exits = [0] * m
-    entries = [0] * m
+    closed = isinstance(x, ClosedCurve)
+    nexts = toks[1:] + (toks[:1] if closed else (x.end.slot,))
+    rows = list(map(pairs.__getitem__, zip(toks, nexts)))
+    m = len(rows)
     start = m - 1
-    while start >= 0 and xf[start] in maps:
+    while start >= 0 and rows[start][0] != rows[start][1]:
         start -= 1
     v = 0
+    rounds = 1
     if start < 0:
+        # c takes every step of x: the maps composed once round x are
+        # v -> clamp(v + s, L, H), s the sum of their shifts, and the fixed
+        # point taken is H if s >= 0, else L, which is what one round makes
+        # of v = +inf or -inf; a second round then places every point
         start = m - 1
-        if m:
-            # maps[xf[0]] . maps[xf[1]] . ... . maps[xf[m - 1]]
-            lo, hi, shift = maps[xf[0]]
-            for f in xf[1:]:
-                flo, fhi, fshift = maps[f]
-                lo, hi, shift = (min(max(flo + shift, lo), hi),
-                                 min(max(fhi + shift, lo), hi), shift + fshift)
-            v = hi if shift >= 0 else lo
-    for k in range(start, start - m, -1):
-        f = xf[k]
-        t = toks[k]
-        s = partner[t]
-        step = maps.get(f)
-        if step is None:
-            v = bisect_left(firsts.get(s, ()), f)
-        else:
-            lo, hi, shift = step
-            v = min(max(v + shift, lo), hi)
-        exits[k] = before[t] + v
-        entries[k] = after[s] - v
-    polys = [location[t][0] for t in toks]
-    if isinstance(x, ClosedCurve):
+        v = inf if sum(map(itemgetter(2), rows)) >= 0 else -inf
+        rounds = 2
+    exits = [0] * m
+    entries = [0] * m
+    polys = [0] * m
+    # k wraps round x through negative indices
+    for k in range(start, start - rounds * m, -1):
+        lo, hi, shift, b, a, polys[k] = rows[k]
+        v += shift
+        if v < lo:
+            v = lo
+        elif v > hi:
+            v = hi
+        exits[k] = b + v
+        entries[k] = a - v
+    if closed:
         entries = entries[-1:] + entries[:-1]
     else:
-        entries.insert(0, before[x.start.slot])
-        exits.append(before[x.end.slot])
-        polys.append(location[x.end.slot][0])
+        entries.insert(0, pairs.before[x.start.slot])
+        exits.append(pairs.before[x.end.slot])
+        polys.append(scheme.location[x.end.slot][0])
     return list(map(table.__getitem__, zip(polys, entries, exits)))
 
 

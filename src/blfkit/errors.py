@@ -17,6 +17,10 @@ class NotSimpleError(CurveError):
     """An operation requiring an embedded (simple) curve got a non-simple one."""
 
 
+class ImageTooLargeError(BlfkitError):
+    """A free-group image would have more than ``oracle.MAX_IMAGE_LETTERS`` letters."""
+
+
 class InessentialCurveError(BlfkitError):
     """Surgery was requested along a nullhomotopic or boundary-trivial curve."""
 

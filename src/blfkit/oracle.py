@@ -11,6 +11,11 @@ abelianizations with homology transvections.
 Letters are nonzero integers: 1, 2, 3 stand for a, b, c and negatives for
 inverses.  Letter ``k`` corresponds to hexagon token ``k - 1``; letter
 ``-k`` to token ``k + 2``.
+
+Images grow exponentially with the number of twists composed, about
+threefold per twist.  An automorphism counts the letters of an image
+before building it, and past ``MAX_IMAGE_LETTERS`` raises
+``ImageTooLargeError``.
 """
 
 from __future__ import annotations
@@ -18,11 +23,18 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .errors import BlfkitError
+from .errors import BlfkitError, ImageTooLargeError
 
 Word = Tuple[int, ...]
+
+# the most letters an image is built from before reduction, 8 MB of list
+# pointers on a 64-bit build: about 1,400 times the longest image (717
+# letters) that ``run_agreement_suite(200, seed, 5)`` composes for seeds 0
+# and 7, and reached after 13-15 twists of a random word
+MAX_IMAGE_LETTERS = 1_000_000
 
 
 # -- free group words ------------------------------------------------------
@@ -97,15 +109,29 @@ class FreeAutomorphism:
 
     images: Tuple[Word, Word, Word]
 
+    @functools.cached_property
+    def _letter_images(self) -> Dict[int, Word]:
+        images = dict(zip((1, 2, 3), self.images))
+        images.update({-k: invert_word(w) for k, w in images.items()})
+        return images
+
+    @functools.cached_property
+    def _letter_lengths(self) -> Dict[int, int]:
+        return {k: len(w) for k, w in self._letter_images.items()}
+
     def image_of(self, letter: int) -> Word:
-        w = self.images[abs(letter) - 1]
-        return w if letter > 0 else invert_word(w)
+        return self._letter_images[letter]
 
     def apply(self, word: Sequence[int]) -> Word:
-        out: List[int] = []
-        for x in word:
-            out.extend(self.image_of(x))
-        return reduce_word(out)
+        """The reduced image of ``word``; past ``MAX_IMAGE_LETTERS`` letters
+        before reduction, ``ImageTooLargeError`` is raised before any is built."""
+        size = sum(map(self._letter_lengths.__getitem__, word))
+        if size > MAX_IMAGE_LETTERS:
+            raise ImageTooLargeError(
+                f"the image of a {len(word)}-letter word has {size} letters before"
+                f" reduction, more than {MAX_IMAGE_LETTERS}"
+            )
+        return reduce_word(chain.from_iterable(map(self._letter_images.__getitem__, word)))
 
     def compose(self, other: "FreeAutomorphism") -> "FreeAutomorphism":
         """self after other."""

@@ -160,8 +160,9 @@ class Scheme:
         #: row of each primary slot in the homology basis, once
         #: ``curves.homology_class`` computed it
         self._basis_index: Optional[Dict[SlotId, int]] = None
-        #: step of each (source, target) slot pair, once ``curves._ray_steps``
-        #: used the scheme; it fills each pair on first use
+        #: step of each (source, target) slot pair (``curves._StepTable``),
+        #: made on the first ray ranking or crossing table on the scheme; it
+        #: fills each pair on first use
         self._step_table: Optional[Dict[Tuple[SlotId, SlotId], int]] = None
 
     # -- basic queries -----------------------------------------------------

@@ -20,6 +20,7 @@ twist by a relabeling is the twist along the relabeled curve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import List, Sequence, Tuple
 
 from .curves import (
@@ -69,12 +70,11 @@ def dehn_twist(x: Item, c: ClosedCurve, power: int = 1) -> Item:
     # each crossing passage; an arc has one passage more than tokens, the
     # last ending at its anchor
     done = 0
-    for k, row in enumerate(rows):
-        if row:
-            new_tokens += toks[done:k]
-            done = k
-            for kc, sign in row:
-                new_tokens += words[kc, sign * power]
+    for k in compress(range(len(rows)), rows):
+        new_tokens += toks[done:k]
+        done = k
+        for kc, sign in rows[k]:
+            new_tokens += words[kc, sign * power]
     new_tokens += toks[done:]
     if isinstance(x, ClosedCurve):
         return ClosedCurve(x.scheme, new_tokens)

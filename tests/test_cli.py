@@ -50,6 +50,8 @@ class TestRejectedInput:
         ("oracle-crosscheck", "--max-length", "0"),
         ("oracle-crosscheck", "--max-length", "-3"),
         ("oracle-crosscheck", "--count", "-1"),
+        # an oracle image past oracle.MAX_IMAGE_LETTERS
+        ("oracle-crosscheck", "--count", "1", "--seed", "0", "--max-length", "40"),
     ])
     def test_one_line_and_exit_three(self, args):
         proc = run_cli(*args)

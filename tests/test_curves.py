@@ -28,9 +28,11 @@ from blfkit.curves import (
     pair_homology,
 )
 from blfkit.errors import CurveError
-from blfkit.scenarios import SCENARIOS, _rho, get_scenario
+from blfkit.scenarios import SCENARIOS, _rho, family_scenario, get_scenario
 from blfkit.schemes import Scheme, slot_key
 from blfkit.twists import relabel_curve
+
+from helpers import random_word
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +104,32 @@ class TestCanonical:
         assert root.tokens == (1, 2) and power == 3
         assert c.primitive_root()[0] is root
         assert ClosedCurve(hexagon, (0, 0)).primitive_root()[0].tokens == (0,)
+
+    def test_primitive_root_matches_rotation_loop(self):
+        # the substring search against the loop it replaced, which tried
+        # every divisor p of |c| and compared the word with its rotation by p
+        def loop_root(toks):
+            m = len(toks)
+            for p in range(1, m):
+                if m % p == 0 and toks[p:] + toks[:p] == toks:
+                    return toks[:p], m // p
+            return toks, 1
+
+        rng = random.Random(29)
+        seen = set()
+        for n in (1, 2, 3):
+            sch = family_scenario(n).scheme
+            words = [ClosedCurve(sch, ()), ClosedCurve(sch, (0,))] + [
+                ClosedCurve(sch, random_word(sch, rng, rng.randint(1, 12))) for _ in range(40)
+            ]
+            for w in words:
+                for k in range(1, 5):
+                    c = ClosedCurve(sch, w.tokens * k)
+                    root, power = c.primitive_root()
+                    assert (root.tokens, power) == loop_root(c.tokens), c
+                    assert (root is c) == (power == 1)
+                    seen.add(power)
+        assert seen >= {1, 2, 3, 4}
 
 
 def _slot_order(word):

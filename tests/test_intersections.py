@@ -512,11 +512,13 @@ class TestCost:
         assert len(x.tokens) == 16492
         start = time.perf_counter()
         assert is_simple(x)
-        assert time.perf_counter() - start < 2.0
+        took = time.perf_counter() - start
+        assert took < 2.0, f"is_simple: {took:.3f} s at {len(x.tokens)} tokens"
         c1 = sc.curves["C1"]
         start = time.perf_counter()
         i = geometric_intersection(x, c1)
-        assert time.perf_counter() - start < 2.0
+        took = time.perf_counter() - start
+        assert took < 2.0, f"i(x, C1): {took:.3f} s at {len(x.tokens)} tokens"
         alg = algebraic_intersection(x, c1)
         assert abs(alg) <= i and (i - alg) % 2 == 0
 
@@ -528,12 +530,15 @@ class TestCost:
         c3 = sc.curves["C3"]
         y = dehn_twist(x, c3)
         start = time.perf_counter()
-        assert geometric_intersection(x, _rung(7)[1]) == 11
-        assert time.perf_counter() - start < 2.0
+        z = _rung(7)[1]
+        assert geometric_intersection(x, z) == 11
+        took = time.perf_counter() - start
+        assert took < 2.0, f"{took:.3f} s at {len(x.tokens)} and {len(z.tokens)} tokens"
         x, y = _rung(8)[1], ClosedCurve(sc.scheme, y.tokens)
         start = time.perf_counter()
         i = geometric_intersection(x, y)
-        assert time.perf_counter() - start < 2.0
+        took = time.perf_counter() - start
+        assert took < 2.0, f"{took:.3f} s at {len(x.tokens)} and {len(y.tokens)} tokens"
         # Farb and Margalit, Prop. 3.2
         assert i == geometric_intersection(x, c3) ** 2
 
@@ -545,7 +550,8 @@ class TestCost:
         assert (len(c.tokens), len(x.tokens)) == (135, 46168)
         start = time.perf_counter()
         assert geometric_intersection(x, c) == 171
-        assert time.perf_counter() - start < 0.5
+        took = time.perf_counter() - start
+        assert took < 0.5, f"{took:.3f} s at {len(x.tokens)} and {len(c.tokens)} tokens"
         assert geometric_intersection(c, x) == 171
         fwd, bwd = curves._ray_steps(x)
         assert ranked and fwd + bwd not in ranked
@@ -558,7 +564,8 @@ class TestCost:
         assert (len(u.tokens), len(v.tokens)) == (25841, 18699)
         start = time.perf_counter()
         i = geometric_intersection(u, v)
-        assert time.perf_counter() - start < 2.0
+        took = time.perf_counter() - start
+        assert took < 2.0, f"{took:.3f} s at {len(u.tokens)} and {len(v.tokens)} tokens"
         assert not is_simple(v)
         assert i == linked_intersection(*short) == 4
 
@@ -576,7 +583,8 @@ class TestCost:
         assert (len(x.tokens), len(y.tokens)) == (6300, 18699)
         start = time.perf_counter()
         i = geometric_intersection(y, x)
-        assert time.perf_counter() - start < 1.0
+        took = time.perf_counter() - start
+        assert took < 1.0, f"{took:.3f} s at {len(y.tokens)} and {len(x.tokens)} tokens"
         assert i == linked_intersection(short, sc.curves["C2"])
 
     def test_simplicity_of_a_long_word(self, ranked):
@@ -589,7 +597,8 @@ class TestCost:
         del ranked[:]
         start = time.perf_counter()
         assert is_simple(x)
-        assert time.perf_counter() - start < 0.25
+        took = time.perf_counter() - start
+        assert took < 0.25, f"{took:.3f} s at {len(x.tokens)} tokens"
         assert not is_simple(ClosedCurve(x.scheme, x.tokens * 2))
         assert ranked == []
 

@@ -2,13 +2,16 @@
 
 import json
 import random
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
 
 from blfkit import ClosedCurve, TwistWord, cli, curves, curves_isotopic, dehn_twist, hexagon_scheme
 from blfkit import oracle
-from blfkit.errors import BlfkitError
+from blfkit.errors import BlfkitError, ImageTooLargeError
 from blfkit.oracle import (
     BASE_WORDS,
     GENERATORS,
@@ -331,3 +334,45 @@ class TestCrosscheckCommand:
         monkeypatch.setenv("BLFKIT_SEED", "3")
         assert cli.main(["oracle-crosscheck", "--count", "2", "--seed", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 4
+
+
+class TestImageBound:
+    def test_bound_counts_letters_before_reduction(self, monkeypatch):
+        # b b^-1 maps to 10 letters that reduce to none
+        word = (2, -2)
+        size = 2 * len(TWIST_C1.images[1])
+        assert size == 10 and TWIST_C1.apply(word) == ()
+        monkeypatch.setattr(oracle, "MAX_IMAGE_LETTERS", size - 1)
+        with pytest.raises(ImageTooLargeError, match=f"has {size} letters before reduction"):
+            TWIST_C1.apply(word)
+        with pytest.raises(ImageTooLargeError):
+            TWIST_C1.compose(IDENTITY.compose(TWIST_C1))
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_default_suite_stays_far_below(self, monkeypatch, seed):
+        # every image of 200 words of up to 5 twists has at most a
+        # thousandth of the bound's letters
+        monkeypatch.setattr(oracle, "MAX_IMAGE_LETTERS", oracle.MAX_IMAGE_LETTERS // 1000)
+        assert run_agreement_suite(200, seed, 5).ok
+
+    def test_long_word_fails_in_bounded_memory(self):
+        # seed 0 draws one word of 25 twists, whose images pass the bound
+        # at its 15th; in a child process limited to 1 GB of address space
+        code = textwrap.dedent("""
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from blfkit.errors import ImageTooLargeError
+            from blfkit.oracle import run_agreement_suite
+            try:
+                run_agreement_suite(1, 0, 40)
+            except ImageTooLargeError as exc:
+                print(exc)
+        """)
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+        )
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.endswith(f"more than {oracle.MAX_IMAGE_LETTERS}\n"), done.stdout
+        assert elapsed < 10.0, f"{elapsed:.2f} s"

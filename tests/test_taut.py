@@ -804,7 +804,8 @@ def reference_rows(x, c):
     for k, t in enumerate(c.tokens):
         leaving.setdefault(partner[t], []).append(ranks[k])
         leaving.setdefault(t, []).append(ranks[m + k])
-    before, after, table = curves._crossing_data(c)[2:5]
+    pairs, table, _ = curves._crossing_data(c)
+    before, after = pairs.before, pairs.after
     exits, entries = [], []
     for k, t in enumerate(x.tokens):
         v = sum(r <= ranks[base + k] for r in leaving.get(partner[t], ()))
@@ -860,6 +861,54 @@ class TestTautStress:
                 assert_isotopic(dehn_twist(x, c, power), reference_twist(x, c, power))
         closed = sum(isinstance(x, ClosedCurve) for x, _ in pairs)
         assert closed > 250 and len(pairs) - closed > 100 and shared > 50
+
+
+def fresh(x):
+    """A copy of ``x`` with nothing kept on it."""
+    if isinstance(x, ClosedCurve):
+        return ClosedCurve(x.scheme, x.tokens)
+    return Arc(x.scheme, x.start, x.tokens, x.end)
+
+
+class TestPairTable:
+    def test_rows_keep_their_references(self):
+        # one entry of c's token-pair table per point of x: on families 1-3,
+        # closed words and arcs, T_c^k(y), which runs beside c for long
+        # stretches, and words each of whose steps c takes; and on the cut
+        # hexagon, whose two polygons tell the entries' polygons apart
+        rng = random.Random(43)
+        pairs = []
+        for n in (1, 2, 3):
+            fam = family_scenario(n)
+            names = sorted(fam.curves)
+            for _ in range(4):
+                word = TwistWord(tuple(
+                    (fam.curves[rng.choice(names)], rng.choice((1, -1)))
+                    for _ in range(rng.randint(1, 3))
+                ))
+                c = fresh(word.apply(fam.curves[rng.choice(names)]))
+                ys = random_items(fam.scheme, rng, 8)
+                near = [dehn_twist(y, c, rng.choice((2, 3, -2, -3))) for y in ys[:4]]
+                walks = shared_step_words(c, rng, 4)
+                powers = [ClosedCurve(c.scheme, c.tokens * 2), c.reversed()]
+                pairs += [(x, c) for x in ys + near + walks + powers]
+        hexagon = get_scenario("negative-modification")
+        cut = round_surgery(hexagon.scheme, hexagon.curves["C"]).scheme
+        c = ClosedCurve(cut, (1, 5))
+        pairs += [(x, c) for x in random_items(cut, rng, 40)]
+        closed = arcs = long = shared = 0
+        for x, c in pairs:
+            x = fresh(x)
+            rows = passage_crossings(x, c)
+            assert x._steps is None
+            assert_taut_rows(x, c, rows)
+            closed += isinstance(x, ClosedCurve)
+            arcs += isinstance(x, Arc)
+            long += len(x.tokens) >= 10 * len(c.tokens)
+            # c takes the step of every point of x
+            fwd, bwd = curves._ray_steps(c)
+            shared += bool(x.tokens) and set(curves._ray_steps(x)[0]) <= set(fwd + bwd)
+        assert closed > 120 and arcs > 60 and long > 30 and shared > 50
 
 
 class TestIntersectionFormCache:
