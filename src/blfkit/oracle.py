@@ -10,7 +10,13 @@ abelianizations with homology transvections.
 
 Letters are nonzero integers: 1, 2, 3 stand for a, b, c and negatives for
 inverses.  Letter ``k`` corresponds to hexagon token ``k - 1``; letter
-``-k`` to token ``k + 2``.
+``-k`` to token ``k + 2``.  The bridge reads one pair of six-entry tables
+and rejects any other value with ``BlfkitError``.
+
+The agreement suite compares the engine's image of a curve with the
+oracle's by one rotation search on the two cyclically reduced words, and
+computes Duval keys (``conjugacy_key``) only for oracle images short
+enough to match a base curve's.
 
 Images grow exponentially with the number of twists composed, about
 threefold per twist.  An automorphism counts the letters of an image
@@ -55,7 +61,7 @@ def invert_word(word: Sequence[int]) -> Word:
     return tuple([-x for x in reversed(word)])
 
 
-def cyclically_reduce(word: Sequence[int]) -> Word:
+def cyclically_reduce(word: Iterable[int]) -> Word:
     # a reduced word stays reduced when both its ends are removed, so the
     # matching ends are stripped by moving two indices inwards
     w = reduce_word(word)
@@ -139,11 +145,7 @@ class FreeAutomorphism:
 
     def abelianization(self) -> List[List[int]]:
         """3x3 integer matrix whose columns are the generator images."""
-        mat = [[0] * 3 for _ in range(3)]
-        for j, w in enumerate(self.images):
-            for x in w:
-                mat[abs(x) - 1][j] += 1 if x > 0 else -1
-        return mat
+        return [[w.count(k) - w.count(-k) for w in self.images] for k in (1, 2, 3)]
 
 
 IDENTITY = FreeAutomorphism(((1,), (2,), (3,)))
@@ -183,21 +185,35 @@ BASE_WORDS: Dict[str, Word] = {
 
 # -- token bridge ----------------------------------------------------------
 
+# letter k is token k - 1 and letter -k token k + 2: the six hexagon letters
+# and the six hexagon tokens, each table the other's inverse
+_LETTER_TOKENS: Dict[int, int] = {1: 0, 2: 1, 3: 2, -1: 3, -2: 4, -3: 5}
+_TOKEN_LETTERS: Dict[int, int] = {t: x for x, t in _LETTER_TOKENS.items()}
+
+
+def _translate(table: Dict[int, int], values: Iterable[int], kind: str) -> Tuple[int, ...]:
+    # a list first: a tuple grown from an iterator is reallocated at each
+    # resize, which raised the peak memory of long runs of twist words
+    try:
+        return tuple([table[v] for v in values])
+    except KeyError as exc:
+        raise BlfkitError(f"{exc.args[0]!r} is not a hexagon {kind}") from None
+
 
 def letter_to_token(letter: int) -> int:
-    return letter - 1 if letter > 0 else 2 - letter
+    return _translate(_LETTER_TOKENS, (letter,), "letter")[0]
 
 
 def token_to_letter(token: int) -> int:
-    return token + 1 if token < 3 else 2 - token
+    return _translate(_TOKEN_LETTERS, (token,), "token")[0]
 
 
 def tokens_to_word(tokens: Sequence[int]) -> Word:
-    return tuple([token_to_letter(t) for t in tokens])
+    return _translate(_TOKEN_LETTERS, tokens, "token")
 
 
 def word_to_tokens(word: Sequence[int]) -> Tuple[int, ...]:
-    return tuple([letter_to_token(x) for x in word])
+    return _translate(_LETTER_TOKENS, word, "letter")
 
 
 # -- agreement suite -------------------------------------------------------
@@ -273,9 +289,14 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
     base curves each image is isotopic to (unoriented), and the twists'
     action on homology must be the oracle's abelianization.  The scheme,
     curves and generators come from ``_hexagon_fixture``, built once per
-    process.  An oracle image is reduced and rotated once for both keys,
-    and its inverse only if no longer than some base word.  A negative
-    ``count`` or a ``max_length`` below 1 raises ``BlfkitError``.
+    process.  Two cyclically reduced words are conjugate exactly when one
+    is a rotation of the other (Magnus, Karrass and Solitar, section 1.3),
+    so an engine image agrees with the cyclically reduced oracle image when
+    both, as strings of hexagon tokens, have one length and the engine's
+    occurs in the oracle's doubled: one substring search, no key.  Only an
+    oracle image no longer than some base word can match a base key, so
+    only those get an unoriented ``conjugacy_key``.  A negative ``count``
+    or a ``max_length`` below 1 raises ``BlfkitError``.
     """
     from .curves import curves_isotopic
     from .twists import TwistWord
@@ -301,12 +322,15 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
         images = []
         for name in base_names:
             engine_img = tword.apply(base_curves[name])
-            oracle_img = cyclically_reduce([y for x in BASE_WORDS[name] for y in auto.image_of(x)])
-            oracle_key = least_rotation(oracle_img)
-            word_match &= conjugacy_key(tokens_to_word(engine_img.tokens)) == oracle_key
-            # an image longer than every base word matches none either way
+            oracle_img = cyclically_reduce(chain.from_iterable(map(auto.image_of, BASE_WORDS[name])))
+            # both words cyclically reduced, as bytes of hexagon tokens
+            engine_str = bytes(engine_img.tokens)
+            oracle_str = bytes(map(_LETTER_TOKENS.__getitem__, oracle_img))
+            word_match &= len(engine_str) == len(oracle_str) and engine_str in oracle_str * 2
+            oracle_key = None
             if len(oracle_img) <= longest:
-                oracle_key = min(oracle_key, least_rotation(invert_word(oracle_img)))
+                # an image longer than every base word matches none
+                oracle_key = conjugacy_key(oracle_img, oriented=False)
             images.append((engine_img, oracle_key))
         verdict_match = all(
             curves_isotopic(engine_img, base_curves[other]) == (oracle_key == base_keys[other])

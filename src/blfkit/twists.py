@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import add, mul
 from typing import List, Sequence, Tuple
 
 from .curves import (
@@ -109,11 +110,12 @@ class TwistWord:
         cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
         for c, p in reversed(self.steps):
             vc = c.homology()
-            w = [p * sum(f * v for f, v in zip(row, vc)) for row in form]
+            w = [p * sum(map(mul, row, vc)) for row in form]
             # col -> col + p <col, c> c, and p <col, c> is col times w
             for col in cols:
-                k = sum(x * y for x, y in zip(col, w))
-                col[:] = [x + k * v for x, v in zip(col, vc)]
+                k = sum(map(mul, col, w))
+                if k:
+                    col[:] = map(add, col, map(k.__mul__, vc))
         return [list(row) for row in zip(*cols)]
 
 
@@ -124,7 +126,7 @@ def transvection(form: List[List[int]], vc: Sequence[int], power: int) -> List[L
     <e_i, vc> vc``, and ``<e_i, vc>`` is entry ``i`` of ``form`` times ``vc``.
     """
     n = len(form)
-    w = [power * sum(f * v for f, v in zip(row, vc)) for row in form]
+    w = [power * sum(map(mul, row, vc)) for row in form]
     return [[(1 if i == j else 0) + w[i] * vc[j] for i in range(n)] for j in range(n)]
 
 

@@ -153,7 +153,11 @@ class TestOracleCrosscheck:
         proc = run_cli("oracle-crosscheck", "--count", "10", "--seed", "3",
                        "--max-length", "4")
         assert proc.returncode == 0
-        assert "10/10" in proc.stdout or "ok" in proc.stdout.lower()
+        report = json.loads(proc.stdout)
+        assert report["ok"] is True
+        for key in ("word_agreements", "verdict_agreements", "homology_agreements"):
+            assert report[key] == 10
+        assert report["failures"] == []
 
     def test_seeded_runs_identical(self):
         a = run_cli("oracle-crosscheck", "--count", "10", "--seed", "3")

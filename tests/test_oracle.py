@@ -26,9 +26,11 @@ from blfkit.oracle import (
     AgreementReport,
     _hexagon_fixture,
     invert_word,
+    letter_to_token,
     random_twist_words,
     reduce_word,
     run_agreement_suite,
+    token_to_letter,
     tokens_to_word,
     word_to_tokens,
 )
@@ -118,6 +120,28 @@ class TestLetterBridge:
     def test_round_trip(self):
         for word in ((1,), (2, 3), (-1, 2, -3)):
             assert tokens_to_word(word_to_tokens(word)) == word
+        letters = (1, 2, 3, -1, -2, -3)
+        assert word_to_tokens(letters) == (0, 1, 2, 3, 4, 5)
+        assert tokens_to_word(range(6)) == letters
+        for x in letters:
+            assert token_to_letter(letter_to_token(x)) == x
+        for t in range(6):
+            assert letter_to_token(token_to_letter(t)) == t
+        assert tokens_to_word(()) == word_to_tokens(()) == ()
+
+    @pytest.mark.parametrize("letter", [4, 0, -4, 7])
+    def test_bad_letter_raises(self, letter):
+        with pytest.raises(BlfkitError, match=f"^{letter} is not a hexagon letter$"):
+            letter_to_token(letter)
+        with pytest.raises(BlfkitError, match=f"^{letter} is not a hexagon letter$"):
+            word_to_tokens((1, letter, 2))
+
+    @pytest.mark.parametrize("token", [6, -1, 7, "u0"])
+    def test_bad_token_raises(self, token):
+        with pytest.raises(BlfkitError, match=f"^{token!r} is not a hexagon token$"):
+            token_to_letter(token)
+        with pytest.raises(BlfkitError, match=f"^{token!r} is not a hexagon token$"):
+            tokens_to_word((0, token))
 
     def test_base_words_match_curves(self):
         scheme = hexagon_scheme().build()
@@ -158,6 +182,20 @@ class TestAutomorphismTables:
                 scheme, word_to_tokens(TWIST_C1.apply(BASE_WORDS[probe]))
             )
             assert curves_isotopic(engine, oracle, oriented=True)
+
+    def test_abelianization_is_multiplicative(self):
+        # the composite's matrix is the product of its factors' matrices
+        def matmul(a, b):
+            return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+        for word in random_twist_words(40, 13, 4):
+            auto, mat = IDENTITY, IDENTITY.abelianization()
+            for g in word:
+                auto = GENERATORS[g].compose(auto)
+                mat = matmul(GENERATORS[g].abelianization(), mat)
+            assert auto.abelianization() == mat, word
+        assert IDENTITY.abelianization() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert RHO.abelianization() == [[0, -1, 0], [0, 0, -1], [1, 0, 0]]
 
     def test_abelianization_matches_transvection(self):
         scheme = hexagon_scheme().build()
@@ -239,20 +277,45 @@ def reference_suite(count, seed, max_length):
 
 
 class TestSuiteDoesNoRepeatedWork:
-    @pytest.mark.parametrize("count, seed, max_length", [(200, 0, 5), (25, 7, 4), (50, 11, 5)])
+    @pytest.mark.parametrize("count, seed, max_length", [
+        (200, 0, 5), (25, 7, 4), (50, 11, 5),
+        # images of up to 9,088 letters
+        (20, 1, 8),
+    ])
     def test_report_equals_reference(self, count, seed, max_length):
         got = run_agreement_suite(count, seed, max_length).to_json()
         assert got == reference_suite(count, seed, max_length)
 
+    def wrong_engine(self, monkeypatch, change):
+        apply = TwistWord.apply
+        monkeypatch.setattr(TwistWord, "apply", lambda self, x: change(apply(self, x)))
+        got = run_agreement_suite(10, 3, 3).to_json()
+        assert got == reference_suite(10, 3, 3)
+        return got
+
     def test_report_equals_reference_for_a_wrong_engine(self, monkeypatch):
         # every image reversed: the word check is oriented and must fail on
         # every word, while the unoriented verdicts and homology still agree
-        apply = TwistWord.apply
-        monkeypatch.setattr(TwistWord, "apply", lambda self, x: apply(self, x).reversed())
-        got = run_agreement_suite(10, 3, 3).to_json()
+        got = self.wrong_engine(monkeypatch, lambda x: x.reversed())
         assert got["word_agreements"] == 0
         assert got["verdict_agreements"] == got["homology_agreements"] == 10
-        assert got == reference_suite(10, 3, 3)
+
+    def test_report_equals_reference_for_a_rotating_engine(self, monkeypatch):
+        # every image started at its second token: the same conjugacy class
+        def rotate(x):
+            return ClosedCurve(x.scheme, x.tokens[1:] + x.tokens[:1])
+
+        got = self.wrong_engine(monkeypatch, rotate)
+        assert got["ok"] and got["word_agreements"] == 10
+
+    @pytest.mark.parametrize("change", [
+        lambda x: ClosedCurve(x.scheme, x.tokens * 2),
+        lambda x: ClosedCurve(x.scheme, ((x.tokens[0] + 1) % 6,) + x.tokens[1:]),
+    ], ids=["squared", "one-token-changed"])
+    def test_report_equals_reference_for_a_wrong_word(self, monkeypatch, change):
+        got = self.wrong_engine(monkeypatch, change)
+        assert got["word_agreements"] == 0
+        assert not got["ok"] and len(got["failures"]) == 10
 
     def test_fixture_is_the_negative_modification_model(self):
         from blfkit.scenarios import negative_modification_scenario
@@ -303,9 +366,10 @@ class TestSuiteDoesNoRepeatedWork:
             # the generators' crossing tables were built by the first call:
             # no twist, form or simplicity check builds a configuration
             assert builds == []
-            # one rotation per engine image and per oracle image, and one of
-            # the inverse per oracle image no longer than some base word
-            assert len(rotations) == 2 * len(BASE_WORDS) + short
+            # word agreement is a substring search: the only rotations are
+            # the two of the unoriented key of each oracle image no longer
+            # than some base word, so a long image gets none
+            assert len(rotations) == 2 * short
 
 
 class TestCrosscheckCommand:
