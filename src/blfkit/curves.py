@@ -31,10 +31,12 @@ The order need not be taut: along a run of edges that two strands share,
 the side whose ray decides flips with the slot labels, which can leave
 bigons, pairs of crossings of opposite sign.
 
-Twists and geometric intersection numbers never read the configuration,
-and signed counts only when neither curve is simple.  Twists, projections
-across a cut, smoothings and signed counts need only where a curve ``x``
-crosses one simple curve ``c``, and the order of x's points among
+Twists and intersection numbers never read the configuration, which
+``render`` draws.  :func:`algebraic_intersection` needs no minimal
+position: bigons cancel, so any transverse position serves, and one pass
+over both words counts the one with u's points first along every edge.
+Twists, projections across a cut and smoothings need only where a curve
+``x`` crosses one simple curve ``c``, and the order of x's points among
 themselves never changes which of c's chords an x chord crosses.  So
 :func:`passage_crossings` places each point of ``x`` among c's alone, by
 its forward ray among c's rays leaving the same slot, in one backward
@@ -45,17 +47,13 @@ the side ``x`` keeps: a linked run crosses once, at its backward end,
 and no bigon is left.  So the crossings listed are those of a minimal
 position, ``i(x, c)`` of them for a closed ``x`` (Farb and Margalit,
 *Primer*, section 3.1).  What the pass reads is kept on ``c``
-(``_crossing_data``).  A point where ``x`` exits through token ``t`` and
-then through ``u`` has its forward ray's first step fixed by the pair
-``(t, u)``, and so is everything the pass needs there: the point's
-place if ``c`` takes no such step, else the map from the next point's
-place; c's points before the point's two ends; and the polygon of
-``t``.  That is one entry of a table keyed by token pairs and filled on
-first use (``_PairTable``), so the pass reads one entry per token and
-never computes x's own steps.  It takes time and memory linear in
-``|x| + |c|`` and the crossings it lists: c's chords in a polygon nest
-like brackets, so a chord of ``x`` finds those it crosses in one step
-each (``_ChordTable``).
+(``_crossing_data``), read off the arrangement of c's chords that
+:func:`is_simple` traces, so a simple curve is never ranked; the pass
+reads one entry per token of a table keyed by x's token pairs
+(``_PairTable``) and never computes x's own steps.  It takes time and
+memory linear in ``|x| + |c|`` and the crossings it lists: c's chords in
+a polygon nest like brackets, so a chord of ``x`` finds those it crosses
+in one step each (``_ChordTable``).
 
 :func:`is_simple` reads the curve's own chords and ranks no rays
 (Erickson and Nayyeri 2013; Farb and Margalit, *Primer*, sections
@@ -92,7 +90,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter, defaultdict
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import chain
 from math import inf
@@ -844,49 +842,32 @@ def _crossing_data(c: ClosedCurve):
     the number of c's points counterclockwise before each slot of its
     polygon and before the end of each slot; the table of chord crossings
     (``_ChordTable``); and the insertion words (``_InsertionWords``).
+    Raises ``NotSimpleError`` unless ``c`` is simple.
 
-    The pair table reads, for each slot, the first steps of c's rays
-    leaving it in rank order, and each step's block map.  The rays of
-    ``c`` that leave one slot with one first step ``f`` are a block ``lo
-    .. hi - 1`` of those, and they continue, in the same order, into a
-    block of the rays leaving the partner of f's target that starts at
-    ``b``: one contiguous block, because c's chords from one slot to
-    another are parallel.  So a ray taking step ``f`` with ``v`` of c's
-    rays below its successor has ``clamp(v + lo - b, lo, hi)`` below it.
-    c's own points sit in the order of its ranked rays on both sides of
-    an edge, as ``c`` is simple.
+    All of it is read from the arrangement that ``_traces_once`` traces;
+    no ray is ranked.  The ``n`` chords of type ``(s, t)`` hold the rays
+    leaving ``s`` with first step ``s -> t``, clockwise along ``s``, which
+    is their rank order, at places ``lo .. lo + n - 1``; they continue, in
+    order, into the rays leaving ``partner(t)`` from the place ``p`` of
+    block ``(t, s)`` along ``t``.  So a ray taking that step with ``v`` of
+    c's rays below its successor has ``clamp(v + lo - p, lo, lo + n)``
+    below it.  c's points are where the trace enters each polygon.
     """
     if c._crossing_data is None:
+        found = _traces_once(c) if c.tokens else None
+        if found is None:
+            raise NotSimpleError(f"{c!r} is not an embedded closed curve")
+        (types, start, base, end), (walk, r, backward) = found
         scheme = c.scheme
         partner, location = scheme.partner, scheme.location
-        toks = c.tokens
-        m = len(toks)
-        ranks = _ray_ranks((c,))[0]
-        fwd, bwd = _ray_steps(c)
-        steps = fwd + bwd
-        # node k is the forward ray from point k, leaving partner(tokens[k]);
-        # node m + k the backward ray, leaving tokens[k]
-        leaving: Dict[SlotId, list] = defaultdict(list)
-        for k, t in enumerate(toks):
-            leaving[partner[t]].append((ranks[k], k))
-            leaving[t].append((ranks[m + k], m + k))
-        place = [0] * (2 * m)
-        firsts: Dict[SlotId, List[int]] = {}
-        for s, rays in leaving.items():
-            rays.sort()
-            firsts[s] = [steps[node] for _, node in rays]
-            for i, (_, node) in enumerate(rays):
-                place[node] = i
-        # a step's lowest ray comes first, and its successor starts the
-        # block; forward rays step up the word and backward rays down it
+        steps = _step_table(scheme)
+        firsts = {s: [0] * (end[s] - base[s]) for s in end}
         maps: Dict[int, Tuple[int, int, int]] = {}
-        for s, rays in leaving.items():
-            row = firsts[s]
-            for lo, (_, node) in enumerate(rays):
-                f = row[lo]
-                if f not in maps:
-                    succ = (node + 1) % m if node < m else m + (node - 1) % m
-                    maps[f] = (lo, bisect_right(row, f), lo - place[succ])
+        for (s, t), n in types.items():
+            lo = end[s] - start[s, t] - n
+            f = steps[s, t]
+            firsts[s][lo:lo + n] = [f] * n
+            maps[f] = (lo, lo + n, lo - start[t, s] + base[t])
         before: Dict[SlotId, int] = {}
         after: Dict[SlotId, int] = {}
         sizes = []
@@ -897,14 +878,22 @@ def _crossing_data(c: ClosedCurve):
                 n += len(firsts.get(s, ()))
                 after[s] = n
             sizes.append(n)
-        # c's point k, with place[k] rays below its forward ray, sits that
-        # many points into its exit slot and one more back from the end of
-        # the partner slot; passage k runs from point k - 1 to point k
-        chords: Dict[int, List[Tuple[int, int, int]]] = {}
-        fplace = place[:m]
+        # after step i the trace enters at walk[i + 1]: c's point i + r, or,
+        # read against c, point -2 - i - r, through its token's own slot.
+        # Entry q of slot a is q - base[a] points into a, and as many back
+        # from the end of its partner b
+        toks = c.tokens
+        m = len(toks)
+        points = [(0, 0)] * m  # (exit, entry) position of each point
+        for i, q in enumerate(walk[1:] + walk[:1]):
+            k = (-2 - i - r) % m if backward else (i + r) % m
+            t = toks[k]
+            a, b = (t, partner[t]) if backward else (partner[t], t)
+            here, there = before[a] + q - base[a], before[b] + end[a] - 1 - q
+            points[k] = (here, there) if backward else (there, here)
+        chords: Dict[int, List[Tuple[int, int, int]]] = defaultdict(list)
         for k, t in enumerate(toks):
-            entry = after[partner[toks[k - 1]]] - fplace[k - 1] - 1
-            chords.setdefault(location[t][0], []).append((k, entry, before[t] + fplace[k]))
+            chords[location[t][0]].append((k, points[k - 1][1], points[k][0]))
         c._crossing_data = (
             _PairTable(scheme, firsts, maps, before, after), _ChordTable(sizes, chords),
             _InsertionWords(c),
@@ -986,13 +975,30 @@ def passage_crossings(x: Item, c: ClosedCurve) -> List[Tuple[Tuple[int, int], ..
 
 
 def algebraic_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
-    """Signed crossings of ``u`` with ``v``: bigons cancel, so any position serves."""
-    pairs = ((u, v, 1), (v, u, -1))
-    for x, c, sign in pairs if len(v.tokens) <= len(u.tokens) else pairs[::-1]:
-        if is_simple(c):
-            return sign * sum(s for row in passage_crossings(x, c) for _, s in row)
-    cfg = TautConfig(u.scheme, {"u": u, "v": v})
-    return sum(s for _, _, s in cfg.crossings("u", "v"))
+    """Signed crossings of ``u`` with ``v``, signed as by ``TautConfig.crossings``.
+
+    Any transverse position serves (Farb and Margalit, *Primer*, section
+    1.2.3): u's points come first along each edge, read from its primary
+    slot.  ``v`` enters through slot ``s`` ``net(s)`` times more than it
+    leaves, and a chord of ``u`` crosses ``v`` by the sum of ``net`` over
+    the points counterclockwise from its entry to its exit; ``cut[s]``
+    sums ``net`` counterclockwise before u's points on ``s``.
+    """
+    scheme = u.scheme
+    if v.scheme is not scheme:
+        raise CurveError(f"{u!r} lives on a different scheme from {v!r}")
+    partner, edge_of = scheme.partner, scheme.edge_of
+    count = Counter(v.tokens)
+    cut: Dict[SlotId, int] = {}
+    for poly in scheme.polygons:
+        total = 0
+        for s in poly:
+            t = partner.get(s)
+            if t is not None:
+                net = count[t] - count[s]
+                cut[s] = total if edge_of[s][0] == s else total + net
+                total += net
+    return sum(cut[t] - cut[partner[t]] for t in u.tokens)
 
 
 def _sweep(rows: List[Tuple[int, int, int, int, int]], cross: int) -> int:
@@ -1096,14 +1102,17 @@ def geometric_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
     return pu * pv * _linked_crossings((ru, rv))
 
 
-def _traces_once(c: ClosedCurve) -> bool:
-    """Does the non-crossing arrangement of c's chords trace c once round?
+def _traces_once(c: ClosedCurve):
+    """The non-crossing arrangement of c's chords, if it traces c once round.
 
-    The arrangement argument is in the module docstring.  Point ``p`` of
-    slot ``s`` is entry ``base[s] + p`` of one list.  Following the chord
-    at an entry, and crossing the edge at its other end, reaches the next
-    entry; a block of parallel chords maps its entries to a run of
-    entries.
+    The argument is in the module docstring.  Point ``p`` of slot ``s``,
+    counterclockwise, is entry ``base[s] + p`` of one list, up to
+    ``end[s]``; the ``chords[s, t]`` chords of type ``(s, t)`` start at
+    entry ``start[s, t]``.  Following the chord at an entry, and crossing
+    the edge at its other end, reaches the next entry.  Returns ``None``,
+    or the blocks ``(chords, start, base, end)`` and the trace ``(walk, r,
+    backward)``: the entries visited from entry 0, and the rotation of
+    c's word, or of its reverse, that it reads.
     """
     scheme = c.scheme
     partner, location, polygons, rank = scheme.partner, scheme.location, scheme.polygons, scheme.rank
@@ -1129,7 +1138,7 @@ def _traces_once(c: ClosedCurve) -> bool:
             while stack and stack[-1] <= i:
                 stack.pop()
             if stack and stack[-1] < -j:
-                return False
+                return None
             stack.append(-j)
     # on each slot, one block per type, the farthest counterclockwise first
     start: Dict[Tuple[SlotId, SlotId], int] = {}
@@ -1158,22 +1167,25 @@ def _traces_once(c: ClosedCurve) -> bool:
         walk[k] = p
         p = nxt[p]
     if p or walk.count(0) > 1:
-        return False
+        return None
     traced = "".join(map(word.__getitem__, walk))
-    forward = "".join(map(chr, map(rank.__getitem__, toks)))
+    blocks = (chords, start, base, end)
+    r = ("".join(map(chr, map(rank.__getitem__, toks))) * 2).find(traced)
+    if r >= 0:
+        return blocks, (walk, r, False)
     # the entries reversed are a rotation of the reversed word
-    backward = "".join(map(chr, map(rank.__getitem__, reversed(entries))))
-    return traced in forward * 2 or traced in backward * 2
+    r = ("".join(map(chr, map(rank.__getitem__, reversed(entries)))) * 2).find(traced)
+    return None if r < 0 else (blocks, (walk, r, True))
 
 
 def is_simple(c: ClosedCurve) -> bool:
     """Is ``c`` an embedded essential curve?  Decided once per curve.
 
-    Traces the non-crossing arrangement of c's chords, in time linear in
-    ``|c|`` (see the module docstring); no ray is ranked.
+    Traces the non-crossing arrangement of c's chords in time linear in
+    ``|c|`` and keeps the verdict (see the module docstring).
     """
     if c._simple is None:
-        c._simple = not c.is_null and _traces_once(c)
+        c._simple = not c.is_null and _traces_once(c) is not None
     return c._simple
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import HandleMoveError, SchemeError
@@ -73,17 +74,11 @@ def smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> List[int]:
         for i in range(len(factors) - 1):
             a, b = factors[i], factors[i + 1]
             if b % a:
-                g = _gcd(a, b)
+                g = gcd(a, b)
                 factors[i], factors[i + 1] = g, a * b // g
                 changed = True
         factors.sort()
     return factors
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # -- presentations ---------------------------------------------------------

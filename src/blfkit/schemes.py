@@ -238,23 +238,28 @@ class Scheme:
             while True:
                 circle.append(u)
                 todo.discard(u)
-                u = self._next_boundary_slot(u)
+                u = self._corner_walk(u)[1]
                 if u == start:
                     break
             circles.append(tuple(circle))
         return sorted(circles)
 
-    def _next_boundary_slot(self, u: SlotId) -> SlotId:
-        """Walk from boundary slot ``u`` across its end corner to the next one."""
+    def _corner_walk(self, u: SlotId) -> Tuple[List[SlotId], SlotId]:
+        """Walk from boundary slot ``u`` across its end corner to the next one.
+
+        Returns the glued slots crossed, each on the near side, and the
+        boundary slot reached.
+        """
+        crossed: List[SlotId] = []
         pi, pos = self.location[u]
         for _ in range(2 * len(self.location) + 2):
             poly = self.polygons[pi]
             pos = (pos + 1) % len(poly)
             s = poly[pos]
             if s not in self.partner:
-                return s
-            t = self.partner[s]
-            pi, pos = self.location[t]
+                return crossed, s
+            crossed.append(s)
+            pi, pos = self.location[self.partner[s]]
         raise SchemeError("boundary walk failed to close up")
 
     def boundary_parallel_tokens(self, circle: Tuple[SlotId, ...]) -> Tuple[SlotId, ...]:
@@ -263,21 +268,7 @@ class Scheme:
         The curve crosses exactly the glued slots traversed while walking the
         circle, exiting through the slot on the near side each time.
         """
-        tokens: List[SlotId] = []
-        for u in circle:
-            pi, pos = self.location[u]
-            for _ in range(2 * len(self.location) + 2):
-                poly = self.polygons[pi]
-                pos = (pos + 1) % len(poly)
-                s = poly[pos]
-                if s not in self.partner:
-                    break
-                tokens.append(s)
-                t = self.partner[s]
-                pi, pos = self.location[t]
-            else:
-                raise SchemeError("boundary walk failed to close up")
-        return tuple(tokens)
+        return tuple(s for u in circle for s in self._corner_walk(u)[0])
 
     def genus(self) -> int:
         chi = self.euler_characteristic()

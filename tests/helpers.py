@@ -1,6 +1,6 @@
 """Reference counts shared by the test modules."""
 
-from blfkit import curves
+from blfkit import ClosedCurve, curves
 
 
 def random_word(sch, rng, length):
@@ -12,6 +12,15 @@ def random_word(sch, rng, length):
         here = location[partner[word[-1]]][0]
         word.append(rng.choice([t for t in glued if location[t][0] == here]))
     return word
+
+
+def random_curve(sch, rng, length):
+    """A random closed curve of at most ``length >= 2`` tokens: a ``random_word`` that closes up."""
+    partner, location = sch.partner, sch.location
+    while True:
+        word = random_word(sch, rng, rng.randint(1, length))
+        if location[partner[word[-1]]][0] == location[word[0]][0]:
+            return ClosedCurve(sch, word)
 
 
 def linked_intersection(u, v):

@@ -13,7 +13,6 @@ import functools
 import random
 import time
 import tracemalloc
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +25,7 @@ from blfkit import (
     geometric_intersection,
     hexagon_scheme,
     is_simple,
+    round_surgery,
     square_torus_scheme,
 )
 from blfkit import curves
@@ -33,7 +33,9 @@ from blfkit.curves import TautConfig, intersection_form, pair_homology
 from blfkit.errors import CurveError
 from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
 from blfkit.twists import relabel_curve
-from helpers import linked_intersection, random_word, self_crossings, simple_by_self_count
+from helpers import (
+    linked_intersection, random_curve, random_word, self_crossings, simple_by_self_count,
+)
 
 
 def _ray(item, k, forward, length):
@@ -399,37 +401,62 @@ def config_signs(u, v):
     return sum(s for _, _, s in TautConfig(u.scheme, {"u": u, "v": v}).crossings("u", "v"))
 
 
+def _simple_curve(sc, sch, rng):
+    """A simple curve: a short twist word's image on a family, else a short random one."""
+    if sc is not None:
+        names = sorted(sc.curves)
+        word = TwistWord(tuple(
+            (sc.curves[rng.choice(names)], rng.choice((1, -1)))
+            for _ in range(rng.randint(0, 3))
+        ))
+        return word.apply(sc.curves[rng.choice(names)])
+    while True:
+        c = random_curve(sch, rng, 6)
+        if is_simple(c):
+            return c
+
+
 class TestAlgebraicIntersection:
     def test_against_a_configuration(self):
-        # seeded pairs on one scheme, each in both orders: a simple curve
-        # from a short twist word against random words, its powers and
-        # twists along it, and pairs of random words
+        # seeded pairs, each in both orders: a simple curve against random
+        # words, its powers and twists along it, and pairs of random words;
+        # on families 1-3, the two-polygon surfaces round surgery leaves of
+        # them, and the square torus
         rng = random.Random(12)
         scenarios = [family_scenario(n) for n in (1, 2, 3)]
-        which = Counter()
+        pool = [(sc, sc.scheme) for sc in scenarios] + [
+            (None, round_surgery(sc.scheme, sc.curves[sc.surgery_name]).scheme)
+            for sc in scenarios
+        ] + [(None, square_torus_scheme().build())]
+        several = neither = 0
         for _ in range(150):
-            sc = rng.choice(scenarios)
-            sch = sc.scheme
-            names = sorted(sc.curves)
-            word = TwistWord(tuple(
-                (sc.curves[rng.choice(names)], rng.choice((1, -1)))
-                for _ in range(rng.randint(0, 3))
-            ))
-            c = word.apply(sc.curves[rng.choice(names)])
-            y = ClosedCurve(sch, random_word(sch, rng, rng.randint(1, 14)))
+            sc, sch = rng.choice(pool)
+            c = _simple_curve(sc, sch, rng)
+            y = random_curve(sch, rng, 14)
             pairs = [
                 (y, c),
                 (ClosedCurve(sch, c.tokens * rng.randint(2, 3)), y),
                 (dehn_twist(y, c, rng.choice((-1, 1))), c),
-                (y, ClosedCurve(sch, random_word(sch, rng, rng.randint(1, 14)))),
+                (y, random_curve(sch, rng, 14)),
             ]
             for u, v in pairs:
                 for a, b in ((u, v), (v, u)):
                     assert algebraic_intersection(a, b) == config_signs(a, b), (a, b)
-                    shorter, longer = sorted((a, b), key=lambda z: len(z.tokens))
-                    which[is_simple(shorter), is_simple(longer)] += 1
-        # every branch: the shorter curve simple, only the longer, neither
-        assert min(which[True, False], which[False, True], which[False, False]) > 20, which
+                    several += len(sch.polygons) > 1
+                    neither += not is_simple(a) and not is_simple(b)
+        assert several > 20 and neither > 20, (several, neither)
+
+    def test_long_pair_neither_simple(self):
+        # the configuration of this pair took 103-107 s
+        (u, v), _ = _long_pair()
+        assert not is_simple(u) and not is_simple(v)
+        form = intersection_form(u.scheme)
+        start = time.perf_counter()
+        alg = algebraic_intersection(u, v)
+        took = time.perf_counter() - start
+        assert took < 0.5, f"{took:.3f} s at {len(u.tokens)} and {len(v.tokens)} tokens"
+        assert alg == pair_homology(form, u.homology(), v.homology())
+        assert algebraic_intersection(v, u) == -alg
 
     def test_long_word_against_a_simple_curve(self, builds):
         # the configuration of T_c^2(C3), 46,168 tokens, and c took 1.6 s;
@@ -505,6 +532,20 @@ def ranked(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def traced(monkeypatch):
+    """The word of every curve whose chord arrangement is traced while the test runs."""
+    seen = []
+    trace = curves._traces_once
+
+    def counting(c):
+        seen.append(c.tokens)
+        return trace(c)
+
+    monkeypatch.setattr(curves, "_traces_once", counting)
+    return seen
+
+
 class TestCost:
     def test_long_rung(self):
         # the all-pairs chord test took 32.6 s for is_simple on this rung
@@ -523,8 +564,9 @@ class TestCost:
         assert abs(alg) <= i and (i - alg) % 2 == 0
 
     def test_two_fresh_long_curves(self):
-        # the shorter curve is ranked for its crossing data, and the longer
-        # is read once against it; ranking the two together took 0.12 s and 0.6 s
+        # the shorter curve's crossing data is read off its arrangement, and
+        # the longer is read once against it; ranking the two together took
+        # 0.12 s and 0.6 s
         sc, x = _rung(8)
         assert len(x.tokens) == 6300
         c3 = sc.curves["C3"]
@@ -544,7 +586,8 @@ class TestCost:
 
     def test_long_word_against_a_simple_curve(self, ranked):
         # T_c^2(C3) runs beside c for most of its 46,168 tokens; ranking its
-        # rays for the linked-run count took 0.61-0.70 s
+        # rays for the linked-run count took 0.61-0.70 s.  Neither the
+        # twist curve c nor x is ranked
         sc, c = _rung(4)
         x = dehn_twist(sc.curves["C3"], c, 2)
         assert (len(c.tokens), len(x.tokens)) == (135, 46168)
@@ -553,8 +596,7 @@ class TestCost:
         took = time.perf_counter() - start
         assert took < 0.5, f"{took:.3f} s at {len(x.tokens)} and {len(c.tokens)} tokens"
         assert geometric_intersection(c, x) == 171
-        fwd, bwd = curves._ray_steps(x)
-        assert ranked and fwd + bwd not in ranked
+        assert ranked == []
 
     def test_two_fresh_long_curves_neither_simple(self):
         # the shorter curve's trace finds it not simple in 0.01 s, and the
@@ -646,47 +688,36 @@ class TestBuilds:
         is_simple(ClosedCurve(x.scheme, x.tokens))
         assert builds == []
 
-    def test_first_twist_along_a_fresh_curve_builds_nothing(self, builds, ranked):
-        # c's simplicity is traced without ranks, and its crossing data
-        # ranks its rays once
+    def test_first_twist_along_a_fresh_curve_builds_nothing(self, builds, ranked, traced):
+        # c's simplicity and its crossing data are both read off the
+        # arrangement of its chords, and no ray is ranked
         sc = get_scenario("negative-modification")
         c = dehn_twist(sc.curves["C2"], sc.curves["C1"], 2)
         del builds[:]
         del ranked[:]
+        del traced[:]
         dehn_twist(sc.curves["C3"], c)
-        fwd, bwd = curves._ray_steps(c)
         assert builds == []
-        assert ranked == [fwd + bwd]
+        assert ranked == []
+        assert traced == [c.tokens] * 2
 
     def test_each_curve_is_ranked_once(self, ranked):
         sc = get_scenario("negative-modification")
         a, b = sc.curves["C"], sc.curves["C1"]
         z = dehn_twist(dehn_twist(sc.curves["C3"], b, -1), a, 1)
         z = ClosedCurve(z.scheme, z.tokens)
-        # the twists ranked a and b for their crossing data
-        del ranked[:]
-
-        def times_ranked(c):
-            fwd, bwd = curves._ray_steps(c)
-            return ranked.count(fwd + bwd)
-
-        calls = [lambda: is_simple(z)] + [
-            lambda u=u, v=v: geometric_intersection(u, v) for u, v in ((z, a), (z, b), (a, z))
-        ]
-        for call in calls:
-            call()
-        # is_simple ranks no rays, and z is the longer curve of each pair
-        assert times_ranked(z) <= 1
-        assert times_ranked(a) <= 1 and times_ranked(b) <= 1
-        assert len(ranked) == times_ranked(z) + times_ranked(a) + times_ranked(b)
-        del ranked[:]
-        for call in calls:
-            call()
+        # neither the twists nor these counts, repeated, rank a, b or z:
+        # each pair's shorter curve is simple, and its crossing data is traced
+        for _ in range(2):
+            is_simple(z)
+            for u, v in ((z, a), (z, b), (a, z)):
+                geometric_intersection(u, v)
         assert ranked == []
 
     def test_pair_after_simplicity_builds_no_table(self, ranked):
         # is_simple ranks no rays, and a pair whose shorter curve is simple
-        # reads x once against that curve's crossing data, never ranking x
+        # reads x once against that curve's crossing data, which is traced:
+        # neither x nor the twist curve is ranked
         sc, x = _rung(5)
         assert is_simple(x)
         for c in sc.curves.values():
@@ -695,23 +726,24 @@ class TestBuilds:
         assert ranked == []
         for c in sc.curves.values():
             assert geometric_intersection(x, c) == geometric_intersection(c, x)
-        fwd, bwd = curves._ray_steps(x)
-        assert ranked and fwd + bwd not in ranked
+        assert ranked == []
 
-    def test_a_power_keeps_its_root(self, ranked):
+    def test_a_power_keeps_its_root(self, ranked, traced):
         # the root of c^2 is found once and kept, so its crossing data is
-        # built, and its rays ranked, on the first count only
+        # built, from the root's arrangement, on the first count only; no
+        # ray is ranked
         sc, c = _rung(4)
         y = dehn_twist(sc.curves["C3"], c)
         c2 = ClosedCurve(c.scheme, c.tokens * 2)
         root, power = c2.primitive_root()
         assert power == 2 and c2.primitive_root()[0] is root
-        # the twist ranked c, whose word is the root's
-        del ranked[:]
-        fwd, bwd = curves._ray_steps(root)
+        assert is_simple(root)
+        # the twist traced c, whose word is the root's
+        del traced[:]
         counts = [geometric_intersection(y, c2) for _ in range(3)]
         assert counts == [2 * geometric_intersection(y, c)] * 3
-        assert ranked.count(fwd + bwd) == 1
+        assert traced == [root.tokens]
+        assert ranked == []
 
     def test_curves_on_two_schemes_raise(self):
         # two builds of one scenario give two schemes, whose slots coincide
@@ -722,6 +754,10 @@ class TestBuilds:
                 geometric_intersection(x, c)
             with pytest.raises(CurveError):
                 geometric_intersection(c, x)
+            with pytest.raises(CurveError):
+                algebraic_intersection(x, c)
+            with pytest.raises(CurveError):
+                algebraic_intersection(c, x)
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_joining_pairs_have_no_bigons(self, name):

@@ -14,6 +14,7 @@ crossing with the cut curve as an obstruction: the two must agree.
 
 import contextlib
 import functools
+import itertools
 import random
 import signal
 import time
@@ -26,8 +27,10 @@ from blfkit import (
     Arc,
     ClosedCurve,
     TwistWord,
+    algebraic_intersection,
     dehn_twist,
     hexagon_scheme,
+    is_simple,
     project,
     round_surgery,
     square_torus_scheme,
@@ -35,12 +38,13 @@ from blfkit import (
 from blfkit import Projection, curves, oracle, twists
 from blfkit.curves import (
     TautConfig,
+    insertion_words,
     intersection_form,
     passage_crossings,
 )
-from blfkit.errors import CurveError, ProjectionObstructedError
+from blfkit.errors import CurveError, NotSimpleError, ProjectionObstructedError
 from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
-from helpers import linked_intersection
+from helpers import linked_intersection, random_curve
 
 _STOP = ("stop",)
 
@@ -300,8 +304,8 @@ def assert_taut_rows(x, c, rows, brute=None):
     to orientation.  Its rows, or an arc's, are no more than ``brute``,
     the configuration's crossings of it with ``c`` (each ending in its
     sign), and have the same sum of signs, which is invariant (rel
-    endpoints for an arc); ``algebraic_intersection`` with a simple ``c``
-    sums these rows' signs, so it is no reference here.
+    endpoints for an arc): for a closed ``x``, ``algebraic_intersection``,
+    which reads neither the rows nor a configuration.
     """
     count = sum(map(len, rows))
     signs = sum(sign for row in rows for _, sign in row)
@@ -309,6 +313,7 @@ def assert_taut_rows(x, c, rows, brute=None):
         brute = TautConfig(x.scheme, {"c": c, "x": x}).crossings("x", "c")
     if isinstance(x, ClosedCurve):
         assert count == linked_intersection(x, c), (x, c)
+        assert signs == algebraic_intersection(x, c), (x, c)
     assert count <= len(brute), (x, c)
     assert signs == sum(sign for *_, sign in brute), (x, c)
 
@@ -909,6 +914,49 @@ class TestPairTable:
             fwd, bwd = curves._ray_steps(c)
             shared += bool(x.tokens) and set(curves._ray_steps(x)[0]) <= set(fwd + bwd)
         assert closed > 120 and arcs > 60 and long > 30 and shared > 50
+
+
+    def test_points_of_c_match_a_configuration(self):
+        # c's chords, read off the trace of its arrangement, sit where a
+        # configuration of c alone puts them, whichever way the trace runs
+        # along c: every simple reduced word of up to four tokens on the
+        # hexagon, and seeded simple curves on the two-polygon surfaces
+        # round surgery leaves of families 1-3 and on the square torus
+        hexagon = hexagon_scheme().build()
+        glued = sorted(hexagon.partner, key=hexagon.rank.get)
+        cs = [ClosedCurve(hexagon, w) for n in range(1, 5) for w in itertools.product(glued, repeat=n)]
+        rng = random.Random(8)
+        for sch in [square_torus_scheme().build()] + [
+            round_surgery(sc.scheme, sc.curves[sc.surgery_name]).scheme
+            for sc in map(family_scenario, (1, 2, 3))
+        ]:
+            cs += [random_curve(sch, rng, 8) for _ in range(150)]
+        backward = forward = 0
+        for c in cs:
+            if not is_simple(c):
+                continue
+            c = fresh(c)
+            table = curves._crossing_data(c)[1]
+            got = sorted((k, pi, a, b) for pi, chords in table.chords.items() for k, a, b in chords)
+            config = TautConfig(c.scheme, {"c": c})
+            assert got == sorted((k,) + chord for k, chord in enumerate(config._chords["c"])), c
+            runs_back = curves._traces_once(c)[1][2]
+            backward += runs_back
+            forward += not runs_back
+        assert backward > 10 and forward > 100, (backward, forward)
+
+
+class TestNotSimple:
+    @pytest.mark.parametrize("word", [(0, 1, 3, 1), (0, 0)])
+    def test_crossing_data_raises(self, word):
+        # (0, 1, 3, 1) crosses itself, and (0, 0) is a power
+        sc = get_scenario("negative-modification")
+        c = ClosedCurve(sc.scheme, word)
+        assert not is_simple(c)
+        with pytest.raises(NotSimpleError):
+            passage_crossings(sc.curves["C1"], c)
+        with pytest.raises(NotSimpleError):
+            insertion_words(c)
 
 
 class TestIntersectionFormCache:
