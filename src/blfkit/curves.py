@@ -842,7 +842,8 @@ def _crossing_data(c: ClosedCurve):
     the number of c's points counterclockwise before each slot of its
     polygon and before the end of each slot; the table of chord crossings
     (``_ChordTable``); and the insertion words (``_InsertionWords``).
-    Raises ``NotSimpleError`` unless ``c`` is simple.
+    Raises ``NotSimpleError`` unless ``c`` is simple, and keeps the
+    verdict that ``is_simple`` reads.
 
     All of it is read from the arrangement that ``_traces_once`` traces;
     no ray is ranked.  The ``n`` chords of type ``(s, t)`` hold the rays
@@ -854,7 +855,8 @@ def _crossing_data(c: ClosedCurve):
     below it.  c's points are where the trace enters each polygon.
     """
     if c._crossing_data is None:
-        found = _traces_once(c) if c.tokens else None
+        found = _traces_once(c) if c.tokens and c._simple is not False else None
+        c._simple = found is not None
         if found is None:
             raise NotSimpleError(f"{c!r} is not an embedded closed curve")
         (types, start, base, end), (walk, r, backward) = found
@@ -1187,9 +1189,3 @@ def is_simple(c: ClosedCurve) -> bool:
     if c._simple is None:
         c._simple = not c.is_null and _traces_once(c) is not None
     return c._simple
-
-
-def require_simple(c: ClosedCurve) -> None:
-    if not is_simple(c):
-        raise NotSimpleError(f"{c!r} is not an embedded closed curve")
-

@@ -26,7 +26,7 @@ class InessentialCurveError(BlfkitError):
 
 
 class StandardizationError(BlfkitError):
-    """A simple curve could not be moved to a coordinate position for surgery."""
+    """``surgery.standardize`` stopped: no coordinate twist shortens the word."""
 
 
 class ProjectionObstructedError(BlfkitError):

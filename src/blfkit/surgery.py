@@ -5,11 +5,17 @@ token, i.e. a curve running parallel to a glued edge whose two sides lie in
 the same polygon.  The polygon splits at the two chord copies of the curve;
 the half-edges fold onto each other inside each piece and the cut circles
 are capped with disks (the scars).  Slot ids survive the cut, so curves and
-arcs disjoint from the cut curve transfer verbatim.  A simple curve of
-more than one token is first moved to a coordinate curve by a word of
-twists (``standardize``), kept as ``SurgeryResult.standardization``, and
-every projected item is carried through that word before it is read
-against the cut curve.
+arcs disjoint from the cut curve transfer verbatim.
+
+A longer simple curve is first moved to a coordinate curve by length
+descent (``standardize``), each step taking the coordinate twist that
+shortens the word most.  Where none does, it raises
+``StandardizationError``, as on the hexagon's separating and
+boundary-parallel curves, but also on some non-separating words of the
+(4n+2)-gon family, so a stuck curve need not be separating.  The twist
+word, empty for a one-token curve, is kept as
+``SurgeryResult.standardization``, and every projected item is carried
+through it before it is read against the cut curve.
 
 ``project`` pushes a curve or arc of the old surface into the new one.  An
 item that crosses the cut curve is obstructed: no band slide over the round
@@ -22,11 +28,11 @@ are counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from .curves import Arc, ClosedCurve, Item, is_simple, passage_crossings
 from .errors import (
+    CurveError,
     InessentialCurveError,
     ProjectionObstructedError,
     StandardizationError,
@@ -44,61 +50,54 @@ class SurgeryResult:
     scheme: Scheme
     cut_slots: Tuple[SlotId, SlotId]
     scar_count: int
-    standardization: Optional[TwistWord] = None
+    standardization: TwistWord
 
 
-# the number of twists ``standardize`` composes before it gives up
-STANDARDIZE_DEPTH = 4
+def standardize(curve: ClosedCurve) -> Tuple[ClosedCurve, TwistWord]:
+    """Move a simple closed curve to a one-token word by length descent.
 
-
-def standardize(curve: ClosedCurve) -> Tuple[ClosedCurve, Optional[TwistWord]]:
-    """Move a simple closed curve to a one-token word by twisting, if possible.
-
-    Returns the coordinate image and the twist word used (None when the
-    curve is already coordinate).  Breadth-first search over twists along
-    the coordinate curves of the scheme.
+    Returns the one-token image and the twist word that makes it, empty
+    when the curve already has one token.  While the word is longer, each
+    step twists it both ways along every coordinate curve (an edge class
+    whose two sides lie in one polygon) and keeps the shortest image, the
+    first in ``glued_classes`` order with +1 before -1.  Every step drops
+    a token, so there are fewer steps than tokens.  Raises
+    ``StandardizationError`` when no twist shortens the word, which
+    includes a scheme with no coordinate curve.
     """
-    if len(curve.tokens) == 1:
-        return curve, None
-    scheme = curve.scheme
-    generators = []
-    for s, t in scheme.glued_classes:
-        if scheme.polygon_of(s) == scheme.polygon_of(t):
-            generators.append(ClosedCurve(scheme, (s,)))
-    seen = {curve.canonical()}
-    frontier: List[Tuple[ClosedCurve, TwistWord]] = [(curve, TwistWord(()))]
-    for _ in range(STANDARDIZE_DEPTH):
-        nxt = []
-        for cur, word in frontier:
-            for g, p in product(generators, (1, -1)):
-                img = dehn_twist(cur, g, p)
-                key = img.canonical()
-                if key in seen:
-                    continue
-                seen.add(key)
-                w = TwistWord(((g, p),)) * word
-                if len(img.tokens) == 1:
-                    return img, w
-                nxt.append((img, w))
-        frontier = nxt
-    raise StandardizationError(
-        f"{curve!r} could not be moved to a coordinate position"
-    )
+    word = TwistWord(())
+    if len(curve.tokens) > 1:
+        scheme = curve.scheme
+        twists = [(ClosedCurve(scheme, (s,)), p) for s, t in scheme.glued_classes
+                  if scheme.polygon_of(s) == scheme.polygon_of(t) for p in (1, -1)]
+    while len(curve.tokens) > 1:
+        images = ((dehn_twist(curve, g, p), (g, p)) for g, p in twists)
+        best = min(images, key=lambda e: len(e[0].tokens), default=None)
+        if best is None or len(best[0].tokens) >= len(curve.tokens):
+            raise StandardizationError(
+                f"length descent stops at {curve!r}: no coordinate twist shortens it"
+            )
+        curve = best[0]
+        word = TwistWord((best[1],)) * word
+    return curve, word
 
 
 def round_surgery(scheme: Scheme, curve: ClosedCurve) -> SurgeryResult:
-    """Cut along a simple closed curve and cap the two scar circles."""
+    """Cut along a simple closed curve, moved to one token by ``standardize``, and cap.
+
+    Raises ``CurveError`` for a curve on another scheme, and
+    ``InessentialCurveError`` for a null or non-simple one or a disk cut.
+    """
+    if curve.scheme is not scheme:
+        raise CurveError(f"{curve!r} lives on a different scheme from the one to cut")
     if curve.is_null:
         raise InessentialCurveError("cannot cut along a nullhomotopic curve")
     if not is_simple(curve):
         raise InessentialCurveError("can only cut along an embedded curve")
-    used = None
-    if len(curve.tokens) != 1:
-        curve, used = standardize(curve)
+    curve, used = standardize(curve)
+    # a one-token closed word has both sides of its edge in one polygon
     x = curve.tokens[0]
     xbar = scheme.partner[x]
-    if scheme.polygon_of(x) != scheme.polygon_of(xbar):
-        raise StandardizationError("cut edge must have both sides in one polygon")
     pi = scheme.polygon_of(x)
     poly = scheme.polygons[pi]
     i, j = poly.index(x), poly.index(xbar)
@@ -133,8 +132,7 @@ class Projection:
 
 def project(sr: SurgeryResult, item: Item) -> Projection:
     """Carry a curve or arc of the cut surface into the surgered one."""
-    if sr.standardization is not None:
-        item = sr.standardization.apply(item)
+    item = sr.standardization.apply(item)
     # passage_crossings lists the crossings of a minimal position with the
     # cut curve c.  A band slide inserts a parallel copy of c, which is
     # disjoint from c, and the crossing where it goes in stays, so no slide

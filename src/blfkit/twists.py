@@ -31,7 +31,6 @@ from .curves import (
     insertion_words,
     intersection_form,
     passage_crossings,
-    require_simple,
 )
 from .errors import CurveError
 from .schemes import Relabeling, Scheme, SlotId
@@ -54,7 +53,8 @@ def dehn_twist(x: Item, c: ClosedCurve, power: int = 1) -> Item:
     """
     if power == 0 or c.is_null:
         return x
-    require_simple(c)
+    # raises NotSimpleError for a curve that is not simple
+    words = insertion_words(c)
     if isinstance(x, ClosedCurve) and x.is_null:
         return x
     rows = passage_crossings(x, c)
@@ -64,7 +64,6 @@ def dehn_twist(x: Item, c: ClosedCurve, power: int = 1) -> Item:
             f"twisting {len(x.tokens)} tokens {power} times along {len(c.tokens)} tokens"
             f" builds {size} tokens, more than {MAX_TWIST_TOKENS}"
         )
-    words = insertion_words(c)
     toks = x.tokens
     new_tokens: List[SlotId] = []
     # copies go in before token k, so x's tokens are copied in runs up to

@@ -1,6 +1,7 @@
 """Cut-and-cap surgery and the projection of curves and arcs."""
 
 import random
+import time
 
 import pytest
 
@@ -15,8 +16,21 @@ from blfkit import (
     project,
     round_surgery,
 )
-from blfkit.errors import InessentialCurveError, ProjectionObstructedError
+from blfkit.errors import (
+    InessentialCurveError,
+    ProjectionObstructedError,
+    StandardizationError,
+)
+from blfkit.scenarios import family_scenario
 from helpers import random_word
+
+
+def ladder(C, C1, C2, k):
+    """The rungs (T_C T_C1^-1)^j (C2) for j = 0 .. k."""
+    rungs = [C2]
+    for _ in range(k):
+        rungs.append(dehn_twist(dehn_twist(rungs[-1], C1, -1), C, 1))
+    return rungs
 
 
 @pytest.fixture(scope="module")
@@ -48,27 +62,50 @@ class TestRoundSurgery:
             round_surgery(hexagon, ClosedCurve(hexagon, (0, 0)))
 
     def test_non_coordinate_curve_standardized(self, hexagon):
-        # a cut along C1, C2 or C3 first twists the curve to one token, and
-        # each item goes through the same twists, so exactly the items that
-        # miss the cut curve project
+        # a cut along a curve of several tokens first twists it to one
+        # token, in fewer twists than it has tokens, and each item goes
+        # through the same twists, so exactly the items that miss the cut
+        # curve project.  Items that miss the one-token image, carried
+        # back through the twists, miss the cut curve
+        C, C1, C2, C3 = (ClosedCurve(hexagon, w) for w in ((0,), (3, 2), (5, 4), (1, 0)))
+        family2 = family_scenario(2)
+        f = family2.curves
+        cases = [
+            (hexagon, [C1, C2, C3] + ladder(C, C1, C2, 4)[1:]),
+            (family2.scheme, [f["C1"], ladder(f["C"], f["C1"], f["C2"], 2)[2]]),
+        ]
         rng = random.Random(5)
-        pool = [ClosedCurve(hexagon, random_word(hexagon, rng, rng.randint(1, 8))) for _ in range(300)]
-        for word in ((3, 2), (5, 4), (1, 0)):
-            c = ClosedCurve(hexagon, word)
-            result = round_surgery(hexagon, c)
-            assert result.scheme.euler_characteristic() == 0
-            assert result.standardization is not None
-            missed = 0
-            for y in pool + [c]:
-                if y.is_null:
-                    continue
-                if geometric_intersection(y, c):
-                    with pytest.raises(ProjectionObstructedError):
+        for scheme, cuts in cases:
+            pool = [ClosedCurve(scheme, random_word(scheme, rng, rng.randint(1, 8))) for _ in range(300)]
+            for c in cuts:
+                result = round_surgery(scheme, c)
+                assert result.scheme.euler_characteristic() == scheme.euler_characteristic() + 2
+                assert 0 < len(result.standardization.steps) < len(c.tokens)
+                back = result.standardization.inverse()
+                pulled = [back.apply(y) for y in pool if not geometric_intersection(y, result.curve)]
+                missed = 0
+                for y in pool + pulled[:20] + [c]:
+                    if y.is_null:
+                        continue
+                    if geometric_intersection(y, c):
+                        with pytest.raises(ProjectionObstructedError):
+                            project(result, y)
+                    else:
                         project(result, y)
-                else:
-                    project(result, y)
-                    missed += 1
-            assert missed > 10, word
+                        missed += 1
+                assert missed > 10, c.tokens
+
+    def test_stalled_descent_raises(self, hexagon, cut):
+        # no coordinate twist shortens a boundary-parallel or separating
+        # curve, and the cut hexagon has no coordinate curve at all
+        cases = [ClosedCurve(hexagon, w) for w in ((0, 4, 2), (1, 5, 3), (2, 0, 5, 3))]
+        cases.append(ClosedCurve(cut.scheme, (1, 5)))
+        for c in cases:
+            start = time.perf_counter()
+            with pytest.raises(StandardizationError):
+                round_surgery(c.scheme, c)
+            took = time.perf_counter() - start
+            assert took < 0.1, f"{c.tokens}: {took:.3f} s"
 
 
 class TestProjection:
@@ -99,12 +136,18 @@ class TestProjection:
 class TestReducedTwist:
     def test_projected_twist_keeps_handedness(self, cut, hexagon):
         # a right twist upstairs along a curve missing the cut curve
-        # descends to a right twist along its projection
+        # descends to a right twist along its projection, also through the
+        # twists that move a cut curve of several tokens to one token.
+        # Each cut curve is paired with the shortest arc from u1 to u2
+        # that misses it
         delta = ClosedCurve(hexagon, (1, 5, 3))
-        A = Arc(hexagon, Anchor("u1"), (), Anchor("u2"))
-        before = project(cut, A).item
-        after = project(cut, dehn_twist(A, delta, 1)).item
-        circle = next(c for c in cut.scheme.boundary_circles() if "u1" in c)
-        gamma = ClosedCurve(cut.scheme, cut.scheme.boundary_parallel_tokens(circle))
-        assert arcs_isotopic(after, dehn_twist(before, gamma, 1))
-        assert not arcs_isotopic(after, dehn_twist(before, gamma, -1))
+        C, C1, C2, C3 = (ClosedCurve(hexagon, w) for w in ((0,), (3, 2), (5, 4), (1, 0)))
+        cases = [(C1, ()), (C2, (1,)), (C3, (0,)), (ladder(C, C1, C2, 1)[1], (2, 4))]
+        for sr, arc in [(cut, ())] + [(round_surgery(hexagon, c), arc) for c, arc in cases]:
+            A = Arc(hexagon, Anchor("u1"), arc, Anchor("u2"))
+            before = project(sr, A).item
+            after = project(sr, dehn_twist(A, delta, 1)).item
+            circle = next(c for c in sr.scheme.boundary_circles() if "u1" in c)
+            gamma = ClosedCurve(sr.scheme, sr.scheme.boundary_parallel_tokens(circle))
+            assert arcs_isotopic(after, dehn_twist(before, gamma, 1)), arc
+            assert not arcs_isotopic(after, dehn_twist(before, gamma, -1)), arc

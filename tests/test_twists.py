@@ -81,6 +81,9 @@ class TestHexagonFixtures:
         C = ClosedCurve(hexagon, (0,))
         with pytest.raises(NotSimpleError):
             dehn_twist(C, ClosedCurve(hexagon, (0, 0)))
+        # also when there is nothing to twist
+        with pytest.raises(NotSimpleError):
+            dehn_twist(ClosedCurve(hexagon, ()), ClosedCurve(hexagon, (0, 0)))
 
 
 class TestGroupIdentities:
