@@ -779,29 +779,6 @@ class _ChordTable(dict):
         return found
 
 
-class _InsertionWords(dict):
-    """The words a strand picks up at its crossings with ``c``, each built on first use.
-
-    Key ``(kc, n)`` is a crossing on passage ``kc`` of ``c`` and a nonzero
-    number of copies; the value is ``c`` followed once around ``abs(n)``
-    times from there, forward if ``n > 0`` (first exiting through
-    ``c.tokens[kc]``), backward if ``n < 0`` (first exiting through the
-    partner of the previous token).
-    """
-
-    def __init__(self, c: ClosedCurve):
-        super().__init__()
-        self.tokens, self.partner = c.tokens, c.scheme.partner
-
-    def __missing__(self, key: Tuple[int, int]) -> TokenWord:
-        kc, n = key
-        rot = self.tokens[kc:] + self.tokens[:kc]
-        if n < 0:
-            rot = _reverse_word(self.partner, rot)
-        word = self[key] = rot * abs(n)
-        return word
-
-
 class _PairTable(dict):
     """What ``passage_crossings`` reads at a point of ``x``, by x's token pair.
 
@@ -841,9 +818,11 @@ def _crossing_data(c: ClosedCurve):
     Returns the table of x's token pairs (``_PairTable``), which keeps
     the number of c's points counterclockwise before each slot of its
     polygon and before the end of each slot; the table of chord crossings
-    (``_ChordTable``); and the insertion words (``_InsertionWords``).
-    Raises ``NotSimpleError`` unless ``c`` is simple, and keeps the
-    verdict that ``is_simple`` reads.
+    (``_ChordTable``); and the insertion words (``insertion_words``), c's
+    word doubled and its reversed word doubled, 4|c| tokens, from which a
+    twist slices every copy of ``c`` it inserts.  Raises
+    ``NotSimpleError`` unless ``c`` is simple, and keeps the verdict that
+    ``is_simple`` reads.
 
     All of it is read from the arrangement that ``_traces_once`` traces;
     no ray is ranked.  The ``n`` chords of type ``(s, t)`` hold the rays
@@ -898,15 +877,20 @@ def _crossing_data(c: ClosedCurve):
             chords[location[t][0]].append((k, points[k - 1][1], points[k][0]))
         c._crossing_data = (
             _PairTable(scheme, firsts, maps, before, after), _ChordTable(sizes, chords),
-            _InsertionWords(c),
+            (toks + toks, _reverse_word(partner, toks * 2)),
         )
     return c._crossing_data
 
 
-def insertion_words(c: ClosedCurve) -> Dict[Tuple[int, int], TokenWord]:
-    """The words kept on ``c`` that its twists insert, keyed ``(c passage, copies)``.
+def insertion_words(c: ClosedCurve) -> Tuple[TokenWord, TokenWord]:
+    """c's word doubled and its reversed word doubled, kept on ``c``.
 
-    See ``_InsertionWords``; a twist along ``c`` reads them at every crossing.
+    A strand crossing ``c`` on passage ``kc`` picks up, per copy, ``c``
+    followed once around from there: ``forward[kc:kc + |c|]`` forward
+    (first exiting through ``c.tokens[kc]``), ``backward[|c| - kc:2|c| -
+    kc]`` backward (first exiting through the partner of the previous
+    token).  A twist slices each copy from these, so what ``c`` keeps for
+    its twists is 4|c| tokens whatever the crossings and powers.
     """
     return _crossing_data(c)[2]
 

@@ -13,10 +13,14 @@ inverses.  Letter ``k`` corresponds to hexagon token ``k - 1``; letter
 ``-k`` to token ``k + 2``.  The bridge reads one pair of six-entry tables
 and rejects any other value with ``BlfkitError``.
 
-The agreement suite compares the engine's image of a curve with the
-oracle's by one rotation search on the two cyclically reduced words, and
-computes Duval keys (``conjugacy_key``) only for oracle images short
-enough to match a base curve's.
+The agreement suite draws its random twist words one at a time, so its
+memory does not grow with their number.  Each word starts from tables
+kept once per process: the engine image of each base curve under each
+generator, and the generator's automorphism, so only the rest of the
+word is twisted and composed.  It compares the engine's image of a curve
+with the oracle's by one rotation search on the two cyclically reduced
+words, and computes Duval keys (``conjugacy_key``) only for oracle images
+short enough to match a base curve's.
 
 Images grow exponentially with the number of twists composed, about
 threefold per twist.  An automorphism counts the letters of an image
@@ -30,7 +34,7 @@ import functools
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import BlfkitError, ImageTooLargeError
 
@@ -250,35 +254,47 @@ class AgreementReport:
         }
 
 
-def random_twist_words(count: int, seed: int, max_length: int) -> List[List[Tuple[str, int]]]:
+def _twist_words(count: int, seed: int, max_length: int) -> Iterator[List[Tuple[str, int]]]:
+    """``count`` random twist words of 1 to ``max_length`` generators, drawn
+    one at a time from ``random.Random(seed)``."""
     rng = random.Random(seed)
     gens = sorted(GENERATORS)
-    out = []
     for _ in range(count):
         length = rng.randint(1, max_length)
-        out.append([rng.choice(gens) for _ in range(length)])
-    return out
+        yield [rng.choice(gens) for _ in range(length)]
+
+
+def random_twist_words(count: int, seed: int, max_length: int) -> List[List[Tuple[str, int]]]:
+    return list(_twist_words(count, seed, max_length))
 
 
 @functools.lru_cache(maxsize=None)
 def _hexagon_fixture():
-    """The hexagon scheme, its base curves, engine generators and base keys.
+    """The hexagon scheme, its base curves, engine generators, base keys and
+    first-twist table.
 
     The curves are the negative-modification model's (``family_scenario(1)``):
     ``C`` and the cycles ``C1``, ``C2``, ``C3``, along which the engine
     twists for the generators ``("c1", +-1)``, ...  The unoriented keys of
-    ``BASE_WORDS`` are the oracle's side of every isotopy verdict.  Built
-    on first use and kept for the process, so that what depends only on
-    the scheme and these curves (the intersection form, each generator's
-    ``is_simple`` verdict, canonical forms) is computed once.
+    ``BASE_WORDS`` are the oracle's side of every isotopy verdict.  The
+    table maps ``(base name, generator)`` to the engine image of that base
+    curve under that generator, 24 images made by ``twists.dehn_twist``:
+    every word of the agreement suite starts from one, so no word twists a
+    base curve itself.  Built on first use and kept for the process, so
+    that what depends only on the scheme and these curves (the
+    intersection form, each generator's ``is_simple`` verdict, canonical
+    forms, first twists) is computed once.
     """
     from .scenarios import family_scenario
+    from .twists import dehn_twist
 
     sc = family_scenario(1)
     curves = {name: sc.curves[name] for name in BASE_WORDS}
     generators = {(name, p): (curves[name.upper()], p) for name, p in GENERATORS}
     base_keys = {name: conjugacy_key(w, oriented=False) for name, w in BASE_WORDS.items()}
-    return sc.scheme, curves, generators, base_keys
+    first = {(name, g): dehn_twist(curves[name], *twist)
+             for name in BASE_WORDS for g, twist in generators.items()}
+    return sc.scheme, curves, generators, base_keys, first
 
 
 def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) -> AgreementReport:
@@ -287,9 +303,16 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
     For each word, every base curve's engine image must have the oracle
     image's conjugacy class, the engine and the oracle must agree on which
     base curves each image is isotopic to (unoriented), and the twists'
-    action on homology must be the oracle's abelianization.  The scheme,
-    curves and generators come from ``_hexagon_fixture``, built once per
-    process.  Two cyclically reduced words are conjugate exactly when one
+    action on homology must be the oracle's abelianization.  The words are
+    drawn one at a time from ``random.Random(seed)``, the sequence of
+    ``random_twist_words``, so memory does not grow with ``count``.  The
+    scheme, curves and generators come from ``_hexagon_fixture``, built
+    once per process, and so do the tables each word starts from: the
+    engine image of a base curve is the rest of the word, as a
+    ``TwistWord``, applied to the fixture's image of it under the first
+    generator, and the oracle composes the rest of the word onto that
+    generator's automorphism.  The homology check reads the whole word.
+    Two cyclically reduced words are conjugate exactly when one
     is a rotation of the other (Magnus, Karrass and Solitar, section 1.3),
     so an engine image agrees with the cyclically reduced oracle image when
     both, as strings of hexagon tokens, have one length and the engine's
@@ -305,23 +328,24 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
         raise BlfkitError(f"count must be at least 0, not {count}")
     if max_length < 1:
         raise BlfkitError(f"max length must be at least 1, not {max_length}")
-    scheme, base_curves, engine_gens, base_keys = _hexagon_fixture()
+    scheme, base_curves, engine_gens, base_keys, first = _hexagon_fixture()
     base_names = sorted(BASE_WORDS)
     longest = max(map(len, base_keys.values()))
     words_ok = verdicts_ok = homology_ok = 0
     failures: List[dict] = []
-    for idx, gens in enumerate(random_twist_words(count, seed, max_length)):
-        # engine: apply the twists in order; oracle: compose the tables
+    for idx, gens in enumerate(_twist_words(count, seed, max_length)):
+        # engine: the first twist from the fixture's table, then the rest in
+        # order; oracle: the first generator's table, then the rest composed
         steps = tuple(reversed([engine_gens[g] for g in gens]))
-        tword = TwistWord(steps)
-        auto = IDENTITY
-        for g in gens:
+        rest = TwistWord(steps[:-1])
+        auto = GENERATORS[gens[0]]
+        for g in gens[1:]:
             auto = GENERATORS[g].compose(auto)
 
         word_match = True
         images = []
         for name in base_names:
-            engine_img = tword.apply(base_curves[name])
+            engine_img = rest.apply(first[name, gens[0]])
             oracle_img = cyclically_reduce(chain.from_iterable(map(auto.image_of, BASE_WORDS[name])))
             # both words cyclically reduced, as bytes of hexagon tokens
             engine_str = bytes(engine_img.tokens)
@@ -338,7 +362,7 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
             for other in base_names
         )
 
-        engine_mat = tword.act_on_homology(scheme)
+        engine_mat = TwistWord(steps).act_on_homology(scheme)
         if engine_mat == auto.abelianization():
             homology_ok += 1
             h_match = True

@@ -6,10 +6,12 @@ up a copy of ``c`` traversed in direction ``s``.  On homology this is the
 transvection ``x -> x + <x, c> c``.  A left-handed twist is the inverse.
 A twist acts at the crossings of ``x`` and ``c`` in minimal position
 (Farb and Margalit, *Primer*, section 3.1), which
-``curves.passage_crossings`` lists, and inserts the words of
-``curves.insertion_words``, both kept on ``c``: it is one pass over the
-twisted word, knows its image's length before building it, and builds no
-configuration.  The homology action reads each curve's class, kept on the
+``curves.passage_crossings`` lists, and inserts copies of ``c``, each one
+slice of c's word doubled or of its reversed word doubled
+(``curves.insertion_words``), repeated once per unit of the power.  Both
+are kept on ``c``, and the doubled words are 4|c| tokens whatever the
+crossings and powers: a twist is one pass over the twisted word, knows
+its image's length before building it, and builds no configuration.  The homology action reads each curve's class, kept on the
 curve, and applies each transvection to the columns of the matrix built
 so far, in time quadratic in the rank per twist; no matrix is multiplied.
 
@@ -54,7 +56,7 @@ def dehn_twist(x: Item, c: ClosedCurve, power: int = 1) -> Item:
     if power == 0 or c.is_null:
         return x
     # raises NotSimpleError for a curve that is not simple
-    words = insertion_words(c)
+    forward, backward = insertion_words(c)
     if isinstance(x, ClosedCurve) and x.is_null:
         return x
     rows = passage_crossings(x, c)
@@ -65,16 +67,22 @@ def dehn_twist(x: Item, c: ClosedCurve, power: int = 1) -> Item:
             f" builds {size} tokens, more than {MAX_TWIST_TOKENS}"
         )
     toks = x.tokens
+    m = len(c.tokens)
+    reps = abs(power)
     new_tokens: List[SlotId] = []
     # copies go in before token k, so x's tokens are copied in runs up to
     # each crossing passage; an arc has one passage more than tokens, the
-    # last ending at its anchor
+    # last ending at its anchor.  A crossing's copies are one slice of c's
+    # doubled word, forward where its sign is the power's, |power| times
     done = 0
     for k in compress(range(len(rows)), rows):
         new_tokens += toks[done:k]
         done = k
         for kc, sign in rows[k]:
-            new_tokens += words[kc, sign * power]
+            if sign * power > 0:
+                new_tokens += forward[kc:kc + m] * reps
+            else:
+                new_tokens += backward[m - kc:2 * m - kc] * reps
     new_tokens += toks[done:]
     if isinstance(x, ClosedCurve):
         return ClosedCurve(x.scheme, new_tokens)
@@ -130,14 +138,14 @@ def transvection(form: List[List[int]], vc: Sequence[int], power: int) -> List[L
 
 
 def relabel_curve(r: Relabeling, x: Item) -> Item:
-    m = r.as_dict()
+    # ``r`` maps a token through the table it keeps, so this is linear in |x|
     if isinstance(x, ClosedCurve):
-        return ClosedCurve(x.scheme, tuple(m[t] for t in x.tokens))
+        return ClosedCurve(x.scheme, tuple(map(r, x.tokens)))
     from .curves import Anchor
 
     return Arc(
         x.scheme,
-        Anchor(m[x.start.slot], x.start.index),
-        tuple(m[t] for t in x.tokens),
-        Anchor(m[x.end.slot], x.end.index),
+        Anchor(r(x.start.slot), x.start.index),
+        tuple(map(r, x.tokens)),
+        Anchor(r(x.end.slot), x.end.index),
     )

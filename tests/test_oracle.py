@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 
 import pytest
 
@@ -320,7 +321,7 @@ class TestSuiteDoesNoRepeatedWork:
     def test_fixture_is_the_negative_modification_model(self):
         from blfkit.scenarios import negative_modification_scenario
 
-        scheme, base, gens, base_keys = _hexagon_fixture()
+        scheme, base, gens, base_keys, _ = _hexagon_fixture()
         assert _hexagon_fixture()[0] is scheme
         sc = negative_modification_scenario()
         assert scheme.polygons == sc.scheme.polygons
@@ -334,6 +335,27 @@ class TestSuiteDoesNoRepeatedWork:
         assert set(gens) == set(GENERATORS)
         for (name, power), (curve, p) in gens.items():
             assert curve is base[name.upper()] and p == power
+
+    def test_fixture_keeps_every_first_twist(self):
+        _, base, gens, _, first = _hexagon_fixture()
+        assert len(first) == 24
+        assert set(first) == {(name, g) for name in BASE_WORDS for g in GENERATORS}
+        for (name, g), image in first.items():
+            assert image == dehn_twist(base[name], *gens[g])
+        again = _hexagon_fixture()[4]
+        assert all(again[key] is image for key, image in first.items())
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 9])
+    def test_each_word_twists_base_curves_after_its_first_generator(self, monkeypatch, seed):
+        from blfkit import twists
+
+        _hexagon_fixture()
+        (word,) = random_twist_words(1, seed, 5)
+        calls = []
+        twist = twists.dehn_twist
+        monkeypatch.setattr(twists, "dehn_twist", lambda *a: calls.append(a) or twist(*a))
+        assert run_agreement_suite(1, seed, 5).ok
+        assert len(calls) == 4 * (len(word) - 1)
 
     def test_second_call_builds_no_taut_config(self, monkeypatch):
         builds = []
@@ -370,6 +392,24 @@ class TestSuiteDoesNoRepeatedWork:
             # the two of the unoriented key of each oracle image no longer
             # than some base word, so a long image gets none
             assert len(rotations) == 2 * short
+
+
+class TestLazyWords:
+    def test_memory_does_not_grow_with_count(self):
+        def peak(count):
+            tracemalloc.start()
+            try:
+                assert run_agreement_suite(count, 3, 1).ok
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_agreement_suite(1, 3, 1)
+        small, large = peak(400), peak(4_000)
+        # words drawn up front as a list would raise the peak by about 96
+        # bytes a word, 350 kB at these counts; the reports equal the
+        # reference suite's, which lists its words first
+        assert large - small < 16_000, (small, large)
 
 
 class TestCrosscheckCommand:

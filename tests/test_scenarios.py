@@ -5,6 +5,7 @@ import pytest
 from blfkit import ClosedCurve
 from blfkit.curves import TautConfig, geometric_intersection
 from blfkit.errors import SchemeError
+from blfkit.schemes import Relabeling
 from blfkit.scenarios import (
     SCENARIOS,
     _smoothings,
@@ -31,6 +32,19 @@ class TestRegistry:
             "family-2",
             "family-3",
         }
+
+    def test_family_builds_its_rotation_table_once(self, monkeypatch):
+        # each cycle is relabeled through the rotation's kept table, so the
+        # build is linear in n, not a dict rebuilt per cycle
+        calls = []
+        as_dict = Relabeling.as_dict
+        monkeypatch.setattr(Relabeling, "as_dict", lambda r: calls.append(r) or as_dict(r))
+        counts = []
+        for n in (10, 50):
+            calls.clear()
+            family_scenario(n)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_get_scenario_unknown(self):
         with pytest.raises(KeyError):

@@ -1,9 +1,11 @@
 """Dehn twists: fixtures, group identities, homology shadow."""
 
+import gc
 import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
 
@@ -229,3 +231,24 @@ class TestBounds:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.endswith(f"more than {twists.MAX_TWIST_TOKENS}\n")
+
+    def test_twisted_images_leave_little_on_the_curve(self):
+        # c = (T_C T_C1^-1)^6(C2); a rotation of c kept per crossed passage
+        # and power would hold 32 MB after these five twists
+        sc = get_scenario("negative-modification")
+        C, C1, C3 = (sc.curves[name] for name in ("C", "C1", "C3"))
+        c = sc.curves["C2"]
+        for _ in range(6):
+            c = dehn_twist(dehn_twist(c, C1, -1), C, 1)
+        assert len(c.tokens) == 920
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for x, power in ((C, 1), (C1, -1), (C3, 2), (C1, 3), (C, -2)):
+                image = dehn_twist(x, c, power)
+            del image
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000, held
