@@ -12,12 +12,19 @@ verifiers check:
   handedness the engine determines;
 * *vertex joining*: for the mirror family, smoothing a crossing of two
   adjacent cycles reproduces a cycle of the original family.
+
+A scenario is frozen.  :func:`get_scenario` builds each named scenario
+once per process, so every command and check on it shares one scheme and
+what is kept on its curves; :func:`family_scenario` builds a fresh member
+on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+import functools
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .curves import (
     Anchor,
@@ -33,17 +40,27 @@ from .surgery import Projection, project, round_surgery
 from .twists import TwistWord, dehn_twist, relabel_curve
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """A surface, its twist curves and the verdicts the paper expects.
+
+    Frozen, with read-only ``curves`` and ``expected``: a named scenario
+    is shared by every caller in the process.
+    """
+
     name: str
     description: str
     scheme: Scheme
-    curves: Dict[str, ClosedCurve]
+    curves: Mapping[str, ClosedCurve]
     cycle_names: Tuple[str, ...]       # twist order: outermost first
     surgery_name: str
     arc: Optional[Arc]
     rho: Relabeling
-    expected: dict = field(default_factory=dict)
+    expected: Mapping[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name in ("curves", "expected"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     @property
     def monodromy(self) -> TwistWord:
@@ -63,7 +80,7 @@ class Scenario:
                 "tokens": [str(t) for t in self.arc.tokens],
                 "end": [str(self.arc.end.slot), self.arc.end.index],
             },
-            "expected": self.expected,
+            "expected": dict(self.expected),
         }
 
 
@@ -124,14 +141,15 @@ def family_scenario(n: int) -> Scenario:
 
 def negative_modification_scenario() -> Scenario:
     """The hexagon model: three vanishing cycles, left-handed reduced twist."""
-    sc = family_scenario(1)
-    sc.name = "negative-modification"
-    sc.description = (
-        "hexagon model of the modification with the standard cycle triple; "
-        "the reduced monodromy on the annulus is a left-handed "
-        "boundary-parallel twist"
+    return replace(
+        family_scenario(1),
+        name="negative-modification",
+        description=(
+            "hexagon model of the modification with the standard cycle triple; "
+            "the reduced monodromy on the annulus is a left-handed "
+            "boundary-parallel twist"
+        ),
     )
-    return sc
 
 
 def positive_modification_scenario() -> Scenario:
@@ -175,7 +193,7 @@ def positive_modification_scenario() -> Scenario:
         expected={
             "round_invariant": True,
             "reduced_handedness": "right",
-            "joining": [["D1", "D2"], ["D2", "D3"], ["D3", "D1"]],
+            "joining": (("D1", "D2"), ("D2", "D3"), ("D3", "D1")),
         },
     )
 
@@ -189,7 +207,12 @@ SCENARIOS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def get_scenario(name: str) -> Scenario:
+    """The named scenario, built on the first call and shared by every later one.
+
+    A scenario is frozen; an unknown name raises ``KeyError`` and is not kept.
+    """
     try:
         return SCENARIOS[name]()
     except KeyError:

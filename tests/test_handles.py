@@ -1,10 +1,18 @@
 """Handle presentations: moves, invariants, the simplification script."""
 
+import random
+import subprocess
+import sys
+import textwrap
+import time
+
 import pytest
 
 from blfkit import cli, handles
 from blfkit.errors import HandleMoveError, SchemeError
 from blfkit.handles import (
+    MAX_GENUS,
+    HandlePresentation,
     expected_final_profile,
     fibration_presentation,
     fibration_report,
@@ -129,3 +137,198 @@ class TestHandleSimReports:
         assert out["presentation"] == "localized"
         assert out["ok"] is out["ball"] is True
         assert len(out["trace"]) == 1
+
+
+# -- the sparse tracker against dense references -------------------------------
+
+
+def dense_profile(pres):
+    """``homology_profile`` from Smith normal form on the full incidence matrices."""
+    ones, twos, threes = pres.one_handles, pres.two_handles, pres.three_handles
+    d2 = [[pres.inc2(two, one) for one in ones] for two in twos]
+    d3 = [[pres.inc3(three, two) for two in twos] for three in threes]
+    f2 = smith_invariant_factors(d2) if twos and ones else []
+    f3 = smith_invariant_factors(d3) if threes and twos else []
+    r2, r3 = len(f2), len(f3)
+    return {
+        "chi": 1 - len(ones) + len(twos) - len(threes),
+        "H1": {"betti": len(ones) - r2, "torsion": [d for d in f2 if d > 1]},
+        "H2": {"betti": len(twos) - r2 - r3, "torsion": [d for d in f3 if d > 1]},
+        "H3": {"betti": len(threes) - r3, "torsion": []},
+    }
+
+
+def dense_validate(pres):
+    """``validate`` as the triple loop over every 3-, 1- and 2-handle."""
+    for three in pres.three_handles:
+        for one in pres.one_handles:
+            total = sum(
+                pres.inc3(three, two) * pres.inc2(two, one) for two in pres.two_handles
+            )
+            if total:
+                raise HandleMoveError(
+                    f"boundary-of-boundary is nonzero over {one!r} for {three!r}"
+                )
+
+
+def random_presentation(rng):
+    """A valid chain complex on 2-8 one-handles, at least one of them idle.
+
+    Each 3-handle t bounds ``m * a - b + s * z``, where ``b`` runs ``m``
+    times along ``a`` and ``z``, when present, runs over nothing.
+    """
+    ones = [f"o{i}" for i in range(rng.randint(2, 8))]
+    used = rng.sample(ones, rng.randint(1, len(ones) - 1))
+    twos, inc2, inc3, threes = [], {}, {}, []
+
+    def attach(name, row, times=1):
+        twos.append(name)
+        for one, v in row.items():
+            if v:
+                inc2[name, one] = times * v
+
+    def random_row():
+        return {one: rng.choice([-2, -1, 1, 1, 2]) for one in rng.sample(used, rng.randint(1, len(used)))}
+
+    for i in range(rng.randint(1, 3)):
+        attach(f"x{i}", random_row())
+    for k in range(rng.randint(0, 2)):
+        three, m, row = f"t{k}", rng.choice([-2, -1, 1, 2]), random_row()
+        attach(f"a{k}", row)
+        attach(f"b{k}", row, m)
+        threes.append(three)
+        inc3[three, f"a{k}"], inc3[three, f"b{k}"] = m, -1
+        if rng.random() < 0.5:
+            attach(f"z{k}", {})
+            inc3[three, f"z{k}"] = rng.choice([-1, 1])
+    rng.shuffle(twos)
+    linking = {}
+    for a, b in zip(twos, twos[1:]):
+        if not a.startswith("z") and not b.startswith("z") and rng.random() < 0.5:
+            linking[a, b] = rng.choice([-1, 1])
+    framings = {t: 0 if t.startswith("z") else rng.randint(-2, 2) for t in twos}
+    return HandlePresentation(
+        one_handles=ones,
+        two_handles=twos,
+        framings=framings,
+        linking=linking,
+        incidence2=inc2,
+        three_handles=threes,
+        incidence3=inc3,
+    )
+
+
+def random_move(rng, pres):
+    """A move that may be illegal: a slide, or a cancellation of a unit incidence."""
+    cancels = [("cancel12", k) for k, v in pres.incidence2.items() if abs(v) == 1]
+    cancels += [("cancel23", (two, three)) for (three, two), v in pres.incidence3.items() if abs(v) == 1]
+    if len(pres.two_handles) > 1 and (rng.random() < 0.6 or not cancels):
+        mover, over = rng.sample(pres.two_handles, 2)
+        return "slide", (mover, over, rng.choice([-1, 1]))
+    return rng.choice(cancels) if cancels else None
+
+
+def random_script(seed, moves=12):
+    """Yield a random presentation after each legal move of a random script.
+
+    A move is tried on a copy and dropped if it is illegal.
+    """
+    rng = random.Random(seed)
+    pres = random_presentation(rng)
+    yield None, pres
+    for _ in range(moves):
+        move = random_move(rng, pres)
+        if move is None:
+            return
+        trial = pres.copy()
+        try:
+            getattr(trial, move[0])(*move[1])
+        except HandleMoveError:
+            continue
+        pres = trial
+        yield move, pres
+
+
+def broken_presentation(seed):
+    """A random presentation with one 3-handle incidence and one 2-handle run changed."""
+    rng = random.Random(seed)
+    pres = random_presentation(rng)
+    if not pres.three_handles:
+        pres.three_handles.append("t9")
+    three, two = rng.choice(pres.three_handles), rng.choice(pres.two_handles)
+    pres._set_inc3(three, two, pres.inc3(three, two) + rng.choice([-1, 1]))
+    pres._set_inc2(two, rng.choice(pres.one_handles), rng.choice([-1, 1]))
+    return pres
+
+
+class TestSparseTracker:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_profiles_match_dense_reference_through_random_scripts(self, seed):
+        for move, pres in random_script(seed):
+            pres.validate()
+            dense_validate(pres)
+            assert pres.homology_profile() == dense_profile(pres), move
+
+    def test_scripts_reach_every_move_and_keep_idle_handles(self):
+        kinds, idle = set(), 0
+        for seed in range(40):
+            for move, pres in random_script(seed):
+                kinds.add(move and move[0])
+            idle += len(set(pres.one_handles) - {one for _, one in pres.incidence2})
+        assert kinds == {None, "slide", "cancel12", "cancel23"}
+        assert idle >= 40
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_broken_presentation_raises_the_triple_loop_message(self, seed):
+        pres = broken_presentation(seed)
+        try:
+            dense_validate(pres)
+        except HandleMoveError as exc:
+            with pytest.raises(HandleMoveError) as info:
+                pres.validate()
+            assert str(info.value) == str(exc)
+        else:
+            pres.validate()
+
+    def test_most_perturbed_presentations_are_broken(self):
+        broken = 0
+        for seed in range(40):
+            try:
+                broken_presentation(seed).validate()
+            except HandleMoveError:
+                broken += 1
+        assert broken >= 20
+
+
+class TestCostAndBound:
+    def test_report_cost_does_not_grow_with_idle_handles(self):
+        # 200,002 one-handles, three of them carrying an incidence: 4.5 s of
+        # CPU time when every move and profile read all of them
+        start = time.process_time()
+        out = fibration_report(100_000)
+        took = time.process_time() - start
+        assert out["ok"] is True
+        assert took < 1.0, f"{took:.2f} s"
+
+    def test_genus_past_the_bound_is_an_input_error(self):
+        with pytest.raises(SchemeError, match=f"more than {MAX_GENUS}"):
+            fibration_presentation(MAX_GENUS + 1)
+
+    def test_cli_rejects_the_genus_before_building(self):
+        # in a child process limited to 1 GB of address space; a picture
+        # of this genus would list 2,000,004 one-handles
+        code = textwrap.dedent(f"""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from blfkit import cli
+            sys.exit(cli.main(["handle-sim", "--genus", "{MAX_GENUS + 1}"]))
+        """)
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+        )
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == f"blfkit: genus {MAX_GENUS + 1} is more than {MAX_GENUS}\n"
+        assert elapsed < 10.0, f"{elapsed:.2f} s"

@@ -1,8 +1,11 @@
 """End-to-end scenario verification: registry, individual checks, full runs."""
 
+import dataclasses
+import json
+
 import pytest
 
-from blfkit import ClosedCurve
+from blfkit import ClosedCurve, cli
 from blfkit.curves import TautConfig, geometric_intersection
 from blfkit.errors import SchemeError
 from blfkit.schemes import Relabeling
@@ -11,6 +14,7 @@ from blfkit.scenarios import (
     _smoothings,
     family_scenario,
     get_scenario,
+    negative_modification_scenario,
     run_scenario,
     verify_reduced_monodromy,
     verify_round_invariance,
@@ -55,6 +59,48 @@ class TestRegistry:
             sc = get_scenario(name)
             assert len(sc.curves) >= 1
             assert sc.expected.get("round_invariant") is True
+
+
+class TestNamedScenarios:
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_built_once_per_process(self, name):
+        assert get_scenario(name) is get_scenario(name)
+
+    def test_family_members_are_built_on_every_call(self):
+        assert family_scenario(1) is not family_scenario(1)
+        assert negative_modification_scenario() is not get_scenario("negative-modification")
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_frozen(self, name):
+        sc = get_scenario(name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.name = "other"
+        with pytest.raises(TypeError):
+            sc.curves["X"] = sc.curves[sc.surgery_name]
+        with pytest.raises(TypeError):
+            sc.expected["round_invariant"] = False
+
+    def test_hexagon_builds_keep_their_own_names_and_schemes(self):
+        neg, fam, pos = (
+            get_scenario(name)
+            for name in ("negative-modification", "family-1", "positive-modification")
+        )
+        assert (neg.name, fam.name, pos.name) == (
+            "negative-modification", "family-1", "positive-modification"
+        )
+        assert neg.description != fam.description
+        assert len({id(neg.scheme), id(fam.scheme), id(pos.scheme)}) == 3
+        assert neg.to_json()["polygons"] == fam.to_json()["polygons"]
+
+    def test_runs_and_commands_leave_scenarios_unchanged(self, tmp_path, capsys):
+        before = {name: json.dumps(get_scenario(name).to_json()) for name in SCENARIOS}
+        for name in sorted(SCENARIOS):
+            run_scenario(get_scenario(name))
+            for argv in (["render", name, "-o", str(tmp_path / "out.svg")],
+                         ["dump-scenario", name], ["verify", name], ["list-scenarios"]):
+                cli.main(argv)
+        capsys.readouterr()
+        assert {name: json.dumps(get_scenario(name).to_json()) for name in SCENARIOS} == before
 
 
 class TestRoundInvariance:
