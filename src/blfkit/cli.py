@@ -125,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_handles)
 
     p = sub.add_parser("oracle-crosscheck", help="engine vs fundamental-group oracle")
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--count", type=int, default=200,
+                   help="random twist words to check (default 200); the time grows"
+                        " linearly with it, and the memory stays bounded")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-length", type=int, default=5)
     p.set_defaults(fn=_cmd_oracle)

@@ -14,10 +14,12 @@ inverses.  Letter ``k`` corresponds to hexagon token ``k - 1``; letter
 and rejects any other value with ``BlfkitError``.
 
 The agreement suite draws its random twist words one at a time, so its
-memory does not grow with their number.  Each word starts from tables
-kept once per process: the engine image of each base curve under each
-generator, and the generator's automorphism, so only the rest of the
-word is twisted and composed.  It compares the engine's image of a curve
+memory does not grow with their number and its time grows linearly with
+it.  Each word starts from its head, its first one or two generators,
+in a table kept once per process and filled on first use: the engine
+images of the base curves under the head, and the head's automorphism.
+Only the rest of the word is twisted and composed, and the table never
+holds more than 6 + 36 heads.  It compares the engine's image of a curve
 with the oracle's by one rotation search on the two cyclically reduced
 words, and computes Duval keys (``conjugacy_key``) only for oracle images
 short enough to match a base curve's.
@@ -34,9 +36,12 @@ import functools
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import BlfkitError, ImageTooLargeError
+
+if TYPE_CHECKING:
+    from .curves import ClosedCurve
 
 Word = Tuple[int, ...]
 
@@ -268,33 +273,65 @@ def random_twist_words(count: int, seed: int, max_length: int) -> List[List[Tupl
     return list(_twist_words(count, seed, max_length))
 
 
+class _HeadTable(dict):
+    """Engine images of the base curves, and the oracle automorphism, under
+    a word's head: its first one or two generators.
+
+    Key: the head, a tuple of one or two generators, first acting first.
+    Value: ``(images, auto)``, the engine images of the base curves in
+    sorted name order and the head's automorphism.  A one-generator head
+    twists each base curve once by ``twists.dehn_twist``; a two-generator
+    head twists its one-generator head's images once more and composes one
+    automorphism.  Filled on first use, so an entry is work that the word
+    asking for it needs anyway; there are at most 6 + 36 heads.
+    """
+
+    def __init__(self, base: List[ClosedCurve],
+                 generators: Dict[Tuple[str, int], Tuple[ClosedCurve, int]]):
+        super().__init__()
+        self.base, self.generators = base, generators
+
+    def __missing__(
+        self, head: Tuple[Tuple[str, int], ...]
+    ) -> Tuple[Tuple[ClosedCurve, ...], FreeAutomorphism]:
+        from . import twists
+
+        *first, g = head
+        if first:
+            images, auto = self[tuple(first)]
+            auto = GENERATORS[g].compose(auto)
+        else:
+            images, auto = self.base, GENERATORS[g]
+        images = tuple([twists.dehn_twist(x, *self.generators[g]) for x in images])
+        self[head] = entry = (images, auto)
+        return entry
+
+
 @functools.lru_cache(maxsize=None)
 def _hexagon_fixture():
     """The hexagon scheme, its base curves, engine generators, base keys and
-    first-twist table.
+    head table.
 
     The curves are the negative-modification model's (``family_scenario(1)``):
     ``C`` and the cycles ``C1``, ``C2``, ``C3``, along which the engine
     twists for the generators ``("c1", +-1)``, ...  The unoriented keys of
     ``BASE_WORDS`` are the oracle's side of every isotopy verdict.  The
-    table maps ``(base name, generator)`` to the engine image of that base
-    curve under that generator, 24 images made by ``twists.dehn_twist``:
-    every word of the agreement suite starts from one, so no word twists a
-    base curve itself.  Built on first use and kept for the process, so
-    that what depends only on the scheme and these curves (the
+    head table (``_HeadTable``) starts empty and maps the first one or two
+    generators of a word to the engine images of the base curves and the
+    oracle automorphism under them; every word of the agreement suite
+    starts from one entry.  Built on first use and kept for the process,
+    so that what depends only on the scheme and these curves (the
     intersection form, each generator's ``is_simple`` verdict, canonical
-    forms, first twists) is computed once.
+    forms, head images) is computed once; ``cache_clear()`` drops it all.
     """
     from .scenarios import family_scenario
-    from .twists import dehn_twist
 
     sc = family_scenario(1)
     curves = {name: sc.curves[name] for name in BASE_WORDS}
     generators = {(name, p): (curves[name.upper()], p) for name, p in GENERATORS}
     base_keys = {name: conjugacy_key(w, oriented=False) for name, w in BASE_WORDS.items()}
-    first = {(name, g): dehn_twist(curves[name], *twist)
-             for name in BASE_WORDS for g, twist in generators.items()}
-    return sc.scheme, curves, generators, base_keys, first
+    heads = _HeadTable([curves[name] for name in sorted(BASE_WORDS)], generators)
+    return sc.scheme, curves, generators, base_keys, heads
 
 
 def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) -> AgreementReport:
@@ -305,21 +342,24 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
     base curves each image is isotopic to (unoriented), and the twists'
     action on homology must be the oracle's abelianization.  The words are
     drawn one at a time from ``random.Random(seed)``, the sequence of
-    ``random_twist_words``, so memory does not grow with ``count``.  The
-    scheme, curves and generators come from ``_hexagon_fixture``, built
-    once per process, and so do the tables each word starts from: the
-    engine image of a base curve is the rest of the word, as a
-    ``TwistWord``, applied to the fixture's image of it under the first
-    generator, and the oracle composes the rest of the word onto that
-    generator's automorphism.  The homology check reads the whole word.
-    Two cyclically reduced words are conjugate exactly when one
-    is a rotation of the other (Magnus, Karrass and Solitar, section 1.3),
-    so an engine image agrees with the cyclically reduced oracle image when
-    both, as strings of hexagon tokens, have one length and the engine's
-    occurs in the oracle's doubled: one substring search, no key.  Only an
-    oracle image no longer than some base word can match a base key, so
-    only those get an unoriented ``conjugacy_key``.  A negative ``count``
-    or a ``max_length`` below 1 raises ``BlfkitError``.
+    ``random_twist_words``, so memory does not grow with ``count`` and
+    time grows linearly with it.  The scheme, curves and generators come
+    from ``_hexagon_fixture``, built once per process, and each word starts
+    from its head's entry in the fixture's head table, filled on first
+    use: the engine images of the base curves, and the automorphism, under
+    the word's first one or two generators.  The rest of the word, as a
+    ``TwistWord``, is applied to each of those images, and the oracle
+    composes the rest onto the head's automorphism, so a word of k twists
+    costs the engine 4(k - min(k, 2)) twists and the oracle k - min(k, 2)
+    compositions once its head is in the table.  The homology check reads
+    the whole word.  Two cyclically reduced words are conjugate exactly
+    when one is a rotation of the other (Magnus, Karrass and Solitar,
+    section 1.3), so an engine image agrees with the cyclically reduced
+    oracle image when both, as strings of hexagon tokens, have one length
+    and the engine's occurs in the oracle's doubled: one substring search,
+    no key.  Only an oracle image no longer than some base word can match
+    a base key, so only those get an unoriented ``conjugacy_key``.  A
+    negative ``count`` or a ``max_length`` below 1 raises ``BlfkitError``.
     """
     from .curves import curves_isotopic
     from .twists import TwistWord
@@ -328,24 +368,24 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
         raise BlfkitError(f"count must be at least 0, not {count}")
     if max_length < 1:
         raise BlfkitError(f"max length must be at least 1, not {max_length}")
-    scheme, base_curves, engine_gens, base_keys, first = _hexagon_fixture()
+    scheme, base_curves, engine_gens, base_keys, heads = _hexagon_fixture()
     base_names = sorted(BASE_WORDS)
     longest = max(map(len, base_keys.values()))
     words_ok = verdicts_ok = homology_ok = 0
     failures: List[dict] = []
     for idx, gens in enumerate(_twist_words(count, seed, max_length)):
-        # engine: the first twist from the fixture's table, then the rest in
-        # order; oracle: the first generator's table, then the rest composed
+        # engine and oracle: the head's images and automorphism from the
+        # table, then the rest of the word in order
         steps = tuple(reversed([engine_gens[g] for g in gens]))
-        rest = TwistWord(steps[:-1])
-        auto = GENERATORS[gens[0]]
-        for g in gens[1:]:
+        head_images, auto = heads[tuple(gens[:2])]
+        rest = TwistWord(steps[:-2])
+        for g in gens[2:]:
             auto = GENERATORS[g].compose(auto)
 
         word_match = True
         images = []
-        for name in base_names:
-            engine_img = rest.apply(first[name, gens[0]])
+        for name, head_img in zip(base_names, head_images):
+            engine_img = rest.apply(head_img)
             oracle_img = cyclically_reduce(chain.from_iterable(map(auto.image_of, BASE_WORDS[name])))
             # both words cyclically reduced, as bytes of hexagon tokens
             engine_str = bytes(engine_img.tokens)

@@ -1,5 +1,6 @@
 """Free-group cross-check layer: word algebra and automorphism tables."""
 
+import gc
 import json
 import random
 import subprocess
@@ -277,6 +278,16 @@ def reference_suite(count, seed, max_length):
     ).to_json()
 
 
+@pytest.fixture
+def fresh_heads():
+    """A fresh hexagon fixture for the test, dropped after it, so that a
+    head entry filled while the test patches the engine outlives it in
+    no other test."""
+    _hexagon_fixture.cache_clear()
+    yield
+    _hexagon_fixture.cache_clear()
+
+
 class TestSuiteDoesNoRepeatedWork:
     @pytest.mark.parametrize("count, seed, max_length", [
         (200, 0, 5), (25, 7, 4), (50, 11, 5),
@@ -318,11 +329,31 @@ class TestSuiteDoesNoRepeatedWork:
         assert got["word_agreements"] == 0
         assert not got["ok"] and len(got["failures"]) == 10
 
+    def test_table_state_cannot_change_a_report(self, monkeypatch):
+        # seeds and lengths interleaved, each run's report equal to the
+        # reference suite's: the first from the table the wrong-engine
+        # tests above left, one from a cleared table, and two after a
+        # wrong engine filled a cleared table; no head entry may depend on
+        # what ran before
+        apply = TwistWord.apply
+        runs = [(10, 3, 3), (30, 8, 2), (12, 1, 8), (30, 3, 5), (20, 5, 1), (12, 1, 8)]
+        for i, args in enumerate(runs):
+            want = reference_suite(*args)
+            if i % 3:
+                _hexagon_fixture.cache_clear()
+            if i % 3 == 1:
+                with monkeypatch.context() as m:
+                    m.setattr(TwistWord, "apply", lambda self, x: apply(self, x).reversed())
+                    assert run_agreement_suite(*args).to_json()["word_agreements"] == 0
+            assert run_agreement_suite(*args).to_json() == want, (i, args)
+            assert run_agreement_suite(*args).to_json() == want, (i, args)
+
     def test_fixture_is_the_negative_modification_model(self):
         from blfkit.scenarios import negative_modification_scenario
 
-        scheme, base, gens, base_keys, _ = _hexagon_fixture()
-        assert _hexagon_fixture()[0] is scheme
+        fixture = _hexagon_fixture()
+        scheme, base, gens, base_keys, heads = fixture
+        assert all(a is b for a, b in zip(_hexagon_fixture(), fixture))
         sc = negative_modification_scenario()
         assert scheme.polygons == sc.scheme.polygons
         assert scheme.partner == sc.scheme.partner
@@ -335,18 +366,38 @@ class TestSuiteDoesNoRepeatedWork:
         assert set(gens) == set(GENERATORS)
         for (name, power), (curve, p) in gens.items():
             assert curve is base[name.upper()] and p == power
+        # the head table holds only heads of one or two generators
+        assert all(len(head) in (1, 2) and set(head) <= set(GENERATORS) for head in heads)
 
-    def test_fixture_keeps_every_first_twist(self):
-        _, base, gens, _, first = _hexagon_fixture()
-        assert len(first) == 24
-        assert set(first) == {(name, g) for name in BASE_WORDS for g in GENERATORS}
-        for (name, g), image in first.items():
-            assert image == dehn_twist(base[name], *gens[g])
+    def test_fixture_keeps_every_first_twist(self, fresh_heads):
+        # a fresh fixture has an empty head table; every entry is the
+        # dehn_twist composition from the base curves and the compose of
+        # its generators' automorphisms, and is kept for later calls
+        _, base, gens, _, heads = _hexagon_fixture()
+        assert len(heads) == 0
+        names = sorted(BASE_WORDS)
+        every = [(g,) for g in sorted(GENERATORS)]
+        every += [(g, h) for g in sorted(GENERATORS) for h in sorted(GENERATORS)]
+        entries = {head: heads[head] for head in every}
+        for head, (images, auto) in entries.items():
+            want, want_auto = [base[name] for name in names], IDENTITY
+            for g in head:
+                want = [dehn_twist(x, *gens[g]) for x in want]
+                want_auto = GENERATORS[g].compose(want_auto)
+            assert list(images) == want, head
+            assert auto == want_auto, head
+        assert len(heads) == 6 + 36
         again = _hexagon_fixture()[4]
-        assert all(again[key] is image for key, image in first.items())
+        assert all(again[head] is entry for head, entry in entries.items())
+        assert len(again) == 6 + 36
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 9])
-    def test_each_word_twists_base_curves_after_its_first_generator(self, monkeypatch, seed):
+    def test_each_word_twists_base_curves_after_its_first_generator(
+        self, monkeypatch, fresh_heads, seed
+    ):
+        # a cold word fills its heads, one and two generators, at 4 twists
+        # each: no more than twisting each base curve along the whole word;
+        # a warm word of k twists twists them along all but its head
         from blfkit import twists
 
         _hexagon_fixture()
@@ -355,7 +406,11 @@ class TestSuiteDoesNoRepeatedWork:
         twist = twists.dehn_twist
         monkeypatch.setattr(twists, "dehn_twist", lambda *a: calls.append(a) or twist(*a))
         assert run_agreement_suite(1, seed, 5).ok
-        assert len(calls) == 4 * (len(word) - 1)
+        assert len(calls) == 4 * len(word)
+        calls.clear()
+        assert run_agreement_suite(1, seed, 5).ok
+        k = len(word)
+        assert len(calls) == 4 * (k - min(k, 2))
 
     def test_second_call_builds_no_taut_config(self, monkeypatch):
         builds = []
@@ -395,21 +450,54 @@ class TestSuiteDoesNoRepeatedWork:
 
 
 class TestLazyWords:
-    def test_memory_does_not_grow_with_count(self):
-        def peak(count):
-            tracemalloc.start()
-            try:
-                assert run_agreement_suite(count, 3, 1).ok
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    @staticmethod
+    def peak(count, seed, max_length):
+        """The traced peak of one suite run.  CPython keeps up to 2,000
+        freed tuples of each length up to 20 for reuse, and a tuple freed
+        into those free lists stays traced, so a run would grow them with
+        its length: they are filled first, with a margin on both counts,
+        and the collector, whose full passes empty them, is held off for
+        the run."""
+        gc.collect()
+        gc.disable()
+        held = [tuple(range(n)) for n in range(1, 25) for _ in range(2_100)]
+        del held
+        tracemalloc.start()
+        try:
+            assert run_agreement_suite(count, seed, max_length).ok
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
 
+    def test_memory_does_not_grow_with_count(self):
         run_agreement_suite(1, 3, 1)
-        small, large = peak(400), peak(4_000)
+        small, large = self.peak(400, 3, 1), self.peak(4_000, 3, 1)
         # words drawn up front as a list would raise the peak by about 96
         # bytes a word, 350 kB at these counts; the reports equal the
         # reference suite's, which lists its words first
         assert large - small < 16_000, (small, large)
+
+    def test_head_table_stays_bounded(self, monkeypatch):
+        # 2,000 words of up to 5 twists meet every head of one and two
+        # generators, and the table holds no other
+        assert run_agreement_suite(2_000, 3, 5).ok
+        heads = _hexagon_fixture()[4]
+        pairs = {(g, h) for g in GENERATORS for h in GENERATORS}
+        assert set(heads) == {(g,) for g in GENERATORS} | pairs
+        # with the table warm, the same 40 words cycled, each drawn afresh:
+        # a longer run meets no longer image, so only its count could raise
+        # its peak, by about 96 bytes a word were the words listed first
+        words = random_twist_words(40, 3, 5)
+        monkeypatch.setattr(
+            oracle, "_twist_words", lambda count, seed, max_length: (
+                list(words[i % len(words)]) for i in range(count)
+            ),
+        )
+        self.peak(40, 3, 5)
+        small, large = self.peak(100, 3, 5), self.peak(1_000, 3, 5)
+        assert large - small < 16_000, (small, large)
+        assert len(heads) == 6 + 36
 
 
 class TestCrosscheckCommand:
