@@ -1,10 +1,10 @@
 """Kirby-calculus bookkeeping for 4-manifold handle presentations.
 
 A presentation records (on top of a single 0-handle): the 1-handles, the
-2-handles with framings, symmetric linking numbers and incidences over the
-1-handles, and the 3-handles with incidences over the 2-handles.  The chain
-complex condition (boundary of a boundary vanishes over the 1-handles) is
-maintained by every move.
+2-handles with their linking matrix, whose diagonal holds the framings,
+and incidences over the 1-handles, and the 3-handles with incidences over
+the 2-handles.  The chain complex condition (boundary of a boundary
+vanishes over the 1-handles) is maintained by every move.
 
 Moves: sliding a 2-handle over another, cancelling a 1-2 pair (after
 implicitly sliding every other strand off the 1-handle), and cancelling a
@@ -12,13 +12,12 @@ implicitly sliding every other strand off the 1-handle), and cancelling a
 integral homology (Betti numbers and torsion via Smith normal form) are
 available at every step; simplification scripts record them move by move.
 
-Incidences are kept sparse, and every move, check and profile reads only
-the nonzero ones: a slide, the boundary-of-boundary check and the boundary
-maps cost time in the nonzero incidences, not in the number of 1-handles.
-A 1-handle that no 2-handle runs over adds a zero column to the boundary
-map, which changes no invariant factor.  The genus-g picture has 2g + 2
-one-handles, of which three carry an incidence, and its genus is bounded
-by ``MAX_GENUS``.
+Incidences and linking numbers are kept sparse, and every move, check and
+profile reads only the nonzero ones.  A 1-handle that no 2-handle runs
+over adds a zero column to the boundary map, which changes no invariant
+factor, and no move gives it an incidence, so such idle 1-handles are only
+counted.  The genus-g picture names the three 1-handles that carry an
+incidence and counts the other 2g - 1, so its cost does not depend on g.
 """
 
 from __future__ import annotations
@@ -29,11 +28,7 @@ from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import HandleMoveError, SchemeError
-
-# the largest genus of ``fibration_presentation``: the picture still lists
-# its 2g + 2 one-handles, and at this genus ``handle-sim`` takes 0.6 s and
-# 170 MB on a 2-vCPU Xeon
-MAX_GENUS = 1_000_000
+from .scenarios import get_scenario
 
 
 # -- integer linear algebra ------------------------------------------------
@@ -97,20 +92,32 @@ def smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> List[int]:
 # -- presentations ---------------------------------------------------------
 
 
+def _put(table: Dict[Tuple[str, str], int], key: Tuple[str, str], value: int) -> None:
+    """Store ``value`` under ``key``, dropping the key for a zero."""
+    if value:
+        table[key] = value
+    else:
+        table.pop(key, None)
+
+
 @dataclass
 class HandlePresentation:
     """Handles of a 4-manifold built on one 0-handle.
 
-    Incidences name listed handles only, and every move keeps it so.
+    ``linking`` is the symmetric linking matrix of the 2-handles, each pair
+    stored once and zeros left out; its diagonal ``(a, a)`` holds the
+    framing of ``a``.  ``idle_one_handles`` counts the 1-handles that no
+    2-handle runs over, which are not named.  Incidences name listed
+    handles only, and every move keeps it so.
     """
 
     one_handles: List[str]
     two_handles: List[str]
-    framings: Dict[str, int]
     linking: Dict[Tuple[str, str], int]
     incidence2: Dict[Tuple[str, str], int]   # (two-handle, one-handle)
     three_handles: List[str] = field(default_factory=list)
     incidence3: Dict[Tuple[str, str], int] = field(default_factory=dict)  # (three, two)
+    idle_one_handles: int = 0
 
     def copy(self) -> "HandlePresentation":
         return copy.deepcopy(self)
@@ -118,37 +125,24 @@ class HandlePresentation:
     # -- access ------------------------------------------------------------
 
     def link(self, a: str, b: str) -> int:
-        if a == b:
-            return self.framings.get(a, 0)
+        """The linking number of ``a`` and ``b``; the framing when they are one."""
         return self.linking.get((a, b), self.linking.get((b, a), 0))
 
     def _set_link(self, a: str, b: str, value: int) -> None:
-        if a == b:
-            self.framings[a] = value
-            return
         self.linking.pop((b, a), None)
-        if value:
-            self.linking[(a, b)] = value
-        else:
-            self.linking.pop((a, b), None)
+        _put(self.linking, (a, b), value)
 
     def inc2(self, two: str, one: str) -> int:
         return self.incidence2.get((two, one), 0)
 
     def _set_inc2(self, two: str, one: str, value: int) -> None:
-        if value:
-            self.incidence2[(two, one)] = value
-        else:
-            self.incidence2.pop((two, one), None)
+        _put(self.incidence2, (two, one), value)
 
     def inc3(self, three: str, two: str) -> int:
         return self.incidence3.get((three, two), 0)
 
     def _set_inc3(self, three: str, two: str, value: int) -> None:
-        if value:
-            self.incidence3[(three, two)] = value
-        else:
-            self.incidence3.pop((three, two), None)
+        _put(self.incidence3, (three, two), value)
 
     def _runs(self, two: str) -> List[Tuple[str, int]]:
         """The 1-handles ``two`` runs over, with their nonzero incidences."""
@@ -186,17 +180,15 @@ class HandlePresentation:
                 raise HandleMoveError(f"unknown 2-handle {name!r}")
         if sign not in (1, -1):
             raise HandleMoveError("slide sign must be +1 or -1")
-        f_new = (
-            self.framings[mover]
-            + 2 * sign * self.link(mover, over)
-            + self.framings[over]
-        )
+        # the linking matrix Q becomes P^T Q P, with P = I + sign * E[over, mover]
+        f_over = self.link(over, over)
+        f_new = self.link(mover, mover) + 2 * sign * self.link(mover, over) + f_over
         for other in self.two_handles:
             if other in (mover, over):
                 continue
             self._set_link(mover, other, self.link(mover, other) + sign * self.link(over, other))
-        self._set_link(mover, over, self.link(mover, over) + sign * self.framings[over])
-        self.framings[mover] = f_new
+        self._set_link(mover, over, self.link(mover, over) + sign * f_over)
+        self._set_link(mover, mover, f_new)
         for one, v in self._runs(over):
             self._set_inc2(mover, one, self.inc2(mover, one) + sign * v)
         for three in self.three_handles:
@@ -223,7 +215,6 @@ class HandlePresentation:
                 )
         self.one_handles.remove(one)
         self.two_handles.remove(two)
-        self.framings.pop(two, None)
         self.linking = {
             k: v for k, v in self.linking.items() if two not in k
         }
@@ -233,7 +224,7 @@ class HandlePresentation:
 
     def cancel23(self, two: str, three: str) -> None:
         """Cancel a trivialized 2-handle against a 3-handle."""
-        if self.framings.get(two):
+        if self.link(two, two):
             raise HandleMoveError(f"{two!r} still has nonzero framing")
         for other in self.two_handles:
             if other != two and self.link(two, other):
@@ -262,11 +253,13 @@ class HandlePresentation:
     # -- invariants ----------------------------------------------------------
 
     def euler_characteristic(self) -> int:
-        return 1 - len(self.one_handles) + len(self.two_handles) - len(self.three_handles)
+        n1 = len(self.one_handles) + self.idle_one_handles
+        return 1 - n1 + len(self.two_handles) - len(self.three_handles)
 
     def homology_profile(self) -> dict:
         """Betti numbers and torsion of H1, H2, H3, plus chi."""
-        n1, n2, n3 = len(self.one_handles), len(self.two_handles), len(self.three_handles)
+        n1 = len(self.one_handles) + self.idle_one_handles
+        n2, n3 = len(self.two_handles), len(self.three_handles)
         d2 = _boundary(self.two_handles, self.incidence2)
         d3 = _boundary(self.three_handles, self.incidence3)
         f2 = smith_invariant_factors(d2) if d2 and d2[0] else []
@@ -333,23 +326,20 @@ def run_script(pres: HandlePresentation, steps: Sequence[Step]) -> List[dict]:
 def fibration_presentation(genus: int) -> HandlePresentation:
     """Handle picture of the modified fibration over the disk.
 
-    1-handles: the ``2 * genus`` fiber handles ``u1..``, plus the two extra
-    handles ``hr`` (paired with the round 2-handle ``R``) and ``hb``
+    1-handles: the ``2 * genus`` fiber handles, of which only ``u1`` is
+    named and the other ``2 * genus - 1`` are counted as idle, plus the two
+    extra handles ``hr`` (paired with the round 2-handle ``R``) and ``hb``
     (threaded by the three modification 2-handles).  2-handles: the
     0-framed fiber ``F``, the round handle ``R``, and the modification
     triple ``L1, L2, L3``; ``L1`` and ``L2`` cobound, giving the single
-    3-handle its incidence.  A genus below one or past ``MAX_GENUS`` raises
-    ``SchemeError`` before any handle is built.
+    3-handle its incidence.  A genus below one raises ``SchemeError``.
     """
     if genus < 1:
         raise SchemeError("need genus at least one")
-    if genus > MAX_GENUS:
-        raise SchemeError(f"genus {genus} is more than {MAX_GENUS}")
-    us = [f"u{i}" for i in range(1, 2 * genus + 1)]
-    ones = us + ["hr", "hb"]
-    twos = ["F", "R", "L1", "L2", "L3"]
-    framings = {"F": 0, "R": 0, "L1": 1, "L2": 1, "L3": -2}
-    linking = {("L1", "L2"): 1, ("L1", "L3"): 1, ("L2", "L3"): 1}
+    linking = {
+        ("L1", "L1"): 1, ("L2", "L2"): 1, ("L3", "L3"): -2,
+        ("L1", "L2"): 1, ("L1", "L3"): 1, ("L2", "L3"): 1,
+    }
     incidence2 = {
         ("R", "hr"): 1,
         ("L1", "hb"): 1,
@@ -359,13 +349,13 @@ def fibration_presentation(genus: int) -> HandlePresentation:
         ("L3", "hb"): -1,
     }
     pres = HandlePresentation(
-        one_handles=ones,
-        two_handles=twos,
-        framings=framings,
+        one_handles=["u1", "hr", "hb"],
+        two_handles=["F", "R", "L1", "L2", "L3"],
         linking=linking,
         incidence2=incidence2,
         three_handles=["t1"],
         incidence3={("t1", "L2"): 1, ("t1", "L1"): -1},
+        idle_one_handles=2 * genus - 1,
     )
     pres.validate()
     return pres
@@ -394,11 +384,11 @@ def expected_final_profile(genus: int) -> dict:
 
 def is_standard_form(pres: HandlePresentation, genus: int) -> bool:
     """2g one-handles, the 0-framed fiber, and one +1-framed handle on u1."""
-    if len(pres.one_handles) != 2 * genus or pres.three_handles:
+    if len(pres.one_handles) + pres.idle_one_handles != 2 * genus or pres.three_handles:
         return False
     if sorted(pres.two_handles) != ["F", "L1"]:
         return False
-    if pres.framings["F"] != 0 or pres.framings["L1"] != 1:
+    if pres.link("F", "F") != 0 or pres.link("L1", "L1") != 1:
         return False
     if pres.link("F", "L1") != 0:
         return False
@@ -411,24 +401,21 @@ def is_standard_form(pres: HandlePresentation, genus: int) -> bool:
 def localized_presentation() -> HandlePresentation:
     """The cut-out piece around the modification, built on the hexagon curves.
 
-    1-handles are the three edge classes of the hexagon; the 2-handles are
-    the three vanishing cycles and the surgered curve, attached along their
-    homology classes; a single 3-handle closes the piece off to a 4-ball.
+    1-handles are the three edge classes ``a, b, c`` of the hexagon; the
+    0-framed 2-handles are the three vanishing cycles and the surgered
+    curve of the negative modification, each running over the 1-handles as
+    its homology class; a single 3-handle closes the piece off to a 4-ball.
     """
+    curves = get_scenario("negative-modification").curves
     ones = ["a", "b", "c"]
     twos = ["C1", "C2", "C3", "C"]
-    incidence2 = {
-        ("C1", "a"): -1, ("C1", "c"): 1,
-        ("C2", "b"): -1, ("C2", "c"): -1,
-        ("C3", "a"): 1, ("C3", "b"): 1,
-        ("C", "a"): 1,
-    }
     pres = HandlePresentation(
         one_handles=ones,
         two_handles=twos,
-        framings={t: 0 for t in twos},
         linking={},
-        incidence2=incidence2,
+        incidence2={
+            (two, one): v for two in twos for one, v in zip(ones, curves[two].homology()) if v
+        },
         three_handles=["t1"],
         incidence3={("t1", "C1"): 1, ("t1", "C2"): 1, ("t1", "C3"): 1},
     )

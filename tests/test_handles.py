@@ -11,7 +11,6 @@ import pytest
 from blfkit import cli, handles
 from blfkit.errors import HandleMoveError, SchemeError
 from blfkit.handles import (
-    MAX_GENUS,
     HandlePresentation,
     expected_final_profile,
     fibration_presentation,
@@ -66,6 +65,13 @@ class TestFibrationPresentation:
         assert cli.main(["handle-sim", "--genus", str(genus)]) == 3
         assert capsys.readouterr() == ("", "blfkit: need genus at least one\n")
 
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    def test_idle_fiber_handles_are_counted(self, genus):
+        pres = fibration_presentation(genus)
+        assert pres.one_handles == ["u1", "hr", "hb"]
+        assert pres.idle_one_handles == 2 * genus - 1
+        assert {one for _, one in pres.incidence2} == set(pres.one_handles)
+
 
 class TestSimplificationScript:
     @pytest.mark.parametrize("genus", [1, 2, 3])
@@ -84,10 +90,10 @@ class TestSimplificationScript:
     def test_framing_arithmetic_of_slides(self):
         pres = fibration_presentation(2)
         pres.cancel12("R", "hr")
-        before = pres.framings["L1"]
+        before = pres.link("L1", "L1")
         pres.slide("L1", "L3", 1)
         # f -> f + 2*sign*lk + f_over
-        assert pres.framings["L1"] == before + 2 * 1 * 1 + pres.framings["L3"]
+        assert pres.link("L1", "L1") == before + 2 * 1 * 1 + pres.link("L3", "L3")
 
 
 class TestMoveValidation:
@@ -117,6 +123,19 @@ class TestLocalizedPiece:
     def test_validates(self):
         localized_presentation().validate()
 
+    def test_incidences_are_the_homology_classes_of_the_hexagon_curves(self):
+        # the table the piece was built from by hand before its incidences
+        # were read from the negative modification's curves
+        hand_table = {
+            ("C1", "a"): -1, ("C1", "c"): 1,
+            ("C2", "b"): -1, ("C2", "c"): -1,
+            ("C3", "a"): 1, ("C3", "b"): 1,
+            ("C", "a"): 1,
+        }
+        pres = localized_presentation()
+        assert pres.incidence2 == hand_table
+        assert pres.linking == {} and pres.idle_one_handles == 0
+
 
 class TestHandleSimReports:
     @pytest.mark.parametrize("genus", [1, 2, 3])
@@ -145,14 +164,15 @@ class TestHandleSimReports:
 def dense_profile(pres):
     """``homology_profile`` from Smith normal form on the full incidence matrices."""
     ones, twos, threes = pres.one_handles, pres.two_handles, pres.three_handles
+    n1 = len(ones) + pres.idle_one_handles
     d2 = [[pres.inc2(two, one) for one in ones] for two in twos]
     d3 = [[pres.inc3(three, two) for two in twos] for three in threes]
     f2 = smith_invariant_factors(d2) if twos and ones else []
     f3 = smith_invariant_factors(d3) if threes and twos else []
     r2, r3 = len(f2), len(f3)
     return {
-        "chi": 1 - len(ones) + len(twos) - len(threes),
-        "H1": {"betti": len(ones) - r2, "torsion": [d for d in f2 if d > 1]},
+        "chi": 1 - n1 + len(twos) - len(threes),
+        "H1": {"betti": n1 - r2, "torsion": [d for d in f2 if d > 1]},
         "H2": {"betti": len(twos) - r2 - r3, "torsion": [d for d in f3 if d > 1]},
         "H3": {"betti": len(threes) - r3, "torsion": []},
     }
@@ -206,11 +226,13 @@ def random_presentation(rng):
     for a, b in zip(twos, twos[1:]):
         if not a.startswith("z") and not b.startswith("z") and rng.random() < 0.5:
             linking[a, b] = rng.choice([-1, 1])
-    framings = {t: 0 if t.startswith("z") else rng.randint(-2, 2) for t in twos}
+    for t in twos:
+        framing = 0 if t.startswith("z") else rng.randint(-2, 2)
+        if framing:
+            linking[t, t] = framing
     return HandlePresentation(
         one_handles=ones,
         two_handles=twos,
-        framings=framings,
         linking=linking,
         incidence2=inc2,
         three_handles=threes,
@@ -249,6 +271,18 @@ def random_script(seed, moves=12):
         yield move, pres
 
 
+def dense_linking(pres):
+    """The linking matrix over every pair of 2-handles, framings on the diagonal."""
+    return [[pres.link(a, b) for b in pres.two_handles] for a in pres.two_handles]
+
+
+def congruent(q, p):
+    """The matrix P^T Q P."""
+    n = len(q)
+    qp = [[sum(q[i][k] * p[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return [[sum(p[k][i] * qp[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
 def broken_presentation(seed):
     """A random presentation with one 3-handle incidence and one 2-handle run changed."""
     rng = random.Random(seed)
@@ -278,6 +312,25 @@ class TestSparseTracker:
         assert kinds == {None, "slide", "cancel12", "cancel23"}
         assert idle >= 40
 
+    def test_slides_change_the_linking_matrix_by_congruence(self):
+        # sliding mover over over replaces mover by mover + sign * over, so
+        # Q becomes P^T Q P with P = I + sign * E[over, mover]
+        slides = 0
+        for seed in range(40):
+            before = None
+            for move, pres in random_script(seed):
+                assert all(pres.linking.values())
+                assert not any((b, a) in pres.linking for a, b in pres.linking if a != b)
+                if move and move[0] == "slide":
+                    mover, over, sign = move[1]
+                    twos = pres.two_handles
+                    p = [[int(i == j) for j in range(len(twos))] for i in range(len(twos))]
+                    p[twos.index(over)][twos.index(mover)] += sign
+                    assert dense_linking(pres) == congruent(dense_linking(before), p), move
+                    slides += 1
+                before = pres
+        assert slides >= 200
+
     @pytest.mark.parametrize("seed", range(40))
     def test_broken_presentation_raises_the_triple_loop_message(self, seed):
         pres = broken_presentation(seed)
@@ -303,32 +356,28 @@ class TestSparseTracker:
 class TestCostAndBound:
     def test_report_cost_does_not_grow_with_idle_handles(self):
         # 200,002 one-handles, three of them carrying an incidence: 4.5 s of
-        # CPU time when every move and profile read all of them
+        # CPU time when every move and profile read all of them, all named
         start = time.process_time()
         out = fibration_report(100_000)
         took = time.process_time() - start
         assert out["ok"] is True
         assert took < 1.0, f"{took:.2f} s"
 
-    def test_genus_past_the_bound_is_an_input_error(self):
-        with pytest.raises(SchemeError, match=f"more than {MAX_GENUS}"):
-            fibration_presentation(MAX_GENUS + 1)
-
-    def test_cli_rejects_the_genus_before_building(self):
-        # in a child process limited to 1 GB of address space; a picture
-        # of this genus would list 2,000,004 one-handles
-        code = textwrap.dedent(f"""
+    def test_cli_runs_any_genus_in_bounded_memory(self):
+        # in a child process limited to 1 GB of address space: the idle
+        # fiber handles are counted, so a picture of 2 * 10**12 one-handles
+        # costs what the genus-1 picture does
+        code = textwrap.dedent("""
             import resource, sys
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
             from blfkit import cli
-            sys.exit(cli.main(["handle-sim", "--genus", "{MAX_GENUS + 1}"]))
+            sys.exit(cli.main(["handle-sim", "--genus", "1000000000000"]))
         """)
         start = time.perf_counter()
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
         )
         elapsed = time.perf_counter() - start
-        assert done.returncode == 3, done.stderr
-        assert done.stdout == ""
-        assert done.stderr == f"blfkit: genus {MAX_GENUS + 1} is more than {MAX_GENUS}\n"
-        assert elapsed < 10.0, f"{elapsed:.2f} s"
+        assert done.returncode == 0, done.stderr
+        assert '"ok": true' in done.stdout
+        assert elapsed < 5.0, f"{elapsed:.2f} s"
