@@ -84,17 +84,14 @@ class Scenario:
         }
 
 
-def _rho(scheme: Scheme, m: int) -> Relabeling:
-    """Rotation of the truncated antipodal 2m-gon by two sides."""
-    n = 2 * m
-    mapping = {}
-    for s in scheme.slots:
-        if isinstance(s, int):
-            mapping[s] = (s + 2) % n
-        else:
-            k = int(s[1:])
-            mapping[s] = f"u{(k + 2) % n}"
-    return Relabeling.from_dict(scheme, mapping)
+def _rho(scheme: Scheme) -> Relabeling:
+    """Rotation of the truncated antipodal polygon by two sides.
+
+    Sides and truncated corners alternate around the polygon, so two sides
+    on is four slots on.
+    """
+    poly = scheme.polygons[0]
+    return Relabeling.from_dict(scheme, {s: poly[(i + 4) % len(poly)] for i, s in enumerate(poly)})
 
 
 def family_scenario(n: int) -> Scenario:
@@ -108,7 +105,7 @@ def family_scenario(n: int) -> Scenario:
         raise SchemeError(f"family member n must be at least 1, got {n}")
     m = 2 * n + 1
     scheme = antipodal_polygon_scheme(m).build()
-    rho = _rho(scheme, m)
+    rho = _rho(scheme)
     curves = {"C": ClosedCurve(scheme, (0,))}
     c1 = ClosedCurve(scheme, (m, 2))
     curves["C1"] = c1
@@ -259,7 +256,6 @@ class ReducedMonodromyReport:
     gamma_word: Tuple
     handedness: str
     cap_slides: int
-    band_slides: int
     ok: bool
 
     def to_json(self) -> dict:
@@ -271,7 +267,6 @@ class ReducedMonodromyReport:
             "gamma": [str(t) for t in self.gamma_word],
             "handedness": self.handedness,
             "cap_slides": self.cap_slides,
-            "band_slides": self.band_slides,
             "ok": self.ok,
         }
 
@@ -339,7 +334,6 @@ def verify_reduced_monodromy(sc: Scenario) -> ReducedMonodromyReport:
         gamma_word=gamma.canonical(),
         handedness=handedness,
         cap_slides=after.cap_slides,
-        band_slides=after.band_slides,
         ok=ok,
     )
 

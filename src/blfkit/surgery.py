@@ -19,10 +19,9 @@ through it before it is read against the cut curve.
 
 ``project`` pushes a curve or arc of the old surface into the new one.  An
 item that crosses the cut curve is obstructed: no band slide over the round
-handle removes a crossing, so none is tried and ``band_slides`` is always
-0.  An item that misses the cut curve has each passage through the cut
-edge slid across a capping disk and its token deleted; these cap slides
-are counted.
+handle removes a crossing, so none is tried.  An item that misses the cut
+curve has each passage through the cut edge slid across a capping disk and
+its token deleted; these cap slides are all the slides counted.
 """
 
 from __future__ import annotations
@@ -126,7 +125,6 @@ def round_surgery(scheme: Scheme, curve: ClosedCurve) -> SurgeryResult:
 class Projection:
     item: Item
     slide_count: int
-    band_slides: int
     cap_slides: int
 
 
@@ -149,8 +147,8 @@ def project(sr: SurgeryResult, item: Item) -> Projection:
             new = ClosedCurve(sr.scheme, kept)
         else:
             new = Arc(sr.scheme, item.start, kept, item.end)
-    except Exception as exc:
+    except CurveError as exc:
         raise ProjectionObstructedError(
             f"projected word is not valid on the surgered surface: {exc}"
         ) from exc
-    return Projection(new, caps, 0, caps)
+    return Projection(new, caps, caps)

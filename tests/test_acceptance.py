@@ -60,7 +60,6 @@ def test_criterion_2_surgery_yields_annulus_with_left_reduced_twist():
         report.chi == 0
         and report.boundary_circles == 2
         and report.cap_slides == 2
-        and report.band_slides == 0
         and report.handedness == "left"
         and report.ok
     )
@@ -99,7 +98,7 @@ def test_criterion_3_positive_modification():
     ok = (
         round_ok and joining.ok and reversed_ok and same_class and left_ok
         and mirror_fixes and mirror_right
-        and (after.cap_slides, after.band_slides) == (2, 0)
+        and (after.cap_slides, after.slide_count) == (2, 2)
     )
     verdict(
         3,
@@ -116,7 +115,7 @@ def test_criterion_3_positive_modification():
     assert reduced.handedness == negative.handedness
     assert mirror_fixes
     assert mirror_right
-    assert (after.cap_slides, after.band_slides) == (2, 0)
+    assert (after.cap_slides, after.slide_count) == (2, 2)
 
 
 def test_criterion_4_family_round_invariance_within_budget():

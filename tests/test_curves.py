@@ -382,7 +382,7 @@ class TestIntersectionNumbers:
     def test_no_bigons_for_any_labelling(self, hexagon, rotations):
         # a configuration keeps bigons here and counts 3, 3 and 5, but 1,
         # 1 and 1 after one rotation of the hexagon
-        rho = _rho(hexagon, 3)
+        rho = _rho(hexagon)
 
         def turn(x):
             for _ in range(rotations):

@@ -119,7 +119,6 @@ class TestReducedMonodromy:
         assert report.boundary_circles == 2
         assert report.handedness == "left"
         assert report.cap_slides == 2
-        assert report.band_slides == 0
 
     def test_positive_modification_computes_left_despite_expectation(self):
         # The right-handed expectation recorded on this scenario is refuted:

@@ -15,8 +15,10 @@ from blfkit import (
     hexagon_scheme,
     project,
     round_surgery,
+    surgery,
 )
 from blfkit.errors import (
+    CurveError,
     InessentialCurveError,
     ProjectionObstructedError,
     StandardizationError,
@@ -112,14 +114,12 @@ class TestProjection:
     def test_disjoint_arc_transfers_with_cap_slides(self, cut, hexagon):
         A = Arc(hexagon, Anchor("u1"), (), Anchor("u2"))
         p = project(cut, A)
-        assert p.cap_slides == 0
-        assert p.band_slides == 0
+        assert p.cap_slides == p.slide_count == 0
         assert arcs_isotopic(p.item, Arc(cut.scheme, Anchor("u1"), (), Anchor("u2")))
 
     def test_arc_through_cut_edge(self, cut, hexagon):
         A = Arc(hexagon, Anchor("u1"), (0, 1, 5, 1, 0, 4), Anchor("u2"))
         p = project(cut, A)
-        assert p.band_slides == 0
         assert p.cap_slides == 2
         assert p.slide_count == 2
 
@@ -131,6 +131,21 @@ class TestProjection:
     def test_transverse_curve_is_obstructed(self, cut, hexagon):
         with pytest.raises(ProjectionObstructedError):
             project(cut, ClosedCurve(hexagon, (3, 2)))
+
+    @pytest.mark.parametrize(
+        "raised, reported", [(CurveError, ProjectionObstructedError), (TypeError, TypeError)]
+    )
+    def test_only_an_invalid_word_is_an_obstruction(self, cut, hexagon, monkeypatch, raised, reported):
+        # a word the surgered surface rejects is obstructed; any other error
+        # building the projected item is a fault of the engine and propagates
+        class FailingArc(Arc):
+            def __init__(self, *args):
+                raise raised("cannot build the projected arc")
+
+        A = Arc(hexagon, Anchor("u1"), (), Anchor("u2"))
+        monkeypatch.setattr(surgery, "Arc", FailingArc)
+        with pytest.raises(reported, match="cannot build the projected arc"):
+            project(cut, A)
 
 
 class TestReducedTwist:
