@@ -356,7 +356,7 @@ class TestSparseTracker:
 class TestCostAndBound:
     def test_report_cost_does_not_grow_with_idle_handles(self):
         # 200,002 one-handles, three of them carrying an incidence: 4.5 s of
-        # CPU time when every move and profile read all of them, all named
+        # CPU time when every move and profile read all of them
         start = time.process_time()
         out = fibration_report(100_000)
         took = time.process_time() - start
