@@ -11,10 +11,13 @@ Subcommands::
     blfkit render SCENARIO -o FILE.svg
 
 Exit status: 0 when all checks pass, 1 when a verification fails, 2 on
-usage errors, 3 when the engine rejects an input (a ``BlfkitError``,
-reported as one ``blfkit: <message>`` line on stderr).  All output is
-deterministic; the cross-check seed defaults to the ``BLFKIT_SEED``
-environment variable (or 0), read when the command runs.
+usage errors, 3 when the engine rejects an input (a ``BlfkitError``).
+Besides argparse's usage errors, an output file (``--json``, ``-o``) that
+cannot be written and a ``BLFKIT_SEED`` that is not an integer exit 2;
+these two and a rejected input are reported as one ``blfkit: <message>``
+line on stderr.  All output is deterministic; the cross-check seed
+defaults to the ``BLFKIT_SEED`` environment variable (or 0), read when
+the command runs.
 """
 
 from __future__ import annotations
@@ -30,8 +33,20 @@ from . import handles, oracle, render, scenarios
 from .errors import BlfkitError
 
 
+class _UsageError(Exception):
+    """A usage error found after parsing: exit status 2, one line."""
+
+
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _cmd_list(_args) -> int:
@@ -48,8 +63,7 @@ def _cmd_verify(args) -> int:
         status = "ok" if r["ok"] else "FAIL"
         print(f"[{status}] {r['check']} ({sc.name})")
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(_dump(report))
+        _write(args.json, _dump(report))
     return 0 if report["ok"] else 1
 
 
@@ -86,14 +100,16 @@ def _cmd_render(args) -> int:
     items = dict(sc.curves)
     if sc.arc is not None:
         items["A"] = sc.arc
-    svg = render.render_svg(sc.scheme, items)
-    with open(args.output, "w") as fh:
-        fh.write(svg)
+    _write(args.output, render.render_svg(sc.scheme, items))
     return 0
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("BLFKIT_SEED", "0"))
+    value = os.environ.get("BLFKIT_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise _UsageError(f"BLFKIT_SEED must be an integer, not {value!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,6 +164,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
+    except _UsageError as exc:
+        print(f"blfkit: {exc}", file=sys.stderr)
+        return 2
     except BlfkitError as exc:
         print(f"blfkit: {exc}", file=sys.stderr)
         return 3

@@ -15,14 +15,16 @@ and rejects any other value with ``BlfkitError``.
 
 The agreement suite draws its random twist words one at a time, so its
 memory does not grow with their number and its time grows linearly with
-it.  Each word starts from its head, its first one or two generators,
-in a table kept once per process and filled on first use: the engine
-images of the base curves under the head, and the head's automorphism.
-Only the rest of the word is twisted and composed, and the table never
-holds more than 6 + 36 heads.  It compares the engine's image of a curve
-with the oracle's by one rotation search on the two cyclically reduced
-words, and computes Duval keys (``conjugacy_key``) only for oracle images
-short enough to match a base curve's.
+it.  Each word starts from its head, its first one to ``HEAD_LENGTH``
+(three) generators, in a table kept once per process and filled on first
+use: the engine images of the base curves under the head, and the head's
+automorphism.  Only the rest of the word is twisted and composed, and the
+table never holds more than 6 + 36 + 216 heads, about 1.1 MB when full.
+A warm word of k twists costs the engine 4(k - min(k, 3)) twists.  The
+suite compares the engine's image of a curve with the oracle's by one
+rotation search on the two cyclically reduced words, and computes Duval
+keys (``conjugacy_key``) only for oracle images short enough to match a
+base curve's.
 
 Images grow exponentially with the number of twists composed, about
 threefold per twist.  An automorphism counts the letters of an image
@@ -50,6 +52,11 @@ Word = Tuple[int, ...]
 # letters) that ``run_agreement_suite(200, seed, 5)`` composes for seeds 0
 # and 7, and reached after 13-15 twists of a random word
 MAX_IMAGE_LETTERS = 1_000_000
+
+# the most generators of a word's head in the agreement suite's table: at
+# most 6 + 36 + 216 heads, about 1.1 MB traced when full; four-generator
+# heads would be up to 1,554 entries and 5.5-8.4 MB
+HEAD_LENGTH = 3
 
 
 # -- free group words ------------------------------------------------------
@@ -275,15 +282,15 @@ def random_twist_words(count: int, seed: int, max_length: int) -> List[List[Tupl
 
 class _HeadTable(dict):
     """Engine images of the base curves, and the oracle automorphism, under
-    a word's head: its first one or two generators.
+    a word's head: its first one to ``HEAD_LENGTH`` generators.
 
-    Key: the head, a tuple of one or two generators, first acting first.
-    Value: ``(images, auto)``, the engine images of the base curves in
-    sorted name order and the head's automorphism.  A one-generator head
-    twists each base curve once by ``twists.dehn_twist``; a two-generator
-    head twists its one-generator head's images once more and composes one
+    Key: the head, a tuple of generators, first acting first.  Value:
+    ``(images, auto)``, the engine images of the base curves in sorted
+    name order and the head's automorphism.  A one-generator head twists
+    each base curve once by ``twists.dehn_twist``; a longer head twists the
+    images of the head one generator shorter once more and composes one
     automorphism.  Filled on first use, so an entry is work that the word
-    asking for it needs anyway; there are at most 6 + 36 heads.
+    asking for it needs anyway; there are at most 6 + 36 + 216 heads.
     """
 
     def __init__(self, base: List[ClosedCurve],
@@ -316,9 +323,9 @@ def _hexagon_fixture():
     ``C`` and the cycles ``C1``, ``C2``, ``C3``, along which the engine
     twists for the generators ``("c1", +-1)``, ...  The unoriented keys of
     ``BASE_WORDS`` are the oracle's side of every isotopy verdict.  The
-    head table (``_HeadTable``) starts empty and maps the first one or two
-    generators of a word to the engine images of the base curves and the
-    oracle automorphism under them; every word of the agreement suite
+    head table (``_HeadTable``) starts empty and maps the first one to
+    three generators of a word to the engine images of the base curves and
+    the oracle automorphism under them; every word of the agreement suite
     starts from one entry.  Built on first use and kept for the process,
     so that what depends only on the scheme and these curves (the
     intersection form, each generator's ``is_simple`` verdict, canonical
@@ -347,18 +354,20 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
     from ``_hexagon_fixture``, built once per process, and each word starts
     from its head's entry in the fixture's head table, filled on first
     use: the engine images of the base curves, and the automorphism, under
-    the word's first one or two generators.  The rest of the word, as a
-    ``TwistWord``, is applied to each of those images, and the oracle
-    composes the rest onto the head's automorphism, so a word of k twists
-    costs the engine 4(k - min(k, 2)) twists and the oracle k - min(k, 2)
-    compositions once its head is in the table.  The homology check reads
-    the whole word.  Two cyclically reduced words are conjugate exactly
-    when one is a rotation of the other (Magnus, Karrass and Solitar,
-    section 1.3), so an engine image agrees with the cyclically reduced
-    oracle image when both, as strings of hexagon tokens, have one length
-    and the engine's occurs in the oracle's doubled: one substring search,
-    no key.  Only an oracle image no longer than some base word can match
-    a base key, so only those get an unoriented ``conjugacy_key``.  A
+    the word's first one to ``HEAD_LENGTH`` (three) generators.  The rest
+    of the word, as a ``TwistWord``, is applied to each of those images,
+    even when it is empty, and the oracle composes the rest onto the
+    head's automorphism, so a word of k twists costs the engine
+    4(k - min(k, 3)) twists and the oracle k - min(k, 3) compositions once
+    its head is in the table.  The homology check reads the whole word, and
+    no head keeps a homology matrix.  Two cyclically reduced words are
+    conjugate exactly when one is a rotation of the other (Magnus, Karrass
+    and Solitar, section 1.3), so an engine image agrees with the
+    cyclically reduced oracle image when both, as strings of hexagon
+    tokens, have one length and the engine's occurs in the oracle's
+    doubled: one substring search, no key.  Only an oracle image no longer
+    than some base word can match a base key, so only those get an
+    unoriented ``conjugacy_key``.  A
     negative ``count`` or a ``max_length`` below 1 raises ``BlfkitError``.
     """
     from .curves import curves_isotopic
@@ -377,9 +386,9 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
         # engine and oracle: the head's images and automorphism from the
         # table, then the rest of the word in order
         steps = tuple(reversed([engine_gens[g] for g in gens]))
-        head_images, auto = heads[tuple(gens[:2])]
-        rest = TwistWord(steps[:-2])
-        for g in gens[2:]:
+        head_images, auto = heads[tuple(gens[:HEAD_LENGTH])]
+        rest = TwistWord(steps[:-HEAD_LENGTH])
+        for g in gens[HEAD_LENGTH:]:
             auto = GENERATORS[g].compose(auto)
 
         word_match = True

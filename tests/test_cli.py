@@ -62,6 +62,22 @@ class TestRejectedInput:
         assert "Traceback" not in proc.stderr
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", [
+        ("render", "family-1", "-o"),
+        ("verify", "family-1", "--json"),
+    ], ids=["render", "verify"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_one_line_and_exit_two(self, tmp_path, command, where):
+        path = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
+        proc = run_cli(*command, str(path))
+        # a usage error, not a failed verification
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"blfkit: cannot write {path}: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
+
 class TestListScenarios:
     def test_lists_all_five(self):
         proc = run_cli("list-scenarios")

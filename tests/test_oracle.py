@@ -1,6 +1,7 @@
 """Free-group cross-check layer: word algebra and automorphism tables."""
 
 import gc
+import itertools
 import json
 import random
 import subprocess
@@ -366,8 +367,8 @@ class TestSuiteDoesNoRepeatedWork:
         assert set(gens) == set(GENERATORS)
         for (name, power), (curve, p) in gens.items():
             assert curve is base[name.upper()] and p == power
-        # the head table holds only heads of one or two generators
-        assert all(len(head) in (1, 2) and set(head) <= set(GENERATORS) for head in heads)
+        # the head table holds only heads of one to three generators
+        assert all(len(head) in (1, 2, 3) and set(head) <= set(GENERATORS) for head in heads)
 
     def test_fixture_keeps_every_first_twist(self, fresh_heads):
         # a fresh fixture has an empty head table; every entry is the
@@ -376,8 +377,9 @@ class TestSuiteDoesNoRepeatedWork:
         _, base, gens, _, heads = _hexagon_fixture()
         assert len(heads) == 0
         names = sorted(BASE_WORDS)
-        every = [(g,) for g in sorted(GENERATORS)]
-        every += [(g, h) for g in sorted(GENERATORS) for h in sorted(GENERATORS)]
+        every = [
+            head for n in (1, 2, 3) for head in itertools.product(sorted(GENERATORS), repeat=n)
+        ]
         entries = {head: heads[head] for head in every}
         for head, (images, auto) in entries.items():
             want, want_auto = [base[name] for name in names], IDENTITY
@@ -386,16 +388,16 @@ class TestSuiteDoesNoRepeatedWork:
                 want_auto = GENERATORS[g].compose(want_auto)
             assert list(images) == want, head
             assert auto == want_auto, head
-        assert len(heads) == 6 + 36
+        assert len(heads) == 6 + 36 + 216
         again = _hexagon_fixture()[4]
         assert all(again[head] is entry for head, entry in entries.items())
-        assert len(again) == 6 + 36
+        assert len(again) == 6 + 36 + 216
 
     @pytest.mark.parametrize("seed", [0, 1, 5, 9])
     def test_each_word_twists_base_curves_after_its_first_generator(
         self, monkeypatch, fresh_heads, seed
     ):
-        # a cold word fills its heads, one and two generators, at 4 twists
+        # a cold word fills its heads, of one to three generators, at 4 twists
         # each: no more than twisting each base curve along the whole word;
         # a warm word of k twists twists them along all but its head
         from blfkit import twists
@@ -410,7 +412,7 @@ class TestSuiteDoesNoRepeatedWork:
         calls.clear()
         assert run_agreement_suite(1, seed, 5).ok
         k = len(word)
-        assert len(calls) == 4 * (k - min(k, 2))
+        assert len(calls) == 4 * (k - min(k, 3))
 
     def test_second_call_builds_no_taut_config(self, monkeypatch):
         builds = []
@@ -478,13 +480,29 @@ class TestLazyWords:
         # reference suite's, which lists its words first
         assert large - small < 16_000, (small, large)
 
-    def test_head_table_stays_bounded(self, monkeypatch):
-        # 2,000 words of up to 5 twists meet every head of one and two
+    def test_head_table_stays_bounded(self, monkeypatch, fresh_heads):
+        # 2,000 words of up to 5 twists meet every head of one to three
         # generators, and the table holds no other
         assert run_agreement_suite(2_000, 3, 5).ok
+        every = {
+            head for n in (1, 2, 3) for head in itertools.product(GENERATORS, repeat=n)
+        }
+        assert set(_hexagon_fixture()[4]) == every and len(every) == 6 + 36 + 216
+        # the full table filled afresh, with the tables it fills on the
+        # twist curves, traced after a full collection, which also empties
+        # the free lists
+        _hexagon_fixture.cache_clear()
         heads = _hexagon_fixture()[4]
-        pairs = {(g, h) for g in GENERATORS for h in GENERATORS}
-        assert set(heads) == {(g,) for g in GENERATORS} | pairs
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for head in every:
+                heads[head]
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2_000_000, kept
         # with the table warm, the same 40 words cycled, each drawn afresh:
         # a longer run meets no longer image, so only its count could raise
         # its peak, by about 96 bytes a word were the words listed first
@@ -497,7 +515,7 @@ class TestLazyWords:
         self.peak(40, 3, 5)
         small, large = self.peak(100, 3, 5), self.peak(1_000, 3, 5)
         assert large - small < 16_000, (small, large)
-        assert len(heads) == 6 + 36
+        assert len(heads) == 6 + 36 + 216
 
 
 class TestCrosscheckCommand:
@@ -521,6 +539,14 @@ class TestCrosscheckCommand:
             monkeypatch.setenv("BLFKIT_SEED", str(seed))
             assert cli.main(["oracle-crosscheck", "--count", "2"]) == 0
             assert json.loads(capsys.readouterr().out)["seed"] == seed
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_bad_seed_in_environment_is_a_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("BLFKIT_SEED", value)
+        assert cli.main(["oracle-crosscheck", "--count", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"blfkit: BLFKIT_SEED must be an integer, not {value!r}\n"
 
     def test_seed_option_overrides_environment(self, monkeypatch, capsys):
         monkeypatch.setenv("BLFKIT_SEED", "3")

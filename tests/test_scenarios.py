@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
+import textwrap
+import time
 
 import pytest
 
@@ -10,6 +14,7 @@ from blfkit.curves import TautConfig, geometric_intersection
 from blfkit.errors import SchemeError
 from blfkit.schemes import Relabeling
 from blfkit.scenarios import (
+    MAX_FAMILY_MEMBER,
     SCENARIOS,
     _smoothings,
     family_scenario,
@@ -59,6 +64,34 @@ class TestRegistry:
             sc = get_scenario(name)
             assert len(sc.curves) >= 1
             assert sc.expected.get("round_invariant") is True
+
+
+class TestFamilyBound:
+    @pytest.mark.parametrize("n", [MAX_FAMILY_MEMBER + 1, 10**9])
+    def test_cli_rejects_a_member_past_the_bound_before_building(self, n):
+        # in a child process limited to 1 GB of address space: a member is
+        # about 9 KB a unit of n, so 10**9 built would need about 9 TB
+        code = textwrap.dedent(f"""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            from blfkit import cli
+            sys.exit(cli.main(["generate-family", "{n}"]))
+        """)
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=30
+        )
+        elapsed = time.perf_counter() - start
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == (
+            f"blfkit: family member n must be at most {MAX_FAMILY_MEMBER}, got {n}\n"
+        )
+        assert elapsed < 5.0, f"{elapsed:.2f} s"
+
+    def test_member_past_the_bound_is_a_scheme_error(self):
+        with pytest.raises(SchemeError, match=f"at most {MAX_FAMILY_MEMBER}, got"):
+            family_scenario(MAX_FAMILY_MEMBER + 1)
 
 
 class TestNamedScenarios:

@@ -688,7 +688,10 @@ def random_items(sch, rng, count):
 
 
 def suite_twists(seed):
-    """Every distinct (x, c) pair that ``run_agreement_suite(200, seed)`` twists."""
+    """Every distinct (x, c) pair that ``run_agreement_suite(200, seed)`` twists.
+
+    The suite runs from a cleared head table, so the pairs do not depend
+    on the heads earlier runs filled, and the table it fills is dropped."""
     seen = {}
     twist = twists.dehn_twist
 
@@ -696,9 +699,13 @@ def suite_twists(seed):
         seen.setdefault((x.tokens, c.tokens), (x, c))
         return twist(x, c, power, **kwargs)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(twists, "dehn_twist", recording)
-        oracle.run_agreement_suite(200, seed)
+    oracle._hexagon_fixture.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(twists, "dehn_twist", recording)
+            oracle.run_agreement_suite(200, seed)
+    finally:
+        oracle._hexagon_fixture.cache_clear()
     return list(seen.values())
 
 
