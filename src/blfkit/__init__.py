@@ -4,7 +4,6 @@ from .curves import (
     Anchor,
     Arc,
     ClosedCurve,
-    TautConfig,
     algebraic_intersection,
     arcs_isotopic,
     curves_isotopic,
@@ -31,7 +30,6 @@ __all__ = [
     "Relabeling",
     "Scheme",
     "SurgeryResult",
-    "TautConfig",
     "TwistWord",
     "algebraic_intersection",
     "antipodal_polygon_scheme",

@@ -15,9 +15,11 @@ usage errors, 3 when the engine rejects an input (a ``BlfkitError``).
 Besides argparse's usage errors, an output file (``--json``, ``-o``) that
 cannot be written and a ``BLFKIT_SEED`` that is not an integer exit 2;
 these two and a rejected input are reported as one ``blfkit: <message>``
-line on stderr.  All output is deterministic; the cross-check seed
-defaults to the ``BLFKIT_SEED`` environment variable (or 0), read when
-the command runs.
+line on stderr.  ``verify`` runs its checks before it writes ``--json``,
+so a failed check keeps exit 1 when the report cannot be written; the
+write error is still reported on its line.  All output is deterministic;
+the cross-check seed defaults to the ``BLFKIT_SEED`` environment variable
+(or 0), read when the command runs.
 """
 
 from __future__ import annotations
@@ -63,7 +65,12 @@ def _cmd_verify(args) -> int:
         status = "ok" if r["ok"] else "FAIL"
         print(f"[{status}] {r['check']} ({sc.name})")
     if args.json:
-        _write(args.json, _dump(report))
+        try:
+            _write(args.json, _dump(report))
+        except _UsageError as exc:
+            if report["ok"]:
+                raise
+            print(f"blfkit: {exc}", file=sys.stderr)
     return 0 if report["ok"] else 1
 
 
@@ -135,9 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_family)
 
     p = sub.add_parser("handle-sim", help="run the handle simplification script")
-    p.add_argument("--genus", type=int, default=1)
-    p.add_argument("--localized", action="store_true",
-                   help="trace the localized piece instead of the full picture")
+    picture = p.add_mutually_exclusive_group()
+    picture.add_argument("--genus", type=int, default=1)
+    picture.add_argument("--localized", action="store_true",
+                         help="trace the localized piece instead of the full picture")
     p.set_defaults(fn=_cmd_handles)
 
     p = sub.add_parser("oracle-crosscheck", help="engine vs fundamental-group oracle")

@@ -1,4 +1,4 @@
-"""Closed curves and arcs on a polygon scheme, with taut configurations.
+"""Closed curves and arcs on a polygon scheme, and where they cross.
 
 A closed curve is a cyclic word of *tokens*: the glued slots through which
 the curve exits, in order.  Each passage of the curve through a polygon is
@@ -17,24 +17,18 @@ it is the lesser of that and the least rotation of the reversed word.
 Booth's algorithm finds a least rotation in time and memory linear in the
 word length, and a curve, which is never mutated, computes each form once.
 
-A :class:`TautConfig` places several curves/arcs simultaneously in tight
-position.  Crossing points are ordered along each glued edge by a key: the
-rays the strand traces away from the edge on either side, each read as
-the sequence of counterclockwise offsets of its steps (an arc's ray ends
-at its anchor, which adds the anchor index).  Points sort by their ray on
-the primary side descending, then their ray on the other side ascending,
-then by (name, token index); prefix doubling ranks every ray once, and
-equal rays tie.  Chords inside each polygon connect consecutive crossing
-points, and the configuration's crossings are its interleaving chord
-pairs, with signs from the counterclockwise orientation of the polygons.
-The order need not be taut: along a run of edges that two strands share,
-the side whose ray decides flips with the slot labels, which can leave
-bigons, pairs of crossings of opposite sign.
+Crossings are signed by the counterclockwise orientation of the polygons:
+a crossing of a chord of ``x`` with a chord of ``c`` is +1 when the four
+ends run (entry of x, entry of c, exit of x, exit of c) counterclockwise.
+Points are ordered along an edge by their *rays*, the strands traced away
+from the edge, each read as the sequence of counterclockwise offsets of its
+steps (``_ray_steps``); prefix doubling ranks rays (``_ray_ranks``).
+``render`` places the points of a picture from these ranks; no verdict
+reads that placement.
 
-Twists and intersection numbers never read the configuration, which
-``render`` draws.  :func:`algebraic_intersection` needs no minimal
-position: bigons cancel, so any transverse position serves, and one pass
-over both words counts the one with u's points first along every edge.
+:func:`algebraic_intersection` needs no minimal position: bigons cancel,
+so any transverse position serves, and one pass over both words counts
+the one with u's points first along every edge.
 Twists, projections across a cut and smoothings need only where a curve
 ``x`` crosses one simple curve ``c``, and the order of x's points among
 themselves never changes which of c's chords an x chord crosses.  So
@@ -88,11 +82,10 @@ sorted sweep over its rays or chords; nothing is kept on either curve.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter, defaultdict
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from math import inf
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -380,7 +373,7 @@ def pair_homology(form: List[List[int]], u: Sequence[int], v: Sequence[int]) -> 
     return sum(u[i] * form[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
 
 
-# -- taut configurations ---------------------------------------------------
+# -- rays ------------------------------------------------------------------
 
 
 class _StepTable(dict):
@@ -515,189 +508,6 @@ def _ray_ranks(items: Sequence[Item]) -> Tuple[List[int], List[int]]:
     return _rank_rays(steps, nxt), bases
 
 
-@dataclass(frozen=True)
-class Passage:
-    item: str
-    index: int
-    entry_point: tuple
-    exit_point: tuple
-    entry_slot: SlotId
-    exit_slot: SlotId
-    polygon: int
-
-
-class TautConfig:
-    """Several curves/arcs in tight position on one scheme.
-
-    Crossing point ``(name, k)`` is where strand ``name`` exits through its
-    token ``k``; it appears on both sides of its edge, as the points
-    ``("cp", name, k, slot)``.  An arc's ends are the points ``("anchor",
-    name, "start")`` and ``("anchor", name, "end")``.  Passage ``i`` of an
-    item is the chord from its entry point to its exit point (its token
-    ``i``, or the end anchor) in one polygon.
-    """
-
-    def __init__(self, scheme: Scheme, items: Dict[str, Item]):
-        self.scheme = scheme
-        self.items = dict(items)
-        for name, item in items.items():
-            if item.scheme is not scheme:
-                raise CurveError(f"item {name!r} lives on a different scheme")
-        self._names = sorted(self.items)
-        self._build()
-
-    def _build(self) -> None:
-        scheme = self.scheme
-        edge_of, location = scheme.edge_of, scheme.location
-        names = self._names
-        items = [self.items[n] for n in names]
-
-        anchors: Dict[SlotId, List[Tuple[int, str, str]]] = {}
-        for name, item in zip(names, items):
-            if isinstance(item, Arc):
-                for a, which in ((item.start, "start"), (item.end, "end")):
-                    lst = anchors.setdefault(a.slot, [])
-                    if any(x[0] == a.index and (x[1], x[2]) != (name, which) for x in lst):
-                        raise CurveError(
-                            f"anchor ({a.slot!r}, {a.index}) used by two items"
-                        )
-                    lst.append((a.index, name, which))
-        ranks, bases = _ray_ranks(items)
-
-        # along each edge: the rays on side e[0] descending, then those on
-        # side e[1] ascending, then (name, k)
-        width = max(ranks) + 1
-        groups: Dict[Tuple[SlotId, SlotId], List[Tuple[int, int, int]]] = {}
-        for ii, (item, b) in enumerate(zip(items, bases)):
-            m = len(item.tokens)
-            for k, t in enumerate(item.tokens):
-                e = edge_of[t]
-                fwd, bwd = ranks[b + k], ranks[b + m + k]
-                # the backward ray runs into the polygon of the token's own slot
-                r0, r1 = (bwd, fwd) if t == e[0] else (fwd, bwd)
-                groups.setdefault(e, []).append(((width - r0) * width + r1, ii, k))
-        for group in groups.values():
-            group.sort()
-        self._groups = groups
-
-        # counterclockwise position of every point in its polygon
-        first: Dict[SlotId, int] = {}
-        self._anchor_pos: Dict[Tuple[str, str], int] = {}
-        self._poly_size: List[int] = []
-        for poly in scheme.polygons:
-            n = 0
-            for s in poly:
-                e = edge_of.get(s)
-                if e is not None:
-                    first[s] = n
-                    n += len(groups.get(e, ()))
-                elif s in anchors:
-                    for _, name, which in sorted(anchors[s]):
-                        self._anchor_pos[(name, which)] = n
-                        n += 1
-            self._poly_size.append(n)
-        exit_pos = [[0] * len(item.tokens) for item in items]
-        cross_pos = [[0] * len(item.tokens) for item in items]
-        for (s0, s1), group in groups.items():
-            lo, hi = first[s0], first[s1] + len(group) - 1
-            for i, (_, ii, k) in enumerate(group):
-                if items[ii].tokens[k] == s0:
-                    exit_pos[ii][k], cross_pos[ii][k] = lo + i, hi - i
-                else:
-                    exit_pos[ii][k], cross_pos[ii][k] = hi - i, lo + i
-        self._exit_pos = dict(zip(names, exit_pos))
-        self._cross_pos = dict(zip(names, cross_pos))
-
-        # chords (polygon, entry position, exit position) by passage, and by
-        # polygon as (passage, entry position, exit position)
-        self._chords: Dict[str, List[Tuple[int, int, int]]] = {}
-        self._by_polygon: Dict[str, Dict[int, List[Tuple[int, int, int]]]] = {}
-        for name, item, xp, cp in zip(names, items, exit_pos, cross_pos):
-            polys = [location[t][0] for t in item.tokens]
-            if isinstance(item, ClosedCurve):
-                entries, exits = cp[-1:] + cp[:-1], xp
-            else:
-                polys.append(location[item.end.slot][0])
-                entries = [self._anchor_pos[(name, "start")]] + cp
-                exits = xp + [self._anchor_pos[(name, "end")]]
-            chords = list(zip(polys, entries, exits))
-            by_polygon: Dict[int, List[Tuple[int, int, int]]] = {}
-            for i, (pi, a, b) in enumerate(chords):
-                by_polygon.setdefault(pi, []).append((i, a, b))
-            self._chords[name] = chords
-            self._by_polygon[name] = by_polygon
-
-    # -- points and passages -----------------------------------------------
-
-    @functools.cached_property
-    def _edge_order(self) -> Dict[Tuple[SlotId, SlotId], List[Tuple[str, int]]]:
-        """The crossing points (name, k) along each edge, in its primary slot's order."""
-        return {
-            e: [(self._names[ii], k) for _, ii, k in group]
-            for e, group in self._groups.items()
-        }
-
-    def position(self, point: tuple) -> int:
-        """Counterclockwise position of a point among the points of its polygon."""
-        if point[0] == "anchor":
-            return self._anchor_pos[(point[1], point[2])]
-        _, name, k, slot = point
-        if slot == self.items[name].tokens[k]:
-            return self._exit_pos[name][k]
-        return self._cross_pos[name][k]
-
-    @functools.cached_property
-    def passages(self) -> List[Passage]:
-        """Every passage, items in name order, each in passage order."""
-        partner = self.scheme.partner
-        out = []
-        for name in self._names:
-            item = self.items[name]
-            toks = item.tokens
-            exits = [("cp", name, k, t) for k, t in enumerate(toks)]
-            entries = [("cp", name, k, partner[t]) for k, t in enumerate(toks)]
-            xslots = list(toks)
-            eslots = [partner[t] for t in toks]
-            if isinstance(item, ClosedCurve):
-                entries = entries[-1:] + entries[:-1]
-                eslots = eslots[-1:] + eslots[:-1]
-            else:
-                entries.insert(0, ("anchor", name, "start"))
-                eslots.insert(0, item.start.slot)
-                exits.append(("anchor", name, "end"))
-                xslots.append(item.end.slot)
-            for i, (pi, _, _) in enumerate(self._chords[name]):
-                out.append(Passage(name, i, entries[i], exits[i], eslots[i], xslots[i], pi))
-        return out
-
-    # -- crossings ---------------------------------------------------------
-
-    def crossings(self, name1: str, name2: str) -> List[Tuple[int, int, int]]:
-        """All crossings as (passage index of name1, of name2, sign).
-
-        Counterclockwise order (entry 1, entry 2, exit 1, exit 2) is sign +1.
-        Two chords of one polygon cross when exactly one endpoint of the
-        second lies on the counterclockwise way from entry to exit of the
-        first; no two passages share an endpoint.
-        """
-        out = []
-        same = name1 == name2
-        others = self._by_polygon.get(name2, {})
-        for pi, chords in self._by_polygon.get(name1, {}).items():
-            theirs = others.get(pi)
-            if not theirs:
-                continue
-            n = self._poly_size[pi]
-            for x, (i, a1, b1) in enumerate(chords):
-                span = (b1 - a1) % n
-                for j, a2, b2 in chords[x + 1:] if same else theirs:
-                    inside = (a2 - a1) % n < span
-                    if inside != ((b2 - a1) % n < span):
-                        out.append((i, j, 1 if inside else -1))
-        out.sort()
-        return out
-
-
 # -- crossings with one curve ----------------------------------------------
 
 
@@ -779,6 +589,28 @@ class _ChordTable(dict):
         return found
 
 
+class _SlotCounts(dict):
+    """c's points counterclockwise before each slot of its polygon, by slot.
+
+    ``runs[pi]`` holds the positions of the slots of polygon ``pi`` that
+    ``c`` occupies, ascending, and the running totals of c's points on
+    them; ``find`` is ``bisect_left`` for the points before a slot and
+    ``bisect_right`` for those before its end.  Filled on first use, so a
+    slot costs time logarithmic in ``|c|`` whatever its polygon's size.
+    """
+
+    def __init__(self, location: Dict[SlotId, Tuple[int, int]],
+                 runs: Dict[int, Tuple[List[int], List[int]]], find):
+        super().__init__()
+        self.location, self.runs, self.find = location, runs, find
+
+    def __missing__(self, s: SlotId) -> int:
+        pi, i = self.location[s]
+        at, totals = self.runs.get(pi, ((), (0,)))
+        found = self[s] = totals[self.find(at, i)]
+        return found
+
+
 class _PairTable(dict):
     """What ``passage_crossings`` reads at a point of ``x``, by x's token pair.
 
@@ -795,7 +627,7 @@ class _PairTable(dict):
 
     def __init__(self, scheme: Scheme, firsts: Dict[SlotId, List[int]],
                  maps: Dict[int, Tuple[int, int, int]],
-                 before: Dict[SlotId, int], after: Dict[SlotId, int]):
+                 before: _SlotCounts, after: _SlotCounts):
         super().__init__()
         self.partner, self.location, self.steps = scheme.partner, scheme.location, _step_table(scheme)
         self.firsts, self.maps, self.before, self.after = firsts, maps, before, after
@@ -817,10 +649,11 @@ def _crossing_data(c: ClosedCurve):
 
     Returns the table of x's token pairs (``_PairTable``), which keeps
     the number of c's points counterclockwise before each slot of its
-    polygon and before the end of each slot; the table of chord crossings
-    (``_ChordTable``); and the insertion words (``insertion_words``), c's
-    word doubled and its reversed word doubled, 4|c| tokens, from which a
-    twist slices every copy of ``c`` it inserts.  Raises
+    polygon and before the end of each slot (``_SlotCounts``); the table
+    of chord crossings (``_ChordTable``); and the insertion words
+    (``insertion_words``), c's word doubled and its reversed word doubled,
+    4|c| tokens, from which a twist slices every copy of ``c`` it inserts.
+    Its cost does not grow with the number of slots of c's polygons.  Raises
     ``NotSimpleError`` unless ``c`` is simple, and keeps the verdict that
     ``is_simple`` reads.
 
@@ -849,16 +682,21 @@ def _crossing_data(c: ClosedCurve):
             f = steps[s, t]
             firsts[s][lo:lo + n] = [f] * n
             maps[f] = (lo, lo + n, lo - start[t, s] + base[t])
-        before: Dict[SlotId, int] = {}
-        after: Dict[SlotId, int] = {}
-        sizes = []
-        for poly in scheme.polygons:
-            n = 0
-            for s in poly:
-                before[s] = n
-                n += len(firsts.get(s, ()))
-                after[s] = n
-            sizes.append(n)
+        # the slots c occupies by polygon, counterclockwise, with c's points
+        # before each
+        occupied: Dict[int, List[Tuple[int, int]]] = defaultdict(list)
+        for s, row in firsts.items():
+            pi, i = location[s]
+            occupied[pi].append((i, len(row)))
+        runs = {}
+        sizes = [0] * len(scheme.polygons)
+        for pi, slots in occupied.items():
+            slots.sort()
+            totals = list(accumulate((n for _, n in slots), initial=0))
+            runs[pi] = ([i for i, _ in slots], totals)
+            sizes[pi] = totals[-1]
+        before = _SlotCounts(location, runs, bisect_left)
+        after = _SlotCounts(location, runs, bisect_right)
         # after step i the trace enters at walk[i + 1]: c's point i + r, or,
         # read against c, point -2 - i - r, through its token's own slot.
         # Entry q of slot a is q - base[a] points into a, and as many back
@@ -899,9 +737,9 @@ def passage_crossings(x: Item, c: ClosedCurve) -> List[Tuple[Tuple[int, int], ..
     """The crossings of each passage of ``x`` with ``c``, ordered from its entry point.
 
     Entry ``k`` lists the (c-passage index, sign) pairs of passage ``k``,
-    with the signs of ``TautConfig.crossings``, for ``x`` and ``c`` in
-    minimal position (see the module docstring).  Requires ``c`` simple,
-    so that the order along a chord is the order of the near endpoints.
+    for ``x`` and ``c`` in minimal position (see the module docstring).
+    Requires ``c`` simple, so that the order along a chord is the order of
+    the near endpoints.
 
     Point ``k`` of ``x`` reads the entry of c's ``_PairTable`` for its
     token and the next, and has ``v`` of c's rays below its forward ray
@@ -961,7 +799,7 @@ def passage_crossings(x: Item, c: ClosedCurve) -> List[Tuple[Tuple[int, int], ..
 
 
 def algebraic_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
-    """Signed crossings of ``u`` with ``v``, signed as by ``TautConfig.crossings``.
+    """Signed crossings of ``u`` with ``v``, signed as in the module docstring.
 
     Any transverse position serves (Farb and Margalit, *Primer*, section
     1.2.3): u's points come first along each edge, read from its primary

@@ -368,13 +368,14 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
     doubled: one substring search, no key.  Only an oracle image no longer
     than some base word can match a base key, so only those get an
     unoriented ``conjugacy_key``.  A
-    negative ``count`` or a ``max_length`` below 1 raises ``BlfkitError``.
+    ``count`` below 1, which would check nothing, or a ``max_length`` below
+    1 raises ``BlfkitError``.
     """
     from .curves import curves_isotopic
     from .twists import TwistWord
 
-    if count < 0:
-        raise BlfkitError(f"count must be at least 0, not {count}")
+    if count < 1:
+        raise BlfkitError(f"count must be at least 1, not {count}")
     if max_length < 1:
         raise BlfkitError(f"max length must be at least 1, not {max_length}")
     scheme, base_curves, engine_gens, base_keys, heads = _hexagon_fixture()

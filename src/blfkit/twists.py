@@ -10,10 +10,11 @@ A twist acts at the crossings of ``x`` and ``c`` in minimal position
 slice of c's word doubled or of its reversed word doubled
 (``curves.insertion_words``), repeated once per unit of the power.  Both
 are kept on ``c``, and the doubled words are 4|c| tokens whatever the
-crossings and powers: a twist is one pass over the twisted word, knows
-its image's length before building it, and builds no configuration.  The homology action reads each curve's class, kept on the
-curve, and applies each transvection to the columns of the matrix built
-so far, in time quadratic in the rank per twist; no matrix is multiplied.
+crossings and powers: a twist is one pass over the twisted word, and
+knows its image's length before building it.  The homology action reads
+each curve's class, kept on the curve, and applies each transvection to
+the columns of the matrix built so far, in time quadratic in the rank per
+twist; no matrix is multiplied.
 
 Relabelings (scheme symmetries) act on curves token-wise; conjugation of a
 twist by a relabeling is the twist along the relabeled curve.

@@ -50,6 +50,7 @@ class TestRejectedInput:
         ("oracle-crosscheck", "--max-length", "0"),
         ("oracle-crosscheck", "--max-length", "-3"),
         ("oracle-crosscheck", "--count", "-1"),
+        ("oracle-crosscheck", "--count", "0"),
         # an oracle image past oracle.MAX_IMAGE_LETTERS
         ("oracle-crosscheck", "--count", "1", "--seed", "0", "--max-length", "40"),
     ])
@@ -73,6 +74,18 @@ class TestUnwritableOutput:
         proc = run_cli(*command, str(path))
         # a usage error, not a failed verification
         assert proc.returncode == 2
+        assert proc.stderr.startswith(f"blfkit: cannot write {path}: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_failed_verification_keeps_exit_one(self, tmp_path, where):
+        # the refutation of the positive modification stays re-runnable
+        # from the shell whatever the report path
+        path = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
+        proc = run_cli("verify", "positive-modification", "--json", str(path))
+        assert proc.returncode == 1
+        assert "[FAIL] reduced-monodromy" in proc.stdout
         assert proc.stderr.startswith(f"blfkit: cannot write {path}: ")
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
@@ -194,3 +207,12 @@ class TestHandleSim:
     def test_localized_piece(self):
         proc = run_cli("handle-sim", "--localized")
         assert proc.returncode == 0
+
+    def test_genus_and_localized_exclude_each_other(self):
+        # the localized piece has no genus, so a genus given with it is a
+        # usage error rather than ignored
+        proc = run_cli("handle-sim", "--genus", "5", "--localized")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "not allowed with argument --genus" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -20,9 +20,8 @@ from blfkit import (
     round_surgery,
     square_torus_scheme,
 )
-from blfkit import curves
+from blfkit import curves, render
 from blfkit.curves import (
-    TautConfig,
     homology_class,
     intersection_form,
     pair_homology,
@@ -32,7 +31,7 @@ from blfkit.scenarios import SCENARIOS, _rho, family_scenario, get_scenario
 from blfkit.schemes import Scheme, slot_key
 from blfkit.twists import relabel_curve
 
-from helpers import random_word
+from helpers import chord_crossings, position_table, random_word
 
 
 @pytest.fixture(scope="module")
@@ -268,12 +267,12 @@ class TestArcs:
 
     @pytest.mark.parametrize("tokens", [(), (0, 1, 5, 1, 0, 4)])
     def test_ends_must_be_two_anchors(self, hexagon, tokens):
-        # one anchor at both ends is rejected as TautConfig rejects it; one
-        # slot with two indices is two anchors
+        # one anchor at both ends is rejected as one anchor ending two arcs
+        # is; one slot with two indices is two anchors
         with pytest.raises(CurveError):
             Arc(hexagon, Anchor("u1"), tokens, Anchor("u1"))
         with pytest.raises(CurveError):
-            TautConfig(hexagon, {"a": Arc(hexagon, Anchor("u1"), tokens, Anchor("u2", 0)),
+            render.position_table(hexagon, {"a": Arc(hexagon, Anchor("u1"), tokens, Anchor("u2", 0)),
                                  "b": Arc(hexagon, Anchor("u3"), tokens, Anchor("u2", 0))})
         arc = Arc(hexagon, Anchor("u1"), tokens, Anchor("u1", 1))
         assert arcs_isotopic(arc, arc.reversed())
@@ -406,9 +405,9 @@ class TestIntersectionNumbers:
         A = Arc(hexagon, Anchor("u1"), (), Anchor("u2"))
         C1 = ClosedCurve(hexagon, (3, 2))
         C2 = ClosedCurve(hexagon, (5, 4))
-        cfg = TautConfig(hexagon, {"a": A, "c1": C1, "c2": C2})
-        assert len(cfg.crossings("a", "c1")) == 0
-        assert len(cfg.crossings("a", "c2")) == 1
+        table = position_table({"a": A, "c1": C1, "c2": C2})
+        assert len(chord_crossings(table, "a", "c1")) == 0
+        assert len(chord_crossings(table, "a", "c2")) == 1
 
 
 class TestSimplicity:
@@ -427,13 +426,13 @@ class TestSimplicity:
         sc = get_scenario(name)
         fresh = {
             n: c.primitive_root()[1] == 1
-            and len(TautConfig(c.scheme, {"c": c}).crossings("c", "c")) == 0
+            and len(chord_crossings(position_table({"c": c}), "c", "c")) == 0
             for n, c in sc.curves.items()
         }
         assert {n: is_simple(c) for n, c in sc.curves.items()} == fresh
         # asked again, each curve answers from its stored verdict
         builds = []
-        monkeypatch.setattr(curves, "TautConfig", lambda *a: builds.append(a))
+        monkeypatch.setattr(render, "position_table", lambda *a: builds.append(a))
         assert {n: is_simple(c) for n, c in sc.curves.items()} == fresh
         assert builds == []
 
@@ -445,7 +444,8 @@ class TestTautConfigDeterminism:
             "c1": ClosedCurve(hexagon, (3, 2)),
             "a": Arc(hexagon, Anchor("u1"), (), Anchor("u2")),
         }
-        one = TautConfig(hexagon, items)
-        two = TautConfig(hexagon, dict(reversed(items.items())))
+        one = position_table(items)
+        two = position_table(dict(reversed(items.items())))
+        assert one == two
         for pair in (("c", "c1"), ("a", "c1"), ("a", "c")):
-            assert one.crossings(*pair) == two.crossings(*pair)
+            assert chord_crossings(one, *pair) == chord_crossings(two, *pair)

@@ -28,8 +28,8 @@ from blfkit import (
     round_surgery,
     square_torus_scheme,
 )
-from blfkit import curves
-from blfkit.curves import TautConfig, intersection_form, pair_homology
+from blfkit import curves, render
+from blfkit.curves import intersection_form, pair_homology
 from blfkit.errors import CurveError
 from blfkit.scenarios import (
     SCENARIOS,
@@ -39,7 +39,8 @@ from blfkit.scenarios import (
 )
 from blfkit.twists import relabel_curve
 from helpers import (
-    linked_intersection, random_curve, random_word, self_crossings, simple_by_self_count,
+    chord_crossings, linked_intersection, position_table, random_curve, random_word,
+    self_crossings, simple_by_self_count,
 )
 
 
@@ -402,8 +403,8 @@ class TestTautRowCounts:
 
 
 def config_signs(u, v):
-    """The signed count of ``u`` against ``v`` on a fresh two-curve configuration."""
-    return sum(s for _, _, s in TautConfig(u.scheme, {"u": u, "v": v}).crossings("u", "v"))
+    """The signed count of ``u`` against ``v`` on a fresh two-curve position table."""
+    return sum(s for _, _, s in chord_crossings(position_table({"u": u, "v": v}), "u", "v"))
 
 
 def _simple_curve(sc, sch, rng):
@@ -670,15 +671,15 @@ class TestCost:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The item names of every ``TautConfig`` built while the test runs."""
+    """The item names of every position table built while the test runs."""
     seen = []
-    init = TautConfig.__init__
+    place = render.position_table
 
-    def counting(self, scheme, items):
+    def counting(scheme, items):
         seen.append(sorted(items))
-        init(self, scheme, items)
+        return place(scheme, items)
 
-    monkeypatch.setattr(TautConfig, "__init__", counting)
+    monkeypatch.setattr(render, "position_table", counting)
     return seen
 
 
@@ -777,5 +778,5 @@ class TestBuilds:
         for pair in sc.expected.get("joining", []):
             u, v = (sc.curves[p] for p in pair)
             for w in (v, v.reversed()):
-                cfg = TautConfig(sc.scheme, {"u": u, "v": w})
-                assert len(cfg.crossings("u", "v")) == geometric_intersection(u, w)
+                table = position_table({"u": u, "v": w})
+                assert len(chord_crossings(table, "u", "v")) == geometric_intersection(u, w)

@@ -12,8 +12,8 @@ import tracemalloc
 
 import pytest
 
-from blfkit import ClosedCurve, TwistWord, cli, curves, curves_isotopic, dehn_twist, hexagon_scheme
-from blfkit import oracle
+from blfkit import ClosedCurve, TwistWord, cli, curves_isotopic, dehn_twist, hexagon_scheme
+from blfkit import oracle, render
 from blfkit.errors import BlfkitError, ImageTooLargeError
 from blfkit.oracle import (
     BASE_WORDS,
@@ -417,11 +417,11 @@ class TestSuiteDoesNoRepeatedWork:
     def test_second_call_builds_no_taut_config(self, monkeypatch):
         builds = []
         rotations = []
-        init, rotate = curves.TautConfig.__init__, oracle.least_rotation
+        place, rotate = render.position_table, oracle.least_rotation
 
-        def counting_init(self, *args, **kwargs):
+        def counting_place(*args):
             builds.append(args)
-            init(self, *args, **kwargs)
+            return place(*args)
 
         longest = max(len(cyclically_reduce(w)) for w in BASE_WORDS.values())
         # every oracle image of seed 5's word is longer than every base word,
@@ -438,7 +438,7 @@ class TestSuiteDoesNoRepeatedWork:
             builds.clear()
             rotations.clear()
             with monkeypatch.context() as m:
-                m.setattr(curves.TautConfig, "__init__", counting_init)
+                m.setattr(render, "position_table", counting_place)
                 m.setattr(oracle, "least_rotation", lambda w: rotations.append(w) or rotate(w))
                 report = run_agreement_suite(1, seed, 5)
             assert report.ok
@@ -520,17 +520,20 @@ class TestLazyWords:
 
 class TestCrosscheckCommand:
     @pytest.mark.parametrize("count, max_length, message", [
-        (-1, 5, "count must be at least 0, not -1"),
+        (-1, 5, "count must be at least 1, not -1"),
+        # a run of no word would check nothing and report ok
+        (0, 5, "count must be at least 1, not 0"),
         (3, 0, "max length must be at least 1, not 0"),
         (3, -3, "max length must be at least 1, not -3"),
-        (-2, 0, "count must be at least 0, not -2"),
+        (-2, 0, "count must be at least 1, not -2"),
     ])
     def test_bad_arguments_raise(self, count, max_length, message):
         with pytest.raises(BlfkitError, match=message):
             run_agreement_suite(count, 0, max_length)
 
     def test_smallest_arguments_run(self):
-        assert run_agreement_suite(0, 0, 5).to_json()["ok"] is True
+        report = run_agreement_suite(1, 0, 5)
+        assert report.to_json()["ok"] is True and report.word_agreements == 1
         report = run_agreement_suite(5, 0, 1)
         assert report.ok and report.word_agreements == 5
 

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from blfkit import ClosedCurve, cli
-from blfkit.curves import TautConfig, geometric_intersection
+from blfkit.curves import geometric_intersection
 from blfkit.errors import SchemeError
 from blfkit.schemes import Relabeling
 from blfkit.scenarios import (
@@ -25,6 +25,7 @@ from blfkit.scenarios import (
     verify_round_invariance,
     verify_vertex_joining,
 )
+from helpers import chord_crossings, position_table
 
 
 class TestRegistry:
@@ -92,6 +93,29 @@ class TestFamilyBound:
     def test_member_past_the_bound_is_a_scheme_error(self):
         with pytest.raises(SchemeError, match=f"at most {MAX_FAMILY_MEMBER}, got"):
             family_scenario(MAX_FAMILY_MEMBER + 1)
+
+
+class TestFamilyCost:
+    def test_cold_round_invariance_of_a_large_member(self):
+        # in a child process, so every twist curve's crossing data is built
+        # afresh: each reads c's points before a slot off the slots c
+        # occupies, where counting every slot of the (4n + 2)-gon made the
+        # check quadratic in n (20 s for n = 2000 on a 2-vCPU Xeon)
+        code = textwrap.dedent("""
+            import time
+            from blfkit.scenarios import family_scenario, verify_round_invariance
+            sc = family_scenario(2000)
+            start = time.perf_counter()
+            report = verify_round_invariance(sc)
+            print(report.ok, time.perf_counter() - start)
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        ok, elapsed = done.stdout.split()
+        assert ok == "True"
+        assert float(elapsed) < 5.0, f"{float(elapsed):.2f} s"
 
 
 class TestNamedScenarios:
@@ -171,11 +195,10 @@ class TestReducedMonodromy:
 
 
 def reference_smoothings(u, v):
-    """``scenarios._smoothings`` as it read crossings off a two-item configuration."""
+    """``scenarios._smoothings`` as it read crossings off a two-item position table."""
     out = []
     for w in (v, v.reversed()):
-        cfg = TautConfig(u.scheme, {"u": u, "v": w})
-        for ku, kv, _sign in cfg.crossings("u", "v"):
+        for ku, kv, _sign in chord_crossings(position_table({"u": u, "v": w}), "u", "v"):
             word = (
                 u.tokens[ku:] + u.tokens[:ku]
                 + w.tokens[kv:] + w.tokens[:kv]

@@ -1,11 +1,12 @@
-"""Taut configurations: the edge order, crossing queries and their cost.
+"""Point placement: the edge order, crossing queries and their cost.
 
 ``ReferenceOrder`` is the pairwise ray comparator that ordered crossing
-points along each edge before the key-based sort; the key must give
-exactly its order.  The ``reference_*`` functions are the twist and band
-slide code that read crossings off a two-item configuration before the
-crossing table of ``curves.passage_crossings``.  The table lists only
-the crossings of a minimal position, where the configuration may keep
+points along each edge before the key-based sort; the position table that
+``render`` draws from must give exactly its order.  The ``reference_*``
+functions are the twist and band slide code that read crossings off a
+two-item position table (``helpers.chord_crossings``) before the crossing
+table of ``curves.passage_crossings``.  The crossing table lists only the
+crossings of a minimal position, where the position table may keep
 bigons, so twists must agree with the references up to isotopy, and the
 rows must count ``i(x, c)``.  ``reference_project`` runs the band-slide
 search that projection across a round surgery ran before it took any
@@ -14,6 +15,7 @@ crossing with the cut curve as an obstruction: the two must agree.
 
 import contextlib
 import functools
+from collections import defaultdict
 import itertools
 import random
 import signal
@@ -35,16 +37,22 @@ from blfkit import (
     round_surgery,
     square_torus_scheme,
 )
-from blfkit import Projection, curves, oracle, twists
+from blfkit import Projection, curves, oracle, render, twists
 from blfkit.curves import (
-    TautConfig,
     insertion_words,
     intersection_form,
     passage_crossings,
 )
 from blfkit.errors import CurveError, NotSimpleError, ProjectionObstructedError
 from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
-from helpers import linked_intersection, random_curve
+from helpers import (
+    chord_crossings,
+    edge_order,
+    linked_intersection,
+    polygon_sizes,
+    position_table,
+    random_curve,
+)
 
 _STOP = ("stop",)
 
@@ -67,9 +75,9 @@ def deadline(seconds):
 class ReferenceOrder:
     """Crossing points along each edge, sorted with the pairwise comparator."""
 
-    def __init__(self, cfg: TautConfig):
-        self.scheme = cfg.scheme
-        self.items = cfg.items
+    def __init__(self, items):
+        self.items = items
+        self.scheme = next(iter(items.values())).scheme
         self.index_decisions = 0
         self.full_ties = 0
 
@@ -231,10 +239,6 @@ def parallel_copy_configs():
     return out
 
 
-def _config(items):
-    return TautConfig(next(iter(items.values())).scheme, items)
-
-
 class TestEdgeOrderMatchesComparator:
     @pytest.mark.parametrize("configs, branch", [
         (hexagon_configs, None),
@@ -245,54 +249,47 @@ class TestEdgeOrderMatchesComparator:
     def test_same_order(self, configs, branch):
         reached = 0
         for items in configs():
-            cfg = _config(items)
-            ref = ReferenceOrder(cfg)
-            assert cfg._edge_order == ref.edge_order(), items
+            ref = ReferenceOrder(items)
+            assert edge_order(items, position_table(items)) == ref.edge_order(), items
             reached += getattr(ref, branch) if branch else 0
         # the inputs reach the comparator's anchor-index and full-tie branches
         assert branch is None or reached > 0
 
 
-def _polygon_points(cfg):
+def _polygon_points(table):
     """Positions of every passage endpoint, by polygon."""
-    points = {}
-    for p in cfg.passages:
-        points.setdefault(p.polygon, []).extend(
-            cfg.position(pt) for pt in (p.entry_point, p.exit_point)
-        )
+    points = defaultdict(list)
+    for chords in table.chords.values():
+        for pi, a, b in chords:
+            points[pi] += [a, b]
     return points
 
 
-def brute_crossings(cfg, name1, name2):
+def brute_crossings(table, name1, name2):
     """Every pair of passages tested as chords of a circle of points."""
-    sizes = {pi: len(pts) for pi, pts in _polygon_points(cfg).items()}
+    sizes = {pi: len(pts) for pi, pts in _polygon_points(table).items()}
     out = []
-    for p in cfg.passages:
-        for q in cfg.passages:
-            if p.item != name1 or q.item != name2 or p.polygon != q.polygon:
+    for i, (pi, a1, b1) in enumerate(table.chords[name1]):
+        for j, (pj, a2, b2) in enumerate(table.chords[name2]):
+            if pi != pj or (name1 == name2 and j <= i):
                 continue
-            if name1 == name2 and q.index <= p.index:
-                continue
-            n = sizes[p.polygon]
-            a1, b1 = cfg.position(p.entry_point), cfg.position(p.exit_point)
-            a2, b2 = cfg.position(q.entry_point), cfg.position(q.exit_point)
+            n = sizes[pi]
             between = lambda x: 0 < (x - a1) % n < (b1 - a1) % n
             if len({a1, b1, a2, b2}) == 4 and between(a2) != between(b2):
-                out.append((p.index, q.index, 1 if between(a2) else -1))
+                out.append((i, j, 1 if between(a2) else -1))
     return sorted(out)
 
 
-def brute_on_passage(cfg, x_name, k, c_name):
+def brute_on_passage(table, x_name, k, c_name):
     """Crossings of passage k of x with c, by distance of c's near end from x's entry."""
-    p = next(p for p in cfg.passages if (p.item, p.index) == (x_name, k))
-    n = len(_polygon_points(cfg)[p.polygon])
-    ax = cfg.position(p.entry_point)
+    pi, ax, _ = table.chords[x_name][k]
+    n = len(_polygon_points(table)[pi])
     found = []
-    for kx, kc, sign in brute_crossings(cfg, x_name, c_name):
+    for kx, kc, sign in brute_crossings(table, x_name, c_name):
         if kx == k:
-            q = next(q for q in cfg.passages if (q.item, q.index) == (c_name, kc))
-            near = q.entry_point if sign > 0 else q.exit_point
-            found.append(((cfg.position(near) - ax) % n, kc, sign))
+            _, ca, cb = table.chords[c_name][kc]
+            near = ca if sign > 0 else cb
+            found.append(((near - ax) % n, kc, sign))
     return [(kc, sign) for _, kc, sign in sorted(found)]
 
 
@@ -302,15 +299,15 @@ def assert_taut_rows(x, c, rows, brute=None):
     A closed ``x`` has ``i(x, c)`` rows, counted from linked runs
     (``linked_intersection``), none when its primitive root is ``c`` up
     to orientation.  Its rows, or an arc's, are no more than ``brute``,
-    the configuration's crossings of it with ``c`` (each ending in its
+    the position table's crossings of it with ``c`` (each ending in its
     sign), and have the same sum of signs, which is invariant (rel
     endpoints for an arc): for a closed ``x``, ``algebraic_intersection``,
-    which reads neither the rows nor a configuration.
+    which reads neither the rows nor a position table.
     """
     count = sum(map(len, rows))
     signs = sum(sign for row in rows for _, sign in row)
     if brute is None:
-        brute = TautConfig(x.scheme, {"c": c, "x": x}).crossings("x", "c")
+        brute = chord_crossings(position_table({"c": c, "x": x}), "x", "c")
     if isinstance(x, ClosedCurve):
         assert count == linked_intersection(x, c), (x, c)
         assert signs == algebraic_intersection(x, c), (x, c)
@@ -332,29 +329,35 @@ class TestCrossingQueries:
         return hexagon_configs()[:40] + family_configs()[:12] + anchored_arc_configs()[:8]
 
     def test_positions_are_a_permutation(self):
+        # the chords' ends, and the points of the slots read round each
+        # polygon, are its positions in counterclockwise order
         for items in self.configs():
-            for pts in _polygon_points(_config(items)).values():
+            table = position_table(items)
+            ends = _polygon_points(table)
+            for pi, poly in enumerate(next(iter(items.values())).scheme.polygons):
+                pts = ends.get(pi, [])
                 assert sorted(pts) == list(range(len(pts)))
+                assert [p for s in poly for p in table.slots[s]] == list(range(len(pts)))
 
     def test_crossings_match_all_pairs(self):
         total = 0
         for items in self.configs():
-            cfg = _config(items)
+            table = position_table(items)
             for a in sorted(items):
                 for b in sorted(items):
-                    got = cfg.crossings(a, b)
-                    assert got == brute_crossings(cfg, a, b), (items, a, b)
+                    got = chord_crossings(table, a, b)
+                    assert got == brute_crossings(table, a, b), (items, a, b)
                     total += len(got)
         assert total > 100
 
     def test_passage_crossings_match_all_pairs(self):
         # the rows are the crossings of a minimal position, where the
-        # configuration's order may keep bigons
+        # position table's order may keep bigons
         checked = 0
         for items in self.configs() + parallel_copy_configs():
             if "c" not in items:
                 continue
-            cfg = _config(items)
+            table = position_table(items)
             c = items["c"]
             for x_name in sorted(items):
                 if x_name == "c":
@@ -362,9 +365,9 @@ class TestCrossingQueries:
                 x = items[x_name]
                 with deadline(2.0):
                     got = passage_crossings(x, c)
-                assert len(got) == sum(p.item == x_name for p in cfg.passages)
+                assert len(got) == len(table.chords[x_name])
                 brute = [
-                    pair for k in range(len(got)) for pair in brute_on_passage(cfg, x_name, k, "c")
+                    pair for k in range(len(got)) for pair in brute_on_passage(table, x_name, k, "c")
                 ]
                 assert_taut_rows(x, c, got, brute)
                 checked += 1
@@ -380,13 +383,16 @@ def ladder_rung(start, rungs):
     return sc, x
 
 
-def reference_on_passage(cfg, x_name, k, c_name):
-    """``TautConfig.crossings_on_passage``, which the crossing table replaced."""
-    pi, ax, bx = cfg._chords[x_name][k]
-    n = cfg._poly_size[pi]
+def reference_on_passage(table, sizes, x_name, k, c_name):
+    """The crossings of passage k of x with c read off a position table, as
+    before the crossing table; ``sizes`` are the table's ``polygon_sizes``."""
+    pi, ax, bx = table.chords[x_name][k]
+    n = sizes[pi]
     span = (bx - ax) % n
     found = []
-    for j, a, b in cfg._by_polygon[c_name].get(pi, ()):
+    for j, (pj, a, b) in enumerate(table.chords[c_name]):
+        if pj != pi:
+            continue
         da, db = (a - ax) % n, (b - ax) % n
         inside = 0 < da < span
         if inside != (0 < db < span):
@@ -404,14 +410,15 @@ def reference_insertion(c, kc, direction):
     return [partner[t] for t in reversed(rot)]
 
 
-def reference_insert_copies(cfg, copies):
-    """The insertion primitive as it read crossings off a two-item configuration."""
-    x, c = cfg.items["x"], cfg.items["c"]
+def reference_insert_copies(x, c, copies):
+    """The insertion primitive as it read crossings off a two-item position table."""
+    table = position_table({"c": c, "x": x})
+    sizes = polygon_sizes(table)
     closed = isinstance(x, ClosedCurve)
     m = len(x.tokens)
     new_tokens = []
     for k in range(m if closed else m + 1):
-        for kc, sign in reference_on_passage(cfg, "x", k, "c"):
+        for kc, sign in reference_on_passage(table, sizes, "x", k, "c"):
             n = copies(k, kc, sign)
             if n:
                 new_tokens.extend(reference_insertion(c, kc, n) * abs(n))
@@ -425,8 +432,7 @@ def reference_insert_copies(cfg, copies):
 def reference_twist(x, c, power):
     if isinstance(x, ClosedCurve) and x.is_null:
         return x
-    cfg = TautConfig(x.scheme, {"c": c, "x": x})
-    return reference_insert_copies(cfg, lambda k, kc, sign: sign * power)
+    return reference_insert_copies(x, c, lambda k, kc, sign: sign * power)
 
 
 def reference_resolve_bands(sr, item):
@@ -434,16 +440,17 @@ def reference_resolve_bands(sr, item):
     scheme = sr.original
     slides = 0
     for _ in range(4 * (len(item.tokens) + 2)):
-        cfg = TautConfig(scheme, {"c": c, "x": item})
-        crossings = cfg.crossings("x", "c")
+        crossings = chord_crossings(position_table({"c": c, "x": item}), "x", "c")
         if not crossings:
             return item, slides
         count = len(crossings)
         best = None
         k, kc, _ = crossings[0]
         for direction in (1, -1):
-            cand = reference_insert_copies(cfg, lambda i, j, _s: direction if (i, j) == (k, kc) else 0)
-            ccount = len(TautConfig(scheme, {"c": c, "x": cand}).crossings("x", "c"))
+            cand = reference_insert_copies(
+                item, c, lambda i, j, _s: direction if (i, j) == (k, kc) else 0
+            )
+            ccount = len(chord_crossings(position_table({"c": c, "x": cand}), "x", "c"))
             if ccount < count and (best is None or ccount < best[0]):
                 best = (ccount, cand)
         if best is None:
@@ -629,8 +636,8 @@ class TestCrossingTable:
         arc = sc.monodromy.apply(sc.arc)
         first = dehn_twist(sc.curves["C2"], c1), project(sr, arc)
         builds = []
-        init = TautConfig.__init__
-        monkeypatch.setattr(TautConfig, "__init__", lambda *a: builds.append(a) or init(*a))
+        place = render.position_table
+        monkeypatch.setattr(render, "position_table", lambda *a: builds.append(a) or place(*a))
         assert (dehn_twist(sc.curves["C2"], c1), project(sr, arc)) == first
         assert dehn_twist(sc.curves["C3"], c1, -2) == dehn_twist(dehn_twist(sc.curves["C3"], c1, -1), c1, -1)
         assert builds == []
@@ -753,14 +760,14 @@ class TestCost:
         z = dehn_twist(x, c, 50)
         assert len(z.tokens) == 2250
         start = time.perf_counter()
-        cfg = TautConfig(sc.scheme, {"c": c, "x": z})
+        table = render.position_table(sc.scheme, {"c": c, "x": z})
         assert time.perf_counter() - start < 0.5
-        assert len(cfg.crossings("x", "c")) == len(cfg.crossings("c", "x"))
+        assert len(chord_crossings(table, "x", "c")) == len(chord_crossings(table, "c", "x"))
 
 
     def test_long_near_parallel_word(self):
         # T_c^2(C3) runs beside c for most of its 46,168 tokens: the
-        # configuration's order listed 34,219 crossings here, walking rays
+        # position table's order listed 34,219 crossings here, walking rays
         # with a memo that peaked at 121 MB under tracemalloc
         sc, c = ladder_rung("C2", 4)
         x = dehn_twist(sc.curves["C3"], c, 2)
@@ -925,7 +932,7 @@ class TestPairTable:
 
     def test_points_of_c_match_a_configuration(self):
         # c's chords, read off the trace of its arrangement, sit where a
-        # configuration of c alone puts them, whichever way the trace runs
+        # position table of c alone puts them, whichever way the trace runs
         # along c: every simple reduced word of up to four tokens on the
         # hexagon, and seeded simple curves on the two-polygon surfaces
         # round surgery leaves of families 1-3 and on the square torus
@@ -945,8 +952,8 @@ class TestPairTable:
             c = fresh(c)
             table = curves._crossing_data(c)[1]
             got = sorted((k, pi, a, b) for pi, chords in table.chords.items() for k, a, b in chords)
-            config = TautConfig(c.scheme, {"c": c})
-            assert got == sorted((k,) + chord for k, chord in enumerate(config._chords["c"])), c
+            chords = render.position_table(c.scheme, {"c": c}).chords["c"]
+            assert got == sorted((k,) + chord for k, chord in enumerate(chords)), c
             runs_back = curves._traces_once(c)[1][2]
             backward += runs_back
             forward += not runs_back
@@ -974,7 +981,7 @@ class TestIntersectionFormCache:
         word = TwistWord(((c, 1),))
         mat = word.act_on_homology(h)
         builds = []
-        monkeypatch.setattr(curves, "TautConfig", lambda *a: builds.append(a))
+        monkeypatch.setattr(render, "position_table", lambda *a: builds.append(a))
         assert intersection_form(h) == form
         assert word.act_on_homology(h) == mat
         assert builds == []
