@@ -19,7 +19,9 @@ line on stderr.  ``verify`` runs its checks before it writes ``--json``,
 so a failed check keeps exit 1 when the report cannot be written; the
 write error is still reported on its line.  All output is deterministic;
 the cross-check seed defaults to the ``BLFKIT_SEED`` environment variable
-(or 0), read when the command runs.
+(or 0), read when the command runs.  A command imports only the modules
+it runs: ``handles``, ``oracle`` and ``render`` are imported by their own
+commands, so ``verify`` and the dumps start without them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import handles, oracle, render, scenarios
+from . import scenarios
 from .errors import BlfkitError
 
 
@@ -87,6 +89,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_handles(args) -> int:
+    from . import handles
+
     if args.localized:
         out = handles.localized_report()
     else:
@@ -96,6 +100,8 @@ def _cmd_handles(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
     seed = _default_seed() if args.seed is None else args.seed
     report = oracle.run_agreement_suite(args.count, seed, args.max_length)
     sys.stdout.write(_dump(report.to_json()))
@@ -103,6 +109,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import render
+
     sc = scenarios.get_scenario(args.scenario)
     items = dict(sc.curves)
     if sc.arc is not None:

@@ -84,11 +84,10 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import inf
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import CurveError, NotSimpleError
 from .schemes import Scheme, SlotId
@@ -250,8 +249,7 @@ class ClosedCurve:
         return f"ClosedCurve({list(self.tokens)!r})"
 
 
-@dataclass(frozen=True, order=True)
-class Anchor:
+class Anchor(NamedTuple):
     """A fixed point on a boundary slot; ``index`` orders anchors on a slot."""
 
     slot: SlotId

@@ -22,10 +22,8 @@ incidence and counts the other 2g - 1, so its cost does not depend on g.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import HandleMoveError, SchemeError
 from .scenarios import get_scenario
@@ -100,7 +98,6 @@ def _put(table: Dict[Tuple[str, str], int], key: Tuple[str, str], value: int) ->
         table.pop(key, None)
 
 
-@dataclass
 class HandlePresentation:
     """Handles of a 4-manifold built on one 0-handle.
 
@@ -111,16 +108,29 @@ class HandlePresentation:
     handles only, and every move keeps it so.
     """
 
-    one_handles: List[str]
-    two_handles: List[str]
-    linking: Dict[Tuple[str, str], int]
-    incidence2: Dict[Tuple[str, str], int]   # (two-handle, one-handle)
-    three_handles: List[str] = field(default_factory=list)
-    incidence3: Dict[Tuple[str, str], int] = field(default_factory=dict)  # (three, two)
-    idle_one_handles: int = 0
+    __slots__ = ("one_handles", "two_handles", "linking", "incidence2", "three_handles",
+                 "incidence3", "idle_one_handles")
+
+    def __init__(self, one_handles: List[str], two_handles: List[str],
+                 linking: Dict[Tuple[str, str], int],
+                 incidence2: Dict[Tuple[str, str], int],  # (two-handle, one-handle)
+                 three_handles: Optional[List[str]] = None,
+                 incidence3: Optional[Dict[Tuple[str, str], int]] = None,  # (three, two)
+                 idle_one_handles: int = 0) -> None:
+        self.one_handles, self.two_handles = one_handles, two_handles
+        self.linking, self.incidence2 = linking, incidence2
+        self.three_handles = [] if three_handles is None else three_handles
+        self.incidence3 = {} if incidence3 is None else incidence3
+        self.idle_one_handles = idle_one_handles
 
     def copy(self) -> "HandlePresentation":
-        return copy.deepcopy(self)
+        """An independent copy: handle names, keys and values are immutable,
+        so copying each list and dict suffices."""
+        return HandlePresentation(
+            list(self.one_handles), list(self.two_handles), dict(self.linking),
+            dict(self.incidence2), list(self.three_handles), dict(self.incidence3),
+            self.idle_one_handles,
+        )
 
     # -- access ------------------------------------------------------------
 
@@ -293,8 +303,7 @@ def _boundary(rows: Sequence[str], incidence: Dict[Tuple[str, str], int]) -> Lis
 # -- scripts ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     kind: str            # "slide" | "cancel12" | "cancel23"
     args: Tuple
 

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .errors import BlfkitError, ImageTooLargeError
 
@@ -125,11 +124,21 @@ def conjugate_words(w1: Sequence[int], w2: Sequence[int], oriented: bool = True)
 # -- automorphisms ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FreeAutomorphism:
-    """An endomorphism of F(a, b, c) given by the images of the generators."""
+    """An endomorphism of F(a, b, c) given by the images of the generators.
 
-    images: Tuple[Word, Word, Word]
+    Two are equal when their images are; the letter tables are built on
+    first use.
+    """
+
+    def __init__(self, images: Tuple[Word, Word, Word]):
+        self.images = images
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FreeAutomorphism) and self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
 
     @functools.cached_property
     def _letter_images(self) -> Dict[int, Word]:
@@ -235,8 +244,7 @@ def word_to_tokens(word: Sequence[int]) -> Tuple[int, ...]:
 # -- agreement suite -------------------------------------------------------
 
 
-@dataclass
-class AgreementReport:
+class AgreementReport(NamedTuple):
     count: int
     seed: int
     max_length: int

@@ -13,7 +13,7 @@ verifiers check:
 * *vertex joining*: for the mirror family, smoothing a crossing of two
   adjacent cycles reproduces a cycle of the original family.
 
-A scenario is frozen.  :func:`get_scenario` builds each named scenario
+A scenario is read-only.  :func:`get_scenario` builds each named scenario
 once per process, so every command and check on it shares one scheme and
 what is kept on its curves; :func:`family_scenario` builds a fresh member
 on every call.
@@ -22,9 +22,8 @@ on every call.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from .curves import (
     Anchor,
@@ -45,27 +44,38 @@ from .twists import TwistWord, dehn_twist, relabel_curve
 MAX_FAMILY_MEMBER = 20_000
 
 
-@dataclass(frozen=True)
 class Scenario:
     """A surface, its twist curves and the verdicts the paper expects.
 
-    Frozen, with read-only ``curves`` and ``expected``: a named scenario
-    is shared by every caller in the process.
+    Read-only: assigning or deleting an attribute raises
+    ``AttributeError``, and ``curves`` and ``expected`` are read-only
+    views of copies of the mappings given, because a named scenario is
+    shared by every caller in the process.  ``cycle_names`` lists the
+    twists outermost first.  ``_replace`` builds a new scenario with some
+    fields changed, and ``copy.copy`` works on one.
     """
 
-    name: str
-    description: str
-    scheme: Scheme
-    curves: Mapping[str, ClosedCurve]
-    cycle_names: Tuple[str, ...]       # twist order: outermost first
-    surgery_name: str
-    arc: Optional[Arc]
-    rho: Relabeling
-    expected: Mapping[str, object] = field(default_factory=dict)
+    def __init__(self, name: str, description: str, scheme: Scheme,
+                 curves: Mapping[str, ClosedCurve], cycle_names: Tuple[str, ...],
+                 surgery_name: str, arc: Optional[Arc], rho: Relabeling,
+                 expected: Mapping[str, object] = MappingProxyType({})) -> None:
+        # the fields live in the instance dict, which copy.copy fills
+        # without calling __setattr__
+        self.__dict__.update(
+            name=name, description=description, scheme=scheme,
+            curves=MappingProxyType(dict(curves)), cycle_names=cycle_names,
+            surgery_name=surgery_name, arc=arc, rho=rho,
+            expected=MappingProxyType(dict(expected)),
+        )
 
-    def __post_init__(self) -> None:
-        for name in ("curves", "expected"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes) -> "Scenario":
+        return Scenario(**{**self.__dict__, **changes})
 
     @property
     def monodromy(self) -> TwistWord:
@@ -146,8 +156,7 @@ def family_scenario(n: int) -> Scenario:
 
 def negative_modification_scenario() -> Scenario:
     """The hexagon model: three vanishing cycles, left-handed reduced twist."""
-    return replace(
-        family_scenario(1),
+    return family_scenario(1)._replace(
         name="negative-modification",
         description=(
             "hexagon model of the modification with the standard cycle triple; "
@@ -216,7 +225,7 @@ SCENARIOS = {
 def get_scenario(name: str) -> Scenario:
     """The named scenario, built on the first call and shared by every later one.
 
-    A scenario is frozen; an unknown name raises ``KeyError`` and is not kept.
+    A scenario is read-only; an unknown name raises ``KeyError`` and is not kept.
     """
     try:
         return SCENARIOS[name]()
@@ -227,8 +236,7 @@ def get_scenario(name: str) -> Scenario:
 # -- verifiers -------------------------------------------------------------
 
 
-@dataclass
-class RoundInvarianceReport:
+class RoundInvarianceReport(NamedTuple):
     scenario: str
     ok: bool
     image_word: Tuple
@@ -256,8 +264,7 @@ def verify_round_invariance(sc: Scenario) -> RoundInvarianceReport:
     )
 
 
-@dataclass
-class ReducedMonodromyReport:
+class ReducedMonodromyReport(NamedTuple):
     scenario: str
     chi: int
     boundary_circles: int
@@ -346,8 +353,7 @@ def verify_reduced_monodromy(sc: Scenario) -> ReducedMonodromyReport:
     )
 
 
-@dataclass
-class JoiningReport:
+class JoiningReport(NamedTuple):
     scenario: str
     matches: Dict[str, str]
     ok: bool

@@ -19,8 +19,6 @@ Conventions:
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import SchemeError
@@ -58,7 +56,6 @@ class _DisjointSets:
         return [frozenset(g) for g in groups.values()]
 
 
-@dataclass(frozen=True)
 class PolygonScheme:
     """A single polygon with side pairings and punctured corners.
 
@@ -69,16 +66,16 @@ class PolygonScheme:
     its whole vertex class as punctured.
     """
 
-    side_count: int
-    pairings: Tuple[Tuple[int, int, str], ...]
-    punctured_corners: frozenset = frozenset()
+    __slots__ = ("side_count", "pairings", "punctured_corners")
 
-    def __post_init__(self):
-        n = self.side_count
+    def __init__(self, side_count: int, pairings: Tuple[Tuple[int, int, str], ...],
+                 punctured_corners: frozenset = frozenset()):
+        self.side_count = n = side_count
+        self.pairings, self.punctured_corners = pairings, punctured_corners
         if n < 1:
             raise SchemeError("polygon needs at least one side")
         seen: set = set()
-        for i, j, kind in self.pairings:
+        for i, j, kind in pairings:
             if kind == "matched":
                 raise SchemeError(
                     "matched (orientation-direct) side identification "
@@ -91,7 +88,7 @@ class PolygonScheme:
             if i in seen or j in seen:
                 raise SchemeError("a side may appear in at most one pairing")
             seen.update((i, j))
-        for k in self.punctured_corners:
+        for k in punctured_corners:
             if not 0 <= k < n:
                 raise SchemeError(f"corner {k} out of range")
 
@@ -282,16 +279,29 @@ class Scheme:
         return f"Scheme(polygons={self.polygons!r})"
 
 
-@dataclass(frozen=True)
 class Relabeling:
     """A symmetry of a scheme: a slot bijection preserving the gluing.
 
     The mapping must commute with the partner involution and carry each
-    polygon, counterclockwise, onto a polygon (up to rotation).
+    polygon, counterclockwise, onto a polygon (up to rotation).  Two
+    relabelings are equal when they have one scheme and one mapping.
     """
 
-    scheme: Scheme
-    mapping: Tuple[Tuple[SlotId, SlotId], ...]
+    __slots__ = ("scheme", "mapping", "_table")
+
+    def __init__(self, scheme: Scheme, mapping: Tuple[Tuple[SlotId, SlotId], ...]):
+        self.scheme, self.mapping = scheme, mapping
+        self._table: Dict[SlotId, SlotId] = dict(mapping)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Relabeling)
+            and self.scheme is other.scheme
+            and self.mapping == other.mapping
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.scheme, self.mapping))
 
     @staticmethod
     def from_dict(scheme: Scheme, mapping: Dict[SlotId, SlotId]) -> "Relabeling":
@@ -323,10 +333,6 @@ class Relabeling:
             k = poly.index(img[0])
             if tuple(poly[(k + d) % len(poly)] for d in range(len(poly))) != img:
                 raise SchemeError("relabeling does not preserve polygon order")
-
-    @functools.cached_property
-    def _table(self) -> Dict[SlotId, SlotId]:
-        return dict(self.mapping)
 
     def __call__(self, slot: SlotId) -> SlotId:
         return self._table[slot]

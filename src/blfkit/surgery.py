@@ -26,8 +26,7 @@ its token deleted; these cap slides are all the slides counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .curves import Arc, ClosedCurve, Item, is_simple, passage_crossings
 from .errors import (
@@ -40,8 +39,7 @@ from .schemes import Scheme, SlotId
 from .twists import TwistWord, dehn_twist
 
 
-@dataclass
-class SurgeryResult:
+class SurgeryResult(NamedTuple):
     """Outcome of cutting along a coordinate curve."""
 
     original: Scheme
@@ -121,8 +119,7 @@ def round_surgery(scheme: Scheme, curve: ClosedCurve) -> SurgeryResult:
     )
 
 
-@dataclass
-class Projection:
+class Projection(NamedTuple):
     item: Item
     slide_count: int
     cap_slides: int

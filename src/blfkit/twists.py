@@ -22,10 +22,9 @@ twist by a relabeling is the twist along the relabeled curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import add, mul
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .curves import (
     Arc,
@@ -90,8 +89,7 @@ def dehn_twist(x: Item, c: ClosedCurve, power: int = 1) -> Item:
     return Arc(x.scheme, x.start, new_tokens, x.end)
 
 
-@dataclass(frozen=True)
-class TwistWord:
+class TwistWord(NamedTuple):
     """A composition of twists, listed outermost first.
 
     ``TwistWord(((c3, 1), (c2, 1), (c1, 1)))`` applied to ``x`` computes

@@ -216,3 +216,26 @@ class TestHandleSim:
         assert proc.stdout == ""
         assert "not allowed with argument --genus" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# `dataclasses` would pull in `inspect`, `ast` and `dis`; the modules of
+# handle-sim, oracle-crosscheck and render wait for their commands
+NO_DATACLASSES = {"dataclasses", "inspect", "ast", "dis"}
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize("modules, unwanted", [
+        (["blfkit", "blfkit.cli"],
+         NO_DATACLASSES | {"blfkit.handles", "blfkit.oracle", "blfkit.render"}),
+        (["blfkit.cli", "blfkit.handles", "blfkit.oracle", "blfkit.render"], NO_DATACLASSES),
+    ], ids=["cli", "every-module"])
+    def test_modules_loaded_by_an_import(self, modules, unwanted):
+        # a fresh interpreter without site, as the benchmark starts one
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = ("import importlib, sys; sys.path.insert(0, sys.argv[1]);"
+                " [importlib.import_module(m) for m in sys.argv[2:]]; print(*sys.modules)")
+        proc = subprocess.run([sys.executable, "-S", "-c", code, src, *modules],
+                              capture_output=True, text=True, check=True)
+        loaded = set(proc.stdout.split())
+        assert set(modules) <= loaded
+        assert loaded & unwanted == set()

@@ -1,6 +1,5 @@
 """End-to-end scenario verification: registry, individual checks, full runs."""
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -130,8 +129,9 @@ class TestNamedScenarios:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_frozen(self, name):
         sc = get_scenario(name)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             sc.name = "other"
+        assert sc.name == name
         with pytest.raises(TypeError):
             sc.curves["X"] = sc.curves[sc.surgery_name]
         with pytest.raises(TypeError):
