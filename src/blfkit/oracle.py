@@ -17,10 +17,13 @@ The agreement suite draws its random twist words one at a time, so its
 memory does not grow with their number and its time grows linearly with
 it.  Each word starts from its head, its first one to ``HEAD_LENGTH``
 (three) generators, in a table kept once per process and filled on first
-use: the engine images of the base curves under the head, and the head's
-automorphism.  Only the rest of the word is twisted and composed, and the
-table never holds more than 6 + 36 + 216 heads, about 1.1 MB when full.
-A warm word of k twists costs the engine 4(k - min(k, 3)) twists.  The
+use: the engine images of the base curves under the head, the head's
+automorphism, and both sides' actions on homology, the engine's
+transvections and the oracle's abelianization.  Only the rest of the word
+is twisted and composed, and the table never holds more than 6 + 36 + 216
+heads, about 0.9 MB when full.  A warm word of k twists costs the engine
+4(k - min(k, 3)) twists, and one that is its own head (k <= 3) compares
+its entry's two matrices, with no homology work.  The
 suite compares the engine's image of a curve with the oracle's by one
 rotation search on the two cyclically reduced words, and computes Duval
 keys (``conjugacy_key``) only for oracle images short enough to match a
@@ -43,8 +46,10 @@ from .errors import BlfkitError, ImageTooLargeError
 
 if TYPE_CHECKING:
     from .curves import ClosedCurve
+    from .schemes import Scheme
 
 Word = Tuple[int, ...]
+Matrix = Tuple[Tuple[int, ...], ...]
 
 # the most letters an image is built from before reduction, 8 MB of list
 # pointers on a 64-bit build: about 1,400 times the longest image (717
@@ -53,7 +58,7 @@ Word = Tuple[int, ...]
 MAX_IMAGE_LETTERS = 1_000_000
 
 # the most generators of a word's head in the agreement suite's table: at
-# most 6 + 36 + 216 heads, about 1.1 MB traced when full; four-generator
+# most 6 + 36 + 216 heads, about 0.9 MB traced when full; four-generator
 # heads would be up to 1,554 entries and 5.5-8.4 MB
 HEAD_LENGTH = 3
 
@@ -289,36 +294,47 @@ def random_twist_words(count: int, seed: int, max_length: int) -> List[List[Tupl
 
 
 class _HeadTable(dict):
-    """Engine images of the base curves, and the oracle automorphism, under
-    a word's head: its first one to ``HEAD_LENGTH`` generators.
+    """Engine images of the base curves, the oracle automorphism, and both
+    sides' actions on homology under a word's head: its first one to
+    ``HEAD_LENGTH`` generators.
 
     Key: the head, a tuple of generators, first acting first.  Value:
-    ``(images, auto)``, the engine images of the base curves in sorted
-    name order and the head's automorphism.  A one-generator head twists
-    each base curve once by ``twists.dehn_twist``; a longer head twists the
-    images of the head one generator shorter once more and composes one
-    automorphism.  Filled on first use, so an entry is work that the word
-    asking for it needs anyway; there are at most 6 + 36 + 216 heads.
+    ``(images, auto, action, abelianization)``: the engine images of the
+    base curves in sorted name order, the head's automorphism, the
+    engine's homology action of the head (``TwistWord.act_on_homology``)
+    and the automorphism's abelianization, both matrices as tuples of
+    rows.  A one-generator head twists each base curve once by
+    ``twists.dehn_twist``; a longer head twists the images of the head one
+    generator shorter once more and composes one automorphism.  Both
+    matrices are computed from the head's own steps, at most three
+    transvections; only a word that is the head reads them.  Filled on
+    first use, so an entry is work that the word asking for it needs
+    anyway, but for the matrices of a shorter head; there are at most
+    6 + 36 + 216 heads.
     """
 
-    def __init__(self, base: List[ClosedCurve],
+    def __init__(self, scheme: Scheme, base: List[ClosedCurve],
                  generators: Dict[Tuple[str, int], Tuple[ClosedCurve, int]]):
         super().__init__()
-        self.base, self.generators = base, generators
+        self.scheme, self.base, self.generators = scheme, base, generators
 
     def __missing__(
         self, head: Tuple[Tuple[str, int], ...]
-    ) -> Tuple[Tuple[ClosedCurve, ...], FreeAutomorphism]:
+    ) -> Tuple[Tuple[ClosedCurve, ...], FreeAutomorphism, Matrix, Matrix]:
         from . import twists
 
         *first, g = head
         if first:
-            images, auto = self[tuple(first)]
+            images, auto = self[tuple(first)][:2]
             auto = GENERATORS[g].compose(auto)
         else:
             images, auto = self.base, GENERATORS[g]
         images = tuple([twists.dehn_twist(x, *self.generators[g]) for x in images])
-        self[head] = entry = (images, auto)
+        steps = tuple(reversed([self.generators[h] for h in head]))
+        action = twists.TwistWord(steps).act_on_homology(self.scheme)
+        self[head] = entry = (
+            images, auto, tuple(map(tuple, action)), tuple(map(tuple, auto.abelianization())),
+        )
         return entry
 
 
@@ -332,12 +348,13 @@ def _hexagon_fixture():
     twists for the generators ``("c1", +-1)``, ...  The unoriented keys of
     ``BASE_WORDS`` are the oracle's side of every isotopy verdict.  The
     head table (``_HeadTable``) starts empty and maps the first one to
-    three generators of a word to the engine images of the base curves and
-    the oracle automorphism under them; every word of the agreement suite
-    starts from one entry.  Built on first use and kept for the process,
-    so that what depends only on the scheme and these curves (the
-    intersection form, each generator's ``is_simple`` verdict, canonical
-    forms, head images) is computed once; ``cache_clear()`` drops it all.
+    three generators of a word to the engine images of the base curves,
+    the oracle automorphism, and the engine's and the oracle's actions on
+    homology under them; every word of the agreement suite starts from one
+    entry.  Built on first use and kept for the process, so that what
+    depends only on the scheme and these curves (the intersection form,
+    each generator's ``is_simple`` verdict, canonical forms, head images
+    and matrices) is computed once; ``cache_clear()`` drops it all.
     """
     from .scenarios import family_scenario
 
@@ -345,7 +362,7 @@ def _hexagon_fixture():
     curves = {name: sc.curves[name] for name in BASE_WORDS}
     generators = {(name, p): (curves[name.upper()], p) for name, p in GENERATORS}
     base_keys = {name: conjugacy_key(w, oriented=False) for name, w in BASE_WORDS.items()}
-    heads = _HeadTable([curves[name] for name in sorted(BASE_WORDS)], generators)
+    heads = _HeadTable(sc.scheme, [curves[name] for name in sorted(BASE_WORDS)], generators)
     return sc.scheme, curves, generators, base_keys, heads
 
 
@@ -361,23 +378,26 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
     time grows linearly with it.  The scheme, curves and generators come
     from ``_hexagon_fixture``, built once per process, and each word starts
     from its head's entry in the fixture's head table, filled on first
-    use: the engine images of the base curves, and the automorphism, under
+    use: the engine images of the base curves, the automorphism, and the
+    engine's homology action and the automorphism's abelianization, under
     the word's first one to ``HEAD_LENGTH`` (three) generators.  The rest
     of the word, as a ``TwistWord``, is applied to each of those images,
     even when it is empty, and the oracle composes the rest onto the
     head's automorphism, so a word of k twists costs the engine
     4(k - min(k, 3)) twists and the oracle k - min(k, 3) compositions once
-    its head is in the table.  The homology check reads the whole word, and
-    no head keeps a homology matrix.  Two cyclically reduced words are
-    conjugate exactly when one is a rotation of the other (Magnus, Karrass
-    and Solitar, section 1.3), so an engine image agrees with the
-    cyclically reduced oracle image when both, as strings of hexagon
-    tokens, have one length and the engine's occurs in the oracle's
-    doubled: one substring search, no key.  Only an oracle image no longer
-    than some base word can match a base key, so only those get an
-    unoriented ``conjugacy_key``.  A
-    ``count`` below 1, which would check nothing, or a ``max_length`` below
-    1 raises ``BlfkitError``.
+    its head is in the table.  A word that is its own head (k <= 3)
+    compares the two matrices its entry keeps; a longer word's homology
+    check computes the whole word's action and abelianization.  Every
+    comparison runs for every word, and no verdict is kept.  Two
+    cyclically reduced words are conjugate exactly when one is a rotation
+    of the other (Magnus, Karrass and Solitar, section 1.3), so an engine
+    image agrees with the cyclically reduced oracle image when both, as
+    strings of hexagon tokens, have one length and the engine's occurs in
+    the oracle's doubled: one substring search, no key.  Only an oracle
+    image no longer than some base word can match a base key, so only
+    those get an unoriented ``conjugacy_key``.  A ``count`` below 1, which
+    would check nothing, or a ``max_length`` below 1 raises
+    ``BlfkitError``.
     """
     from .curves import curves_isotopic
     from .twists import TwistWord
@@ -392,10 +412,10 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
     words_ok = verdicts_ok = homology_ok = 0
     failures: List[dict] = []
     for idx, gens in enumerate(_twist_words(count, seed, max_length)):
-        # engine and oracle: the head's images and automorphism from the
-        # table, then the rest of the word in order
+        # engine and oracle: the head's images, automorphism and matrices
+        # from the table, then the rest of the word in order
         steps = tuple(reversed([engine_gens[g] for g in gens]))
-        head_images, auto = heads[tuple(gens[:HEAD_LENGTH])]
+        head_images, auto, head_action, head_abelianization = heads[tuple(gens[:HEAD_LENGTH])]
         rest = TwistWord(steps[:-HEAD_LENGTH])
         for g in gens[HEAD_LENGTH:]:
             auto = GENERATORS[g].compose(auto)
@@ -420,12 +440,12 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
             for other in base_names
         )
 
-        engine_mat = TwistWord(steps).act_on_homology(scheme)
-        if engine_mat == auto.abelianization():
-            homology_ok += 1
-            h_match = True
+        # a word that is its own head compares the two matrices its entry keeps
+        if len(gens) <= HEAD_LENGTH:
+            h_match = head_action == head_abelianization
         else:
-            h_match = False
+            h_match = TwistWord(steps).act_on_homology(scheme) == auto.abelianization()
+        homology_ok += h_match
 
         words_ok += word_match
         verdicts_ok += verdict_match

@@ -367,14 +367,29 @@ class JoiningReport(NamedTuple):
         }
 
 
+def _reversed_rows(
+    rows: List[Tuple[Tuple[int, int], ...]], m: int
+) -> List[Tuple[Tuple[int, int], ...]]:
+    """``passage_crossings(u, v.reversed())`` from ``rows = passage_crossings(u,
+    v)`` and ``m = |v|``.
+
+    Passage ``kv`` of ``v`` is passage ``(m - kv) mod m`` of its reverse,
+    the same chord run the other way, so each crossing keeps its place
+    along u's passage and changes sign.
+    """
+    return [tuple([((m - kv) % m, -sign) for kv, sign in row]) for row in rows]
+
+
 def _smoothings(u: ClosedCurve, v: ClosedCurve) -> List[ClosedCurve]:
     """All oriented smoothings of crossings of ``u`` with ``v`` or its reverse."""
     # both cycles are simple, so passage_crossings lists the crossings of a
     # minimal position, none for curves that can be made disjoint; each row
-    # is ordered along u's passage, and taken in w's passage order
+    # is ordered along u's passage, and taken in w's passage order.  The
+    # reverse's rows are read off v's, so only v's crossing data is built
+    rows = passage_crossings(u, v)
     out = []
-    for w in (v, v.reversed()):
-        for ku, row in enumerate(passage_crossings(u, w)):
+    for w, w_rows in ((v, rows), (v.reversed(), _reversed_rows(rows, len(v.tokens)))):
+        for ku, row in enumerate(w_rows):
             for kv, _sign in sorted(row):
                 word = (
                     u.tokens[ku:] + u.tokens[:ku]

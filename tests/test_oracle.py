@@ -330,6 +330,29 @@ class TestSuiteDoesNoRepeatedWork:
         assert got["word_agreements"] == 0
         assert not got["ok"] and len(got["failures"]) == 10
 
+    def test_wrong_homology_action_is_caught(self, monkeypatch, fresh_heads):
+        # every transvection's sign flipped: a word that is its own head
+        # reads the action its entry keeps, so the entries must be filled
+        # with the patched action, from a cold table and again on a warm
+        # rerun; a table cleared after the patch gives the true report
+        act = TwistWord.act_on_homology
+
+        def flipped(self, scheme):
+            return act(TwistWord(tuple((c, -p) for c, p in self.steps)), scheme)
+
+        args = (30, 3, 5)
+        with monkeypatch.context() as m:
+            m.setattr(TwistWord, "act_on_homology", flipped)
+            want = reference_suite(*args)
+            assert want["homology_agreements"] < 30
+            for _ in range(2):
+                got = run_agreement_suite(*args).to_json()
+                assert got == want
+                assert got["homology_agreements"] < 30
+                assert got["word_agreements"] == got["verdict_agreements"] == 30
+        _hexagon_fixture.cache_clear()
+        assert run_agreement_suite(*args).to_json() == reference_suite(*args)
+
     def test_table_state_cannot_change_a_report(self, monkeypatch):
         # seeds and lengths interleaved, each run's report equal to the
         # reference suite's: the first from the table the wrong-engine
@@ -372,47 +395,63 @@ class TestSuiteDoesNoRepeatedWork:
 
     def test_fixture_keeps_every_first_twist(self, fresh_heads):
         # a fresh fixture has an empty head table; every entry is the
-        # dehn_twist composition from the base curves and the compose of
-        # its generators' automorphisms, and is kept for later calls
-        _, base, gens, _, heads = _hexagon_fixture()
+        # dehn_twist composition from the base curves, the compose of its
+        # generators' automorphisms, the head's homology action and the
+        # automorphism's abelianization, and is kept for later calls
+        scheme, base, gens, _, heads = _hexagon_fixture()
         assert len(heads) == 0
         names = sorted(BASE_WORDS)
         every = [
             head for n in (1, 2, 3) for head in itertools.product(sorted(GENERATORS), repeat=n)
         ]
         entries = {head: heads[head] for head in every}
-        for head, (images, auto) in entries.items():
+        for head, (images, auto, action, abelianization) in entries.items():
             want, want_auto = [base[name] for name in names], IDENTITY
             for g in head:
                 want = [dehn_twist(x, *gens[g]) for x in want]
                 want_auto = GENERATORS[g].compose(want_auto)
             assert list(images) == want, head
             assert auto == want_auto, head
+            # both matrices are kept immutably, as tuples of rows
+            word = TwistWord(tuple(reversed([gens[g] for g in head])))
+            assert action == tuple(map(tuple, word.act_on_homology(scheme))), head
+            assert abelianization == tuple(map(tuple, auto.abelianization())), head
+            for matrix in (action, abelianization):
+                assert type(matrix) is tuple and all(type(row) is tuple for row in matrix)
         assert len(heads) == 6 + 36 + 216
         again = _hexagon_fixture()[4]
         assert all(again[head] is entry for head, entry in entries.items())
         assert len(again) == 6 + 36 + 216
 
-    @pytest.mark.parametrize("seed", [0, 1, 5, 9])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 5, 7, 9])
     def test_each_word_twists_base_curves_after_its_first_generator(
         self, monkeypatch, fresh_heads, seed
     ):
         # a cold word fills its heads, of one to three generators, at 4 twists
-        # each: no more than twisting each base curve along the whole word;
-        # a warm word of k twists twists them along all but its head
+        # and one homology action each: no more than twisting each base
+        # curve along the whole word; a warm word of k twists twists them
+        # along all but its head, and reads its homology action from its
+        # head's entry when it is its own head
         from blfkit import twists
 
         _hexagon_fixture()
         (word,) = random_twist_words(1, seed, 5)
-        calls = []
-        twist = twists.dehn_twist
-        monkeypatch.setattr(twists, "dehn_twist", lambda *a: calls.append(a) or twist(*a))
-        assert run_agreement_suite(1, seed, 5).ok
-        assert len(calls) == 4 * len(word)
-        calls.clear()
-        assert run_agreement_suite(1, seed, 5).ok
         k = len(word)
+        calls = []
+        actions = []
+        twist, act = twists.dehn_twist, TwistWord.act_on_homology
+        monkeypatch.setattr(twists, "dehn_twist", lambda *a: calls.append(a) or twist(*a))
+        monkeypatch.setattr(
+            TwistWord, "act_on_homology", lambda self, s: actions.append(self) or act(self, s)
+        )
+        assert run_agreement_suite(1, seed, 5).ok
+        assert len(calls) == 4 * k
+        assert len(actions) == min(k, 3) + (k > 3)
+        calls.clear()
+        actions.clear()
+        assert run_agreement_suite(1, seed, 5).ok
         assert len(calls) == 4 * (k - min(k, 3))
+        assert len(actions) == (k > 3)
 
     def test_second_call_builds_no_taut_config(self, monkeypatch):
         builds = []

@@ -8,13 +8,14 @@ import time
 
 import pytest
 
-from blfkit import ClosedCurve, cli
-from blfkit.curves import geometric_intersection
+from blfkit import ClosedCurve, cli, curves
+from blfkit.curves import geometric_intersection, is_simple, passage_crossings
 from blfkit.errors import SchemeError
 from blfkit.schemes import Relabeling
 from blfkit.scenarios import (
     MAX_FAMILY_MEMBER,
     SCENARIOS,
+    _reversed_rows,
     _smoothings,
     family_scenario,
     get_scenario,
@@ -233,6 +234,32 @@ class TestVertexJoining:
                         pairs += 1
                         smoothed += len(got)
         assert pairs == 152 and smoothed > 100 and bigons > 0
+
+    def test_reversed_rows_match_crossings(self):
+        # the reverse's crossings, read off v's, are those passage_crossings
+        # lists for v.reversed() itself, row for row and in order, for every
+        # curve of a scenario against every simple one
+        pairs = crossings = 0
+        for name in sorted(SCENARIOS):
+            members = list(get_scenario(name).curves.values())
+            for u in members:
+                for v in filter(is_simple, members):
+                    got = _reversed_rows(passage_crossings(u, v), len(v.tokens))
+                    assert got == passage_crossings(u, v.reversed()), (name, u, v)
+                    pairs += 1
+                    crossings += sum(map(len, got))
+        assert pairs == 181 and crossings > 0
+
+    def test_warm_joining_traces_nothing(self, monkeypatch):
+        # the pairs are the scenario's own curves, which keep their crossing
+        # data: a second check builds no reversed curve's and traces nothing
+        sc = get_scenario("positive-modification")
+        first = verify_vertex_joining(sc)
+        traced = []
+        trace = curves._traces_once
+        monkeypatch.setattr(curves, "_traces_once", lambda c: traced.append(c) or trace(c))
+        assert verify_vertex_joining(sc) == first
+        assert traced == []
 
 
 class TestRunScenario:
