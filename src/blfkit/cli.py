@@ -19,9 +19,12 @@ line on stderr.  ``verify`` runs its checks before it writes ``--json``,
 so a failed check keeps exit 1 when the report cannot be written; the
 write error is still reported on its line.  All output is deterministic;
 the cross-check seed defaults to the ``BLFKIT_SEED`` environment variable
-(or 0), read when the command runs.  A command imports only the modules
-it runs: ``handles``, ``oracle`` and ``render`` are imported by their own
-commands, so ``verify`` and the dumps start without them.
+(or 0), read when the command runs.  JSON is written exactly as
+``json.dumps(doc, indent=2, sort_keys=True)`` and a newline would write
+it, without that call's pure-Python indenting encoder (see ``_dump``).
+A command imports only the modules it runs: ``handles``, ``oracle`` and
+``render`` are imported by their own commands, so ``verify`` and the
+dumps start without them.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 from . import scenarios
@@ -42,7 +46,40 @@ class _UsageError(Exception):
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` writes it."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(o, newline: str) -> str:
+    """One JSON value, its lines after the first starting with ``newline``.
+
+    Types are tested in the order of ``json``'s own encoder, so a tuple
+    (and a NamedTuple) is an array and ``True`` is not an int; dict keys
+    must be strings.  Each container is one ``str.join``.
+    """
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return json.dumps(o)
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_encode(v, inner) for v in o])}{newline}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [f"{_quote(k)}: {_encode(o[k], inner)}" for k in sorted(o)]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _write(path: str, text: str) -> None:

@@ -70,7 +70,10 @@ is another curve or several.  The check takes time linear in ``|c|``.
 :func:`geometric_intersection` counts the taut rows of
 :func:`passage_crossings` when the shorter of its two primitive roots is
 simple, as every twist curve and vanishing cycle is: the longer curve is
-then read once, never ranked.  Other pairs count *linked* pairs of
+then read once, never ranked.  A root that already keeps its crossing
+data is simple, and is read against in place of the shorter, so the
+other root is not traced; the one trace of a fresh root gives both its
+verdict and its crossing data.  Other pairs count *linked* pairs of
 points: two points on one edge whose rays on the two sides order them
 the same way round start strands that cross once somewhere along their
 maximal shared run.  A linked pair is counted where its run ends (half
@@ -89,7 +92,7 @@ from math import inf
 from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .errors import CurveError, NotSimpleError
+from .errors import CurveError, NotSimpleError, SchemeError
 from .schemes import Scheme, SlotId
 
 TokenWord = Tuple[SlotId, ...]
@@ -329,13 +332,24 @@ def homology_basis(scheme: Scheme) -> List[SlotId]:
 
 
 def homology_class(scheme: Scheme, tokens: Sequence[SlotId]) -> Tuple[int, ...]:
-    if scheme._basis_index is None:
-        scheme._basis_index = {s: i for i, s in enumerate(homology_basis(scheme))}
-    pos = scheme._basis_index
-    vec = [0] * len(pos)
-    for t in tokens:
-        p = scheme.primary(t)
-        vec[pos[p]] += 1 if t == p else -1
+    """The sum over ``tokens`` of each one's edge class, signed by its side.
+
+    Reads (row, sign) per distinct token from a table kept on the scheme.
+    """
+    table = scheme._basis_index
+    if table is None:
+        rows = {s: i for i, s in enumerate(homology_basis(scheme))}
+        table = scheme._basis_index = {
+            s: (rows[p], 1 if s == p else -1)
+            for s, (p, _) in scheme.edge_of.items()
+        }
+    # each edge class has two slots
+    vec = [0] * (len(table) // 2)
+    for t, n in Counter(tokens).items():
+        entry = table.get(t)
+        if entry is None:
+            raise SchemeError(f"{t!r} is a boundary slot")
+        vec[entry[0]] += entry[1] * n
     return tuple(vec)
 
 
@@ -903,8 +917,9 @@ def _linked_crossings(items: Sequence[ClosedCurve]) -> int:
 def geometric_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
     """The least number of crossings of curves freely homotopic to ``u`` and ``v``.
 
-    Counted from the shorter primitive root's taut rows when it is simple,
-    and from linked runs otherwise (see the module docstring).
+    Counted from the taut rows of a primitive root that keeps its crossing
+    data, else of the shorter root when it is simple, and from linked runs
+    otherwise (see the module docstring).
     """
     if u.scheme is not v.scheme:
         raise CurveError(f"{u!r} lives on a different scheme from {v!r}")
@@ -919,8 +934,14 @@ def geometric_intersection(u: ClosedCurve, v: ClosedCurve) -> int:
         return 0
     if len(ru.tokens) < len(rv.tokens):
         ru, rv = rv, ru
-    if is_simple(rv):
-        return pu * pv * sum(map(len, passage_crossings(ru, rv)))
+    # a curve with crossing data is simple, and the count is symmetric
+    if rv._crossing_data is None and ru._crossing_data is not None:
+        ru, rv = rv, ru
+    if rv._simple is not False:
+        try:
+            return pu * pv * sum(map(len, passage_crossings(ru, rv)))
+        except NotSimpleError:
+            pass  # _crossing_data traced rv once and kept the verdict
     return pu * pv * _linked_crossings((ru, rv))
 
 

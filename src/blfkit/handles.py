@@ -468,6 +468,7 @@ def fibration_report(genus: int) -> dict:
 def localized_report() -> dict:
     """Trace the localized piece; ``ok`` (and ``ball``) when it is a 4-ball."""
     pres = localized_presentation()
+    # no steps: the start profile is the final one
     trace = run_script(pres, [])
-    ok = is_ball_profile(pres.homology_profile())
+    ok = is_ball_profile(trace[-1]["profile"])
     return {"presentation": "localized", "trace": trace, "ball": ok, "ok": ok}

@@ -119,10 +119,6 @@ def position_table(scheme: Scheme, items: Dict[str, Item]) -> PositionTable:
     return PositionTable(slots, chords)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
 def render_svg(scheme: Scheme, items: Dict[str, Item]) -> str:
     table = position_table(scheme, items)
     radius = 130.0
@@ -134,8 +130,8 @@ def render_svg(scheme: Scheme, items: Dict[str, Item]) -> str:
     # position first + i
     point_xy: Dict[Tuple[int, int], Tuple[float, float]] = {}
     lines: List[str] = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
+        f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
     for pi, poly in enumerate(scheme.polygons):
@@ -147,7 +143,7 @@ def render_svg(scheme: Scheme, items: Dict[str, Item]) -> str:
             ang = -math.pi / 2 + 2 * math.pi * k / n
             verts.append((cx + radius * math.cos(ang), cy + radius * math.sin(ang)))
         path = " ".join(
-            f"{'M' if k == 0 else 'L'} {_fmt(x)} {_fmt(y)}" for k, (x, y) in enumerate(verts)
+            f"{'M' if k == 0 else 'L'} {x:.2f} {y:.2f}" for k, (x, y) in enumerate(verts)
         )
         lines.append(f'<path d="{path} Z" fill="none" stroke="#555" stroke-width="1.5"/>')
         # side labels and strand points
@@ -157,7 +153,7 @@ def render_svg(scheme: Scheme, items: Dict[str, Item]) -> str:
             lx = cx + (mx - cx) * 1.12
             ly = cy + (my - cy) * 1.12
             lines.append(
-                f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-size="11" '
+                f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="11" '
                 f'text-anchor="middle" fill="#333">{slot}</text>'
             )
             pts = table.slots[slot]
@@ -169,11 +165,11 @@ def render_svg(scheme: Scheme, items: Dict[str, Item]) -> str:
         for pi, entry, exit_ in table.chords[name]:
             a, b = point_xy[pi, entry], point_xy[pi, exit_]
             lines.append(
-                f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" x2="{_fmt(b[0])}" '
-                f'y2="{_fmt(b[1])}" stroke="{color}" stroke-width="1.2"/>'
+                f'<line x1="{a[0]:.2f}" y1="{a[1]:.2f}" x2="{b[0]:.2f}" '
+                f'y2="{b[1]:.2f}" stroke="{color}" stroke-width="1.2"/>'
             )
         lines.append(
-            f'<text x="{_fmt(20.0 + 80.0 * i)}" y="{_fmt(height - 12.0)}" '
+            f'<text x="{20.0 + 80.0 * i:.2f}" y="{height - 12.0:.2f}" '
             f'font-size="12" fill="{color}">{name}</text>'
         )
     lines.append("</svg>")

@@ -154,9 +154,10 @@ class Scheme:
         }
         #: the intersection form, once ``curves.intersection_form`` computed it
         self._intersection_form: Optional[Tuple[Tuple[int, ...], ...]] = None
-        #: row of each primary slot in the homology basis, once
+        #: (row of its edge class in the homology basis, +1 for the
+        #: primary slot or -1 for its partner) of each glued slot, once
         #: ``curves.homology_class`` computed it
-        self._basis_index: Optional[Dict[SlotId, int]] = None
+        self._basis_index: Optional[Dict[SlotId, Tuple[int, int]]] = None
         #: step of each (source, target) slot pair (``curves._StepTable``),
         #: made on the first ray ranking or crossing table on the scheme; it
         #: fills each pair on first use

@@ -1,11 +1,17 @@
 """Command-line interface: exit codes, output shapes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from blfkit import cli, scenarios
 
 
 def run_cli(*args):
@@ -239,3 +245,77 @@ class TestImportFootprint:
         loaded = set(proc.stdout.split())
         assert set(modules) <= loaded
         assert loaded & unwanted == set()
+
+
+# -- the JSON writer ------------------------------------------------------------
+
+
+def reference(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+class Pair(NamedTuple):
+    left: object
+    right: object
+
+
+strings = st.text() | st.sampled_from(
+    ['', '"', "\\", "\"quoted\"", "\n\t\r\x00\x1f\x7f", "é", "\u2028", "\U0001f600", "\ud800"]
+)
+scalars = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64).map(lambda n: -n)
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e300])
+    | strings
+)
+documents = st.recursive(
+    scalars,
+    lambda children: (
+        st.lists(children) | st.lists(children).map(tuple)
+        | st.builds(Pair, children, children) | st.dictionaries(strings, children)
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(doc=documents)
+    def test_matches_the_standard_library(self, doc):
+        assert cli._dump(doc) == reference(doc)
+
+    @pytest.mark.parametrize("doc", [{1, 2}, {"a": [b"x"]}, [object()]], ids=["set", "bytes", "object"])
+    def test_other_types_raise(self, doc):
+        with pytest.raises(TypeError):
+            reference(doc)
+        with pytest.raises(TypeError):
+            cli._dump(doc)
+
+    def test_every_json_command(self, monkeypatch, tmp_path):
+        # each document a command writes, with its tuples and NamedTuples
+        # as the command built it, against the standard library's text
+        written = []
+        dump = cli._dump
+
+        def checked(doc):
+            text = dump(doc)
+            assert text == reference(doc)
+            written.append(text)
+            return text
+
+        monkeypatch.setattr(cli, "_dump", checked)
+        commands = [["verify", name, "--json", str(tmp_path / "report.json")]
+                    for name in sorted(scenarios.SCENARIOS)]
+        commands += [["dump-scenario", name] for name in sorted(scenarios.SCENARIOS)]
+        commands += [
+            ["generate-family", "3"],
+            ["handle-sim", "--genus", "3"],
+            ["handle-sim", "--localized"],
+            ["oracle-crosscheck", "--count", "20", "--seed", "4"],
+        ]
+        for argv in commands:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                cli.main(argv)
+            if argv[0] != "verify":
+                assert buf.getvalue() == written[-1], argv
+        assert len(written) == len(commands)

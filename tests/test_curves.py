@@ -26,7 +26,7 @@ from blfkit.curves import (
     intersection_form,
     pair_homology,
 )
-from blfkit.errors import CurveError
+from blfkit.errors import CurveError, SchemeError
 from blfkit.scenarios import SCENARIOS, _rho, family_scenario, get_scenario
 from blfkit.schemes import Scheme, slot_key
 from blfkit.twists import relabel_curve
@@ -327,6 +327,31 @@ class TestHomology:
         assert homology_class(hexagon, (0,)) == (1, 0, 0)
         assert homology_class(hexagon, (3, 2)) == (-1, 0, 1)
         assert homology_class(hexagon, (5, 4)) == (0, -1, -1)
+
+    def test_table_matches_the_per_token_sum(self):
+        # any token sequence, path or not: each token adds its edge class's
+        # basis vector, negated on the partner of the class's primary slot
+        rng = random.Random(31)
+        schemes = [hexagon_scheme().build(), square_torus_scheme().build()] + [
+            family_scenario(n).scheme for n in (2, 3)
+        ]
+        for _ in range(200):
+            sch = rng.choice(schemes)
+            glued = sorted(sch.partner, key=sch.rank.get)
+            word = rng.choice([
+                random_word(sch, rng, rng.randint(1, 30)),
+                [rng.choice(glued) for _ in range(rng.randint(0, 30))],
+            ])
+            basis = curves.homology_basis(sch)
+            expected = [0] * len(basis)
+            for t in word:
+                p = sch.primary(t)
+                expected[basis.index(p)] += 1 if t == p else -1
+            assert homology_class(sch, word) == tuple(expected), word
+
+    def test_unglued_token_raises(self, hexagon):
+        with pytest.raises(SchemeError, match="'u1' is a boundary slot"):
+            homology_class(hexagon, (0, "u1", 0))
 
     def test_intersection_form(self, hexagon):
         F = intersection_form(hexagon)

@@ -157,6 +157,16 @@ class TestHandleSimReports:
         assert out["ok"] is out["ball"] is True
         assert len(out["trace"]) == 1
 
+    def test_localized_report_computes_one_profile(self, monkeypatch):
+        # the trace has no steps, so its start profile is the verdict's
+        calls = []
+        profile = handles.HandlePresentation.homology_profile
+        monkeypatch.setattr(handles.HandlePresentation, "homology_profile",
+                            lambda pres: calls.append(pres) or profile(pres))
+        out = localized_report()
+        assert len(calls) == 1
+        assert out["ball"] is is_ball_profile(out["trace"][-1]["profile"]) is True
+
 
 # -- the sparse tracker against dense references -------------------------------
 

@@ -752,6 +752,37 @@ class TestBuilds:
         assert traced == [root.tokens]
         assert ranked == []
 
+    def test_a_fresh_curve_is_traced_at_most_once(self, traced):
+        # against a twist curve, which keeps its crossing data, a fresh
+        # curve is read and not traced, in either order; of two fresh
+        # simple curves the shorter is traced once, for its verdict and its
+        # crossing data together
+        sc = get_scenario("negative-modification")
+        c1 = sc.curves["C1"]
+        dehn_twist(sc.curves["C3"], c1)
+        sch = c1.scheme
+        del traced[:]
+        assert geometric_intersection(c1, ClosedCurve(sch, (0,))) == 1
+        assert geometric_intersection(ClosedCurve(sch, (0,)), c1) == 1
+        assert traced == []
+        assert geometric_intersection(ClosedCurve(sch, (3, 2)), ClosedCurve(sch, (0,))) == 1
+        assert traced == [(0,)]
+
+    def test_counts_agree_both_ways(self):
+        # seeded simple pairs, each counted in both orders: fresh, then with
+        # what the first count kept on them, then against the linked-run count
+        rng = random.Random(30)
+        scenarios = [family_scenario(n) for n in (1, 2, 3)]
+        pool = [(sc, sc.scheme) for sc in scenarios] + [(None, hexagon_scheme().build())]
+        for _ in range(60):
+            sc, sch = rng.choice(pool)
+            a, b = (_simple_curve(sc, sch, rng) for _ in range(2))
+            fresh = [ClosedCurve(sch, c.tokens) for c in (a, b, b, a)]
+            i = geometric_intersection(*fresh[:2])
+            assert geometric_intersection(*fresh[2:]) == i, (a, b)
+            assert geometric_intersection(b, a) == geometric_intersection(a, b) == i, (a, b)
+            assert linked_intersection(a, b) == i, (a, b)
+
     def test_curves_on_two_schemes_raise(self):
         # a second build of the hexagon gives a second scheme, whose slots
         # coincide with those of the named scenario's
