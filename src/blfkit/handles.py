@@ -8,9 +8,10 @@ vanishes over the 1-handles) is maintained by every move.
 
 Moves: sliding a 2-handle over another, cancelling a 1-2 pair (after
 implicitly sliding every other strand off the 1-handle), and cancelling a
-2-3 pair when the 2-handle has become trivial.  Euler characteristic and
-integral homology (Betti numbers and torsion via Smith normal form) are
-available at every step; simplification scripts record them move by move.
+2-3 pair when the 2-handle has become trivial and meets no other 3-handle.
+Euler characteristic and integral homology (Betti numbers and torsion via
+Smith normal form) are available at every step; simplification scripts
+record them move by move.
 
 Incidences and linking numbers are kept sparse, and every move, check and
 profile reads only the nonzero ones.  A 1-handle that no 2-handle runs
@@ -233,7 +234,13 @@ class HandlePresentation:
         }
 
     def cancel23(self, two: str, three: str) -> None:
-        """Cancel a trivialized 2-handle against a 3-handle."""
+        """Cancel a trivialized 2-handle against a 3-handle.
+
+        Raises ``HandleMoveError`` unless ``two`` has framing zero, links
+        and runs over nothing, is incident to ``three`` exactly once and to
+        no other 3-handle.  No picture in the package has two 3-handles on
+        one 2-handle, so none is carried over.
+        """
         if self.link(two, two):
             raise HandleMoveError(f"{two!r} still has nonzero framing")
         for other in self.two_handles:
@@ -247,13 +254,9 @@ class HandlePresentation:
             raise HandleMoveError(
                 f"{three!r} is incident to {two!r} {inc} times; need exactly once"
             )
-        for other in list(self.three_handles):
-            if other == three:
-                continue
-            m = self.inc3(other, two)
-            if m:
-                for t in self.two_handles:
-                    self._set_inc3(other, t, self.inc3(other, t) - m * inc * self.inc3(three, t))
+        for other in self.three_handles:
+            if other != three and self.inc3(other, two):
+                raise HandleMoveError(f"{other!r} is also incident to {two!r}")
         self.two_handles.remove(two)
         self.three_handles.remove(three)
         self.incidence3 = {

@@ -122,10 +122,6 @@ def conjugacy_key(word: Sequence[int], oriented: bool = True) -> Word:
     return min(best, least_rotation(invert_word(w)))
 
 
-def conjugate_words(w1: Sequence[int], w2: Sequence[int], oriented: bool = True) -> bool:
-    return conjugacy_key(w1, oriented) == conjugacy_key(w2, oriented)
-
-
 # -- automorphisms ---------------------------------------------------------
 
 
@@ -228,14 +224,6 @@ def _translate(table: Dict[int, int], values: Iterable[int], kind: str) -> Tuple
         return tuple([table[v] for v in values])
     except KeyError as exc:
         raise BlfkitError(f"{exc.args[0]!r} is not a hexagon {kind}") from None
-
-
-def letter_to_token(letter: int) -> int:
-    return _translate(_LETTER_TOKENS, (letter,), "letter")[0]
-
-
-def token_to_letter(token: int) -> int:
-    return _translate(_TOKEN_LETTERS, (token,), "token")[0]
 
 
 def tokens_to_word(tokens: Sequence[int]) -> Word:

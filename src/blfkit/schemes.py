@@ -171,9 +171,6 @@ class Scheme:
     def polygon_of(self, slot: SlotId) -> int:
         return self.location[slot][0]
 
-    def position_of(self, slot: SlotId) -> int:
-        return self.location[slot][1]
-
     @property
     def slots(self) -> List[SlotId]:
         return list(self.rank)

@@ -46,7 +46,6 @@ class SurgeryResult(NamedTuple):
     curve: ClosedCurve
     scheme: Scheme
     cut_slots: Tuple[SlotId, SlotId]
-    scar_count: int
     standardization: TwistWord
 
 
@@ -114,7 +113,6 @@ def round_surgery(scheme: Scheme, curve: ClosedCurve) -> SurgeryResult:
         curve=curve,
         scheme=new_scheme,
         cut_slots=(x, xbar),
-        scar_count=2,
         standardization=used,
     )
 

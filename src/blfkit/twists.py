@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from itertools import compress
 from operator import add, mul
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .curves import (
     Arc,
@@ -123,17 +123,6 @@ class TwistWord(NamedTuple):
                 if k:
                     col[:] = map(add, col, map(k.__mul__, vc))
         return [list(row) for row in zip(*cols)]
-
-
-def transvection(form: List[List[int]], vc: Sequence[int], power: int) -> List[List[int]]:
-    """Matrix of ``x -> x + power * <x, vc> vc`` in the edge-class basis.
-
-    Column ``i``, the image of basis vector ``e_i``, is ``e_i + power *
-    <e_i, vc> vc``, and ``<e_i, vc>`` is entry ``i`` of ``form`` times ``vc``.
-    """
-    n = len(form)
-    w = [power * sum(map(mul, row, vc)) for row in form]
-    return [[(1 if i == j else 0) + w[i] * vc[j] for i in range(n)] for j in range(n)]
 
 
 def relabel_curve(r: Relabeling, x: Item) -> Item:

@@ -107,6 +107,13 @@ class TestMoveValidation:
         with pytest.raises(HandleMoveError):
             pres.cancel23("L2", "t1")
 
+    def test_cancel23_rejects_a_second_incident_three_handle(self):
+        pres = HandlePresentation([], ["z"], {}, {}, ["t1", "t2"],
+                                  {("t1", "z"): 1, ("t2", "z"): 1})
+        with pytest.raises(HandleMoveError, match="^'t2' is also incident to 'z'$"):
+            pres.cancel23("z", "t1")
+        assert pres.three_handles == ["t1", "t2"] and len(pres.incidence3) == 2
+
     def test_slide_unknown_handle(self):
         pres = fibration_presentation(2)
         with pytest.raises(HandleMoveError):
@@ -119,6 +126,14 @@ class TestLocalizedPiece:
 
     def test_trivial_reduced_homology(self):
         assert is_ball_profile(localized_presentation().homology_profile())
+
+    def test_torsion_in_h2_is_no_ball(self):
+        # a 3-handle running twice over a 0-framed 2-handle: chi = 1 and
+        # H1 = H3 = 0, but H2 = Z/2
+        pres = HandlePresentation([], ["z"], {}, {}, ["t"], {("t", "z"): 2})
+        profile = pres.homology_profile()
+        assert profile["chi"] == 1 and profile["H2"] == {"betti": 0, "torsion": [2]}
+        assert not is_ball_profile(profile)
 
     def test_validates(self):
         localized_presentation().validate()

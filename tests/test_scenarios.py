@@ -8,8 +8,8 @@ import time
 
 import pytest
 
-from blfkit import ClosedCurve, cli, curves
-from blfkit.curves import geometric_intersection, is_simple, passage_crossings
+from blfkit import Arc, ClosedCurve, PolygonScheme, cli, curves
+from blfkit.curves import curves_isotopic, geometric_intersection, is_simple, passage_crossings
 from blfkit.errors import SchemeError
 from blfkit.schemes import Relabeling
 from blfkit.scenarios import (
@@ -168,6 +168,16 @@ class TestRoundInvariance:
         assert report.ok
         assert report.image_word == report.curve_word
 
+    @pytest.mark.parametrize("third", ["C1", "C3"])
+    def test_a_monodromy_that_reverses_the_round_curve_fails(self, third):
+        # the palindrome T_x T_C T_x T_C T_x carries C onto C reversed
+        sc = get_scenario("negative-modification")
+        sc = sc._replace(cycle_names=(third, "C", third, "C", third))
+        c = sc.curves["C"]
+        image = sc.monodromy.apply(c)
+        assert curves_isotopic(image, c, oriented=False)
+        assert not verify_round_invariance(sc).ok
+
 
 class TestReducedMonodromy:
     def test_negative_modification_is_left(self):
@@ -193,6 +203,24 @@ class TestReducedMonodromy:
         assert report.ok
         assert report.handedness == "left"
         assert report.cap_slides == 2
+
+    def test_a_cut_that_is_no_annulus_fails(self):
+        # the hexagon stabilized by one handle, its curves and arc carried
+        # over token for token: the arc still reduces to a left twist, but
+        # the cut surface has chi = -2
+        sc = get_scenario("negative-modification")
+        pairs = ((0, 3), (1, 4), (2, 5), (6, 8), (7, 9))
+        scheme = PolygonScheme(10, tuple((i, j, "reversed") for i, j in pairs),
+                               frozenset(range(10))).build()
+        sc = sc._replace(
+            scheme=scheme,
+            curves={name: ClosedCurve(scheme, c.tokens) for name, c in sc.curves.items()},
+            arc=Arc(scheme, sc.arc.start, sc.arc.tokens, sc.arc.end),
+        )
+        report = verify_reduced_monodromy(sc)
+        assert report.handedness == "left"
+        assert (report.chi, report.boundary_circles) == (-2, 2)
+        assert not report.ok
 
 
 def reference_smoothings(u, v):

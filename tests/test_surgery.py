@@ -9,10 +9,12 @@ from blfkit import (
     Anchor,
     Arc,
     ClosedCurve,
+    PolygonScheme,
     arcs_isotopic,
     dehn_twist,
     geometric_intersection,
     hexagon_scheme,
+    is_simple,
     project,
     round_surgery,
     surgery,
@@ -52,8 +54,9 @@ class TestRoundSurgery:
         assert len(ann.boundary_circles()) == 2
         assert ann.genus() == 0
 
-    def test_scar_count(self, cut):
-        assert cut.scar_count == 2
+    def test_two_scars_raise_chi_by_two(self, cut):
+        # the two cut circles are capped with disks
+        assert cut.scheme.euler_characteristic() == cut.original.euler_characteristic() + 2
 
     def test_null_curve_rejected(self, hexagon):
         with pytest.raises(InessentialCurveError):
@@ -62,6 +65,15 @@ class TestRoundSurgery:
     def test_non_simple_curve_rejected(self, hexagon):
         with pytest.raises(InessentialCurveError):
             round_surgery(hexagon, ClosedCurve(hexagon, (0, 0)))
+
+    def test_disk_cut_rejected(self):
+        # on this square (0) is simple and not null, but cutting along it
+        # leaves the piece between sides 0 and 1 empty
+        square = PolygonScheme(4, ((0, 1, "reversed"), (2, 3, "reversed"))).build()
+        curve = ClosedCurve(square, (0,))
+        assert is_simple(curve) and not curve.is_null
+        with pytest.raises(InessentialCurveError, match="disk"):
+            round_surgery(square, curve)
 
     def test_non_coordinate_curve_standardized(self, hexagon):
         # a cut along a curve of several tokens first twists it to one

@@ -140,8 +140,8 @@ class ReferenceOrder:
                 poly = scheme.polygon_of(source)
                 continue
             size = len(scheme.polygons[poly])
-            ka = (scheme.position_of(a[1]) - scheme.position_of(source)) % size
-            kb = (scheme.position_of(b[1]) - scheme.position_of(source)) % size
+            ka = (scheme.location[a[1]][1] - scheme.location[source][1]) % size
+            kb = (scheme.location[b[1]][1] - scheme.location[source][1]) % size
             if ka != kb:
                 return 1 if ka < kb else -1
             ia = a[2] if a[0] == "anchor" else None

@@ -27,7 +27,6 @@ from blfkit import twists
 from blfkit.errors import CurveError, NotSimpleError
 from blfkit.scenarios import family_scenario, get_scenario
 from blfkit.schemes import Relabeling
-from blfkit.twists import transvection
 
 
 @pytest.fixture(scope="module")
@@ -164,10 +163,16 @@ class TestHomologyShadow:
             assert word.act_on_homology(scheme) == reference_act_on_homology(word, scheme)
 
     def test_transvection_matrix(self, hexagon):
+        # one twist along C: column i, the image of e_i, is e_i + <e_i, C> C
         F = intersection_form(hexagon)
-        m = transvection(F, (1, 0, 0), 1)
-        # columns are images of the basis classes
-        assert m[0] == [1, 0, 0] or m[0][0] == 1
+        c = ClosedCurve(hexagon, (0,))
+        vc = homology_class(hexagon, c.tokens)
+        m = TwistWord(((c, 1),)).act_on_homology(hexagon)
+        for i in range(3):
+            e = [int(j == i) for j in range(3)]
+            k = pair_homology(F, e, vc)
+            assert [row[i] for row in m] == [e[j] + k * vc[j] for j in range(3)]
+        assert m != [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
     def test_twist_word_action_matches_curve_level(self, hexagon):
         F = intersection_form(hexagon)
