@@ -87,7 +87,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from bisect import bisect_left, bisect_right, insort
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from math import inf
 from operator import itemgetter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -388,34 +388,11 @@ def pair_homology(form: List[List[int]], u: Sequence[int], v: Sequence[int]) -> 
 # -- rays ------------------------------------------------------------------
 
 
-class _StepTable(dict):
-    """The steps between slots of one scheme, each computed on first use.
-
-    Key ``(s, t)`` is a source and a target slot of one polygon; the value
-    is the step ``_ray_steps`` describes.  Kept on the scheme, so a large
-    family member pays only for the pairs its curves use.
-    """
-
-    def __init__(self, scheme: Scheme):
-        super().__init__()
-        self.location, self.rank = scheme.location, scheme.rank
-        self.sizes = [len(poly) for poly in scheme.polygons]
-
-    def __missing__(self, pair: Tuple[SlotId, SlotId]) -> int:
-        s, t = pair
-        pi, ps = self.location[s]
-        step = self[pair] = (
-            (self.location[t][1] - ps) % self.sizes[pi] * len(self.rank) + self.rank[t] + 1
-        )
-        return step
-
-
-def _step_table(scheme: Scheme) -> _StepTable:
-    """The scheme's table of steps between slots, made on first use."""
-    table = scheme._step_table
-    if table is None:
-        table = scheme._step_table = _StepTable(scheme)
-    return table
+def _step(scheme: Scheme, s: SlotId, t: SlotId) -> int:
+    """The step from source slot ``s`` to target ``t`` of one polygon (see ``_ray_steps``)."""
+    location = scheme.location
+    pi, i = location[s]
+    return (location[t][1] - i) % len(scheme.polygons[pi]) * len(scheme.rank) + scheme.rank[t] + 1
 
 
 def _ray_steps(item: Item) -> Tuple[List[int], List[int]]:
@@ -429,9 +406,8 @@ def _ray_steps(item: Item) -> Tuple[List[int], List[int]]:
     distance from ``s`` to ``t`` and ``S`` the number of slots, so steps
     from one source order by offset, a step determines its source and
     target, and 0 is left free for the end of a ray.  An arc's last forward
-    and first backward steps reach its anchors.  Steps are read from the
-    scheme's table of slot pairs; computed once per item, as items are
-    never mutated.
+    and first backward steps reach its anchors.  Computed once per item, as
+    items are never mutated.
     """
     if item._steps is None:
         scheme = item.scheme
@@ -444,8 +420,9 @@ def _ray_steps(item: Item) -> Tuple[List[int], List[int]]:
         else:
             nexts = toks[1:] + (item.end.slot,)
             prevs = [item.start.slot] + entries[:-1]
-        step = _step_table(scheme).__getitem__
-        item._steps = (list(map(step, zip(entries, nexts))), list(map(step, zip(toks, prevs))))
+        schemes = repeat(scheme)
+        item._steps = (list(map(_step, schemes, entries, nexts)),
+                       list(map(_step, schemes, toks, prevs)))
     return item._steps
 
 
@@ -601,37 +578,15 @@ class _ChordTable(dict):
         return found
 
 
-class _SlotCounts(dict):
-    """c's points counterclockwise before each slot of its polygon, by slot.
-
-    ``runs[pi]`` holds the positions of the slots of polygon ``pi`` that
-    ``c`` occupies, ascending, and the running totals of c's points on
-    them; ``find`` is ``bisect_left`` for the points before a slot and
-    ``bisect_right`` for those before its end.  Filled on first use, so a
-    slot costs time logarithmic in ``|c|`` whatever its polygon's size.
-    """
-
-    def __init__(self, location: Dict[SlotId, Tuple[int, int]],
-                 runs: Dict[int, Tuple[List[int], List[int]]], find):
-        super().__init__()
-        self.location, self.runs, self.find = location, runs, find
-
-    def __missing__(self, s: SlotId) -> int:
-        pi, i = self.location[s]
-        at, totals = self.runs.get(pi, ((), (0,)))
-        found = self[s] = totals[self.find(at, i)]
-        return found
-
-
 class _PairTable(dict):
     """What ``passage_crossings`` reads at a point of ``x``, by x's token pair.
 
     Key ``(t, u)``: ``x`` exits through ``t`` at the point and then through
     ``u`` (an arc's last token pairs with its end anchor's slot), so the
     point's forward ray takes the step from ``partner(t)`` to ``u``.  The
-    value is ``(lo, hi, shift, before[t], after[partner(t)], polygon of
-    t)``: a point with ``v`` of c's rays below its successor has
-    ``clamp(v + shift, lo, hi)`` below it, by the step's block map (see
+    value is ``(lo, hi, shift, before(t), before(partner(t), bisect_right),
+    polygon of t)``: a point with ``v`` of c's rays below its successor
+    has ``clamp(v + shift, lo, hi)`` below it, by the step's block map (see
     ``_crossing_data``); for a step that no ray of ``c`` takes, ``lo ==
     hi`` is the point's place by binary search, and ``shift`` is 0.
     Filled on first use.
@@ -639,33 +594,47 @@ class _PairTable(dict):
 
     def __init__(self, scheme: Scheme, firsts: Dict[SlotId, List[int]],
                  maps: Dict[int, Tuple[int, int, int]],
-                 before: _SlotCounts, after: _SlotCounts):
+                 runs: Dict[int, Tuple[List[int], List[int]]]):
         super().__init__()
-        self.partner, self.location, self.steps = scheme.partner, scheme.location, _step_table(scheme)
-        self.firsts, self.maps, self.before, self.after = firsts, maps, before, after
+        self.scheme, self.firsts, self.maps, self.runs = scheme, firsts, maps, runs
+
+    def before(self, s: SlotId, find=bisect_left) -> int:
+        """c's points counterclockwise before slot ``s`` in its polygon, or
+        before its end with ``find = bisect_right``.
+
+        ``runs[pi]`` holds the positions of the slots of polygon ``pi`` that
+        ``c`` occupies, ascending, and the running totals of c's points on
+        them, so a slot costs time logarithmic in ``|c|`` whatever its
+        polygon's size.
+        """
+        pi, i = self.scheme.location[s]
+        at, totals = self.runs.get(pi, ((), (0,)))
+        return totals[find(at, i)]
 
     def __missing__(self, pair: Tuple[SlotId, SlotId]) -> Tuple[int, int, int, int, int, int]:
         t, u = pair
-        s = self.partner[t]
-        f = self.steps[s, u]
+        scheme = self.scheme
+        s = scheme.partner[t]
+        f = _step(scheme, s, u)
         step = self.maps.get(f)
         if step is None:
             v = bisect_left(self.firsts.get(s, ()), f)
             step = (v, v, 0)
-        found = self[pair] = step + (self.before[t], self.after[s], self.location[t][0])
+        found = self[pair] = step + (self.before(t), self.before(s, bisect_right),
+                                     scheme.location[t][0])
         return found
 
 
 def _crossing_data(c: ClosedCurve):
     """What ``passage_crossings`` keeps of ``c``, built once per curve.
 
-    Returns the table of x's token pairs (``_PairTable``), which keeps
-    the number of c's points counterclockwise before each slot of its
-    polygon and before the end of each slot (``_SlotCounts``); the table
-    of chord crossings (``_ChordTable``); and the insertion words
-    (``insertion_words``), c's word doubled and its reversed word doubled,
-    4|c| tokens, from which a twist slices every copy of ``c`` it inserts.
-    Its cost does not grow with the number of slots of c's polygons.  Raises
+    Returns the table of x's token pairs (``_PairTable``), which counts
+    c's points counterclockwise before each slot of its polygon and before
+    the end of each slot; the table of chord crossings (``_ChordTable``);
+    and the insertion words (``insertion_words``), c's word doubled and its
+    reversed word doubled, 4|c| tokens, from which a twist slices every
+    copy of ``c`` it inserts.  Its cost does not grow with the number of
+    slots of c's polygons.  Raises
     ``NotSimpleError`` unless ``c`` is simple, and keeps the verdict that
     ``is_simple`` reads.
 
@@ -686,12 +655,11 @@ def _crossing_data(c: ClosedCurve):
         (types, start, base, end), (walk, r, backward) = found
         scheme = c.scheme
         partner, location = scheme.partner, scheme.location
-        steps = _step_table(scheme)
         firsts = {s: [0] * (end[s] - base[s]) for s in end}
         maps: Dict[int, Tuple[int, int, int]] = {}
         for (s, t), n in types.items():
             lo = end[s] - start[s, t] - n
-            f = steps[s, t]
+            f = _step(scheme, s, t)
             firsts[s][lo:lo + n] = [f] * n
             maps[f] = (lo, lo + n, lo - start[t, s] + base[t])
         # the slots c occupies by polygon, counterclockwise, with c's points
@@ -707,8 +675,8 @@ def _crossing_data(c: ClosedCurve):
             totals = list(accumulate((n for _, n in slots), initial=0))
             runs[pi] = ([i for i, _ in slots], totals)
             sizes[pi] = totals[-1]
-        before = _SlotCounts(location, runs, bisect_left)
-        after = _SlotCounts(location, runs, bisect_right)
+        pairs = _PairTable(scheme, firsts, maps, runs)
+        before = pairs.before
         # after step i the trace enters at walk[i + 1]: c's point i + r, or,
         # read against c, point -2 - i - r, through its token's own slot.
         # Entry q of slot a is q - base[a] points into a, and as many back
@@ -720,13 +688,13 @@ def _crossing_data(c: ClosedCurve):
             k = (-2 - i - r) % m if backward else (i + r) % m
             t = toks[k]
             a, b = (t, partner[t]) if backward else (partner[t], t)
-            here, there = before[a] + q - base[a], before[b] + end[a] - 1 - q
+            here, there = before(a) + q - base[a], before(b) + end[a] - 1 - q
             points[k] = (here, there) if backward else (there, here)
         chords: Dict[int, List[Tuple[int, int, int]]] = defaultdict(list)
         for k, t in enumerate(toks):
             chords[location[t][0]].append((k, points[k - 1][1], points[k][0]))
         c._crossing_data = (
-            _PairTable(scheme, firsts, maps, before, after), _ChordTable(sizes, chords),
+            pairs, _ChordTable(sizes, chords),
             (toks + toks, _reverse_word(partner, toks * 2)),
         )
     return c._crossing_data
@@ -801,8 +769,8 @@ def passage_crossings(x: Item, c: ClosedCurve) -> List[Tuple[Tuple[int, int], ..
     if closed:
         entries = entries[-1:] + entries[:-1]
     else:
-        entries.insert(0, pairs.before[x.start.slot])
-        exits.append(pairs.before[x.end.slot])
+        entries.insert(0, pairs.before(x.start.slot))
+        exits.append(pairs.before(x.end.slot))
         polys.append(scheme.location[x.end.slot][0])
     return list(map(table.__getitem__, zip(polys, entries, exits)))
 

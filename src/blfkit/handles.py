@@ -124,15 +124,6 @@ class HandlePresentation:
         self.incidence3 = {} if incidence3 is None else incidence3
         self.idle_one_handles = idle_one_handles
 
-    def copy(self) -> "HandlePresentation":
-        """An independent copy: handle names, keys and values are immutable,
-        so copying each list and dict suffices."""
-        return HandlePresentation(
-            list(self.one_handles), list(self.two_handles), dict(self.linking),
-            dict(self.incidence2), list(self.three_handles), dict(self.incidence3),
-            self.idle_one_handles,
-        )
-
     # -- access ------------------------------------------------------------
 
     def link(self, a: str, b: str) -> int:

@@ -158,10 +158,6 @@ class Scheme:
         #: primary slot or -1 for its partner) of each glued slot, once
         #: ``curves.homology_class`` computed it
         self._basis_index: Optional[Dict[SlotId, Tuple[int, int]]] = None
-        #: step of each (source, target) slot pair (``curves._StepTable``),
-        #: made on the first ray ranking or crossing table on the scheme; it
-        #: fills each pair on first use
-        self._step_table: Optional[Dict[Tuple[SlotId, SlotId], int]] = None
 
     # -- basic queries -----------------------------------------------------
 
@@ -188,12 +184,6 @@ class Scheme:
             if t is not None and self.rank[s] < self.rank[t]:
                 out.append((s, t))
         return out
-
-    def primary(self, slot: SlotId) -> SlotId:
-        e = self.edge_of.get(slot)
-        if e is None:
-            raise SchemeError(f"{slot!r} is a boundary slot")
-        return e[0]
 
     # -- topology ----------------------------------------------------------
 

@@ -345,7 +345,7 @@ class TestHomology:
             basis = curves.homology_basis(sch)
             expected = [0] * len(basis)
             for t in word:
-                p = sch.primary(t)
+                p = sch.edge_of[t][0]
                 expected[basis.index(p)] += 1 if t == p else -1
             assert homology_class(sch, word) == tuple(expected), word
 

@@ -1,5 +1,6 @@
 """Handle presentations: moves, invariants, the simplification script."""
 
+import copy
 import random
 import subprocess
 import sys
@@ -287,7 +288,7 @@ def random_script(seed, moves=12):
         move = random_move(rng, pres)
         if move is None:
             return
-        trial = pres.copy()
+        trial = copy.deepcopy(pres)
         try:
             getattr(trial, move[0])(*move[1])
         except HandleMoveError:

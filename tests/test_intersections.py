@@ -28,7 +28,7 @@ from blfkit import (
     round_surgery,
     square_torus_scheme,
 )
-from blfkit import curves, render
+from blfkit import curves, oracle, render
 from blfkit.curves import intersection_form, pair_homology
 from blfkit.errors import CurveError
 from blfkit.scenarios import (
@@ -199,7 +199,7 @@ class TestAgainstBruteForce:
 
         # the scenario's curves of one or two tokens on those edges, against
         # the longer words, first and second
-        short = [c for c in sc.curves.values() if set(map(sch.primary, c.tokens)) & set(edges)]
+        short = [c for c in sc.curves.values() if {sch.edge_of[t][0] for t in c.tokens} & set(edges)]
         assert len(short) >= 3
         crossed = []
         for u in pool:
@@ -719,6 +719,20 @@ class TestBuilds:
             is_simple(z)
             for u, v in ((z, a), (z, b), (a, z)):
                 geometric_intersection(u, v)
+        assert ranked == []
+        # nor does a twist-ladder rung, run as the benchmark runs it, or an
+        # agreement-suite word of five twists from a cleared head table
+        x = dehn_twist(ClosedCurve(z.scheme, z.tokens), b, -1)
+        y = dehn_twist(x, a, 1)
+        y.canonical()
+        assert is_simple(y)
+        assert geometric_intersection(y, a) == geometric_intersection(x, a)
+        geometric_intersection(y, b)
+        oracle._hexagon_fixture.cache_clear()
+        try:
+            assert oracle.run_agreement_suite(1, 5, 5).word_agreements == 1
+        finally:
+            oracle._hexagon_fixture.cache_clear()
         assert ranked == []
 
     def test_pair_after_simplicity_builds_no_table(self, ranked):

@@ -20,7 +20,7 @@ from blfkit import (
 )
 from blfkit.curves import passage_crossings
 from blfkit.errors import CurveError, SchemeError
-from blfkit.handles import Step, fibration_presentation
+from blfkit.handles import Step
 from blfkit.scenarios import get_scenario, negative_modification_scenario
 
 
@@ -91,20 +91,6 @@ def polygon_scheme_raises_at_construction():
     assert square.build().genus() == 1
 
 
-def handle_presentation_copy_is_independent():
-    pres = fibration_presentation(2)
-    fields = ("one_handles", "two_handles", "linking", "incidence2", "three_handles",
-              "incidence3", "idle_one_handles")
-    before = copy.deepcopy([getattr(pres, f) for f in fields])
-    trial = pres.copy()
-    assert [getattr(trial, f) for f in fields] == before
-    trial.slide("L1", "L3", 1)
-    trial.cancel12("R", "hr")
-    trial.three_handles.append("t2")
-    assert [getattr(pres, f) for f in fields] == before
-    assert [getattr(trial, f) for f in fields] != before
-
-
 def scenario_mappings_stay_read_only():
     sc = get_scenario("family-1")
     built = [
@@ -132,7 +118,6 @@ CASES = {f.__name__: f for f in (
     step_equality_hash_and_repr,
     relabeling_equality_and_hash,
     polygon_scheme_raises_at_construction,
-    handle_presentation_copy_is_independent,
     scenario_mappings_stay_read_only,
 )}
 

@@ -13,6 +13,7 @@ search that projection across a round surgery ran before it took any
 crossing with the cut curve as an obstruction: the two must agree.
 """
 
+from bisect import bisect_right
 import contextlib
 import functools
 from collections import defaultdict
@@ -169,7 +170,7 @@ class ReferenceOrder:
         points = {}
         for name in sorted(self.items):
             for k, t in enumerate(self._tokens(name)):
-                p = scheme.primary(t)
+                p = scheme.edge_of[t][0]
                 points.setdefault((p, scheme.partner[p]), []).append((name, k))
         return {
             e: sorted(set(pts), key=functools.cmp_to_key(lambda p, q, e=e: self._cmp_edge(e, p, q)))
@@ -824,18 +825,18 @@ def reference_rows(x, c):
         leaving.setdefault(partner[t], []).append(ranks[k])
         leaving.setdefault(t, []).append(ranks[m + k])
     pairs, table, _ = curves._crossing_data(c)
-    before, after = pairs.before, pairs.after
+    before = pairs.before
     exits, entries = [], []
     for k, t in enumerate(x.tokens):
         v = sum(r <= ranks[base + k] for r in leaving.get(partner[t], ()))
-        exits.append(before[t] + v)
-        entries.append(after[partner[t]] - v)
+        exits.append(before(t) + v)
+        entries.append(before(partner[t], bisect_right) - v)
     polys = [location[t][0] for t in x.tokens]
     if isinstance(x, ClosedCurve):
         entries = entries[-1:] + entries[:-1]
     else:
-        entries.insert(0, before[x.start.slot])
-        exits.append(before[x.end.slot])
+        entries.insert(0, before(x.start.slot))
+        exits.append(before(x.end.slot))
         polys.append(location[x.end.slot][0])
     return [table[key] for key in zip(polys, entries, exits)]
 

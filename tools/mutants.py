@@ -124,6 +124,18 @@ MUTANTS = (
         "images, auto, tuple(map(tuple, auto.abelianization())),",
         ("tests/test_oracle.py",),
     ),
+    Mutant(
+        "end-of-slot-count-bisect-left", "src/blfkit/curves.py",
+        "self.before(s, bisect_right)",
+        "self.before(s, bisect_left)",
+        ("tests/test_intersections.py", "tests/test_taut.py"),
+    ),
+    Mutant(
+        "step-without-wrap", "src/blfkit/curves.py",
+        "(location[t][1] - i) % len(scheme.polygons[pi])",
+        "(location[t][1] - i)",
+        ("tests/test_intersections.py", "tests/test_taut.py"),
+    ),
 )
 
 
