@@ -65,6 +65,27 @@ class TestAntipodalFamily:
         assert s.genus() == n
 
 
+R = "reversed"
+
+
+class TestPartialPunctures:
+    """Only some corners punctured: a punctured corner truncates its whole
+    class, and the other classes stay corners of the built polygon."""
+
+    @pytest.mark.parametrize("side_count, pairings, corners, polygon, chi", [
+        (6, ((0, 3, R), (1, 4, R), (2, 5, R)), {0},
+         ("u0", 0, 1, "u2", 2, 3, "u4", 4, 5), -1),
+        (8, ((0, 7, R), (1, 3, R), (2, 6, R), (4, 5, R)), {4},
+         (0, "u1", 1, "u2", 2, "u3", 3, "u4", 4, 5, "u6", 6, "u7", 7), -1),
+        (4, ((0, 1, R), (2, 3, R)), {1}, (0, "u1", 1, 2, 3), 1),
+    ], ids=["hexagon-corner-0", "8-gon-corner-4", "square-corner-1"])
+    def test_truncated_corners(self, side_count, pairings, corners, polygon, chi):
+        s = PolygonScheme(side_count, pairings, frozenset(corners)).build()
+        assert s.polygons == (polygon,)
+        assert s.euler_characteristic() == chi
+        assert len(s.boundary_circles()) == 1
+
+
 class TestValidation:
     def test_matched_gluing_rejected(self):
         with pytest.raises(SchemeError):
