@@ -14,14 +14,15 @@ Exit status: 0 when all checks pass, 1 when a verification fails, 2 on
 usage errors, 3 when the engine rejects an input (a ``BlfkitError``).
 Besides argparse's usage errors, an output file (``--json``, ``-o``) that
 cannot be written and a ``BLFKIT_SEED`` that is not an integer exit 2;
-these two and a rejected input are reported as one ``blfkit: <message>``
-line on stderr.  ``verify`` runs its checks before it writes ``--json``,
-so a failed check keeps exit 1 when the report cannot be written; the
-write error is still reported on its line.  All output is deterministic;
-the cross-check seed defaults to the ``BLFKIT_SEED`` environment variable
-(or 0), read when the command runs.  JSON is written exactly as
-``json.dumps(doc, indent=2, sort_keys=True)`` and a newline would write
-it, without that call's pure-Python indenting encoder (see ``_dump``).
+every usage error and a rejected input are reported as one
+``blfkit: <message>`` line on stderr.  ``verify`` runs its checks before
+it writes ``--json``, so a failed check keeps exit 1 when the report
+cannot be written; the write error is still reported on its line.  All
+output is deterministic; the cross-check seed defaults to the
+``BLFKIT_SEED`` environment variable (or 0), read when the command runs.
+JSON is written exactly as ``json.dumps(doc, indent=2, sort_keys=True)``
+and a newline would write it, without that call's pure-Python indenting
+encoder (see ``_dump``).
 A command imports only the modules it runs: ``handles``, ``oracle`` and
 ``render`` are imported by their own commands, so ``verify`` and the
 dumps start without them.
@@ -42,7 +43,18 @@ from .errors import BlfkitError
 
 
 class _UsageError(Exception):
-    """A usage error found after parsing: exit status 2, one line."""
+    """A usage error: exit status 2, one line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises ``_UsageError`` rather than exiting.
+
+    Its subcommand parsers are of the same class, so every usage error,
+    argparse's own among them, is reported on one ``blfkit:`` line.
+    """
+
+    def error(self, message: str):
+        raise _UsageError(message)
 
 
 def _dump(obj) -> str:
@@ -165,7 +177,7 @@ def _default_seed() -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blfkit",
         description="verification engine for round-handle modifications of fibrations",
     )
@@ -214,8 +226,8 @@ _parser = functools.lru_cache(maxsize=None)(build_parser)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except _UsageError as exc:
         print(f"blfkit: {exc}", file=sys.stderr)

@@ -7,6 +7,12 @@ sides, so the resulting surface is compact with boundary, and every leftover
 polygon corner is treated as a marked point.  Closed curves and arcs are
 then combinatorial words in the slots (see :mod:`blfkit.curves`).
 
+An unpunctured corner means different things to different verdicts.
+Homology (``curves.homology_class``) and ``ClosedCurve.is_null`` treat it
+as a puncture: a curve around it alone is not null, and its class counts
+the edges it crosses.  ``surgery.round_surgery`` treats it as a point of
+the surface: a curve around it bounds a disk, and the cut is refused.
+
 Conventions:
 
 * polygon sides are listed in counterclockwise order;
@@ -19,7 +25,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import SchemeError
 
@@ -31,29 +37,37 @@ def slot_key(slot: SlotId) -> Tuple[int, object]:
     return (0, slot) if isinstance(slot, int) else (1, slot)
 
 
-class _DisjointSets:
-    """Union-find over hashable elements."""
+def _corner_walks(polygons: Sequence[Sequence[SlotId]], partner: Dict[SlotId, SlotId],
+                  ) -> Tuple[Dict[SlotId, SlotId], List[List[SlotId]]]:
+    """Classes of polygon corners, each as the slots that end at it.
 
-    def __init__(self, elements: Iterable[object]):
-        self._parent = {e: e for e in elements}
-
-    def find(self, x):
-        p = self._parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self._parent[rx] = ry
-
-    def classes(self) -> List[frozenset]:
-        groups: Dict[object, set] = {}
-        for e in self._parent:
-            groups.setdefault(self.find(e), set()).add(e)
-        return [frozenset(g) for g in groups.values()]
+    Returns the slot after each slot counterclockwise, and one walk per
+    corner class.  From slot ``u`` the walk takes the next slot ``s``
+    counterclockwise; ``u`` ends at the corner where ``s`` starts, and if
+    ``s`` is glued the same corner ends ``partner(s)``, where the walk
+    continues.  Walks start from every boundary slot first, in polygon
+    order, then from every slot not yet seen.  Each step is injective, as
+    ``partner(s)`` gives ``s`` and so ``u``, and no step reaches a boundary
+    slot.  So a walk from a boundary slot is a chain that stops when ``s``
+    is a boundary slot, and any other walk is a cycle of glued slots that
+    stops when it is back at its start.
+    """
+    after: Dict[SlotId, SlotId] = {}
+    for poly in polygons:
+        after.update(zip(poly, poly[1:] + poly[:1]))
+    # each slot not yet walked, with the slot after it
+    rest = dict(after)
+    walks = []
+    for start in [s for s in after if s not in partner] + list(after):
+        if start not in rest:
+            continue
+        walk = [start]
+        u = partner.get(rest.pop(start))
+        while u is not None and u != start:
+            walk.append(u)
+            u = partner.get(rest.pop(u))
+        walks.append(walk)
+    return after, walks
 
 
 class PolygonScheme:
@@ -92,33 +106,25 @@ class PolygonScheme:
             if not 0 <= k < n:
                 raise SchemeError(f"corner {k} out of range")
 
-    def vertex_classes(self) -> List[frozenset]:
-        """Corner classes of the polygon under the side identifications."""
-        n = self.side_count
-        ds = _DisjointSets(range(n))
-        for i, j, _ in self.pairings:
-            # reversed gluing: start(i) ~ end(j) and end(i) ~ start(j)
-            ds.union(i, (j + 1) % n)
-            ds.union((i + 1) % n, j)
-        return sorted(ds.classes(), key=lambda c: min(c))
-
     def build(self) -> "Scheme":
         """Truncate punctured vertex classes and return the working scheme."""
         n = self.side_count
-        punctured: set = set()
-        for cls in self.vertex_classes():
-            if cls & self.punctured_corners:
-                punctured |= cls
         partner: Dict[SlotId, SlotId] = {}
         for i, j, _ in self.pairings:
             partner[i] = j
             partner[j] = i
+        punctured: set = set()
+        for walk in _corner_walks((tuple(range(n)),), partner)[1]:
+            # side k ends at corner k + 1
+            corners = {(k + 1) % n for k in walk}
+            if not corners.isdisjoint(self.punctured_corners):
+                punctured |= corners
         slots: List[SlotId] = []
         for k in range(n):
             if k in punctured:
                 slots.append(f"u{k}")
             slots.append(k if k in partner else f"b{k}")
-        return Scheme(polygons=(tuple(slots),), partner=dict(partner))
+        return Scheme(polygons=(tuple(slots),), partner=partner)
 
 
 class Scheme:
@@ -161,9 +167,6 @@ class Scheme:
 
     # -- basic queries -----------------------------------------------------
 
-    def is_glued(self, slot: SlotId) -> bool:
-        return slot in self.partner
-
     def polygon_of(self, slot: SlotId) -> int:
         return self.location[slot][0]
 
@@ -187,73 +190,38 @@ class Scheme:
 
     # -- topology ----------------------------------------------------------
 
-    def corner_classes(self) -> List[frozenset]:
-        """Classes of polygon corners (marked points of the surface).
-
-        Corner ``(pi, pos)`` sits at the start of the slot at ``pos``.
-        """
-        corners = [
-            (pi, pos)
-            for pi, poly in enumerate(self.polygons)
-            for pos in range(len(poly))
-        ]
-        ds = _DisjointSets(corners)
-        for s, t in self.glued_classes:
-            ps, qs = self.location[s]
-            pt, qt = self.location[t]
-            ns, nt = len(self.polygons[ps]), len(self.polygons[pt])
-            ds.union((ps, qs), (pt, (qt + 1) % nt))          # start(s) ~ end(t)
-            ds.union((ps, (qs + 1) % ns), (pt, qt))          # end(s) ~ start(t)
-        return sorted(ds.classes(), key=lambda c: min(c))
-
     def euler_characteristic(self) -> int:
-        v = len(self.corner_classes())
-        e = len(self.glued_classes) + len(self.boundary_slots)
+        v = len(_corner_walks(self.polygons, self.partner)[1])
+        # one edge per glued pair and one per boundary slot
+        e = len(self.location) - len(self.partner) // 2
         f = len(self.polygons)
         return v - e + f
 
     def boundary_circles(self) -> List[Tuple[SlotId, ...]]:
         """Boundary components, each as the cyclic tuple of boundary slots."""
-        todo = set(self.boundary_slots)
+        after, walks = _corner_walks(self.polygons, self.partner)
+        # the chain from a boundary slot ends where the next one starts
+        following = {w[0]: after[w[-1]] for w in walks if w[0] not in self.partner}
         circles = []
-        while todo:
-            start = min(todo, key=slot_key)
+        while following:
+            u = min(following, key=slot_key)
             circle = []
-            u = start
-            while True:
+            while u in following:
                 circle.append(u)
-                todo.discard(u)
-                u = self._corner_walk(u)[1]
-                if u == start:
-                    break
+                u = following.pop(u)
             circles.append(tuple(circle))
         return sorted(circles)
-
-    def _corner_walk(self, u: SlotId) -> Tuple[List[SlotId], SlotId]:
-        """Walk from boundary slot ``u`` across its end corner to the next one.
-
-        Returns the glued slots crossed, each on the near side, and the
-        boundary slot reached.
-        """
-        crossed: List[SlotId] = []
-        pi, pos = self.location[u]
-        for _ in range(2 * len(self.location) + 2):
-            poly = self.polygons[pi]
-            pos = (pos + 1) % len(poly)
-            s = poly[pos]
-            if s not in self.partner:
-                return crossed, s
-            crossed.append(s)
-            pi, pos = self.location[self.partner[s]]
-        raise SchemeError("boundary walk failed to close up")
 
     def boundary_parallel_tokens(self, circle: Tuple[SlotId, ...]) -> Tuple[SlotId, ...]:
         """Word of a closed curve running just inside the given boundary circle.
 
         The curve crosses exactly the glued slots traversed while walking the
-        circle, exiting through the slot on the near side each time.
+        circle, exiting through the slot on the near side each time: the
+        partner of each slot of a chain after its first.
         """
-        return tuple(s for u in circle for s in self._corner_walk(u)[0])
+        walks = _corner_walks(self.polygons, self.partner)[1]
+        chains = {w[0]: w[1:] for w in walks if w[0] not in self.partner}
+        return tuple(self.partner[s] for u in circle for s in chains[u])
 
     def genus(self) -> int:
         chi = self.euler_characteristic()
@@ -293,7 +261,11 @@ class Relabeling:
 
     @staticmethod
     def from_dict(scheme: Scheme, mapping: Dict[SlotId, SlotId]) -> "Relabeling":
-        r = Relabeling(scheme, tuple(sorted(mapping.items(), key=lambda kv: slot_key(kv[0]))))
+        slots = scheme.location.keys()
+        if mapping.keys() != slots or set(mapping.values()) != slots:
+            raise SchemeError("relabeling must be a bijection on the slots")
+        # ``rank`` lists the slots in ``slot_key`` order
+        r = Relabeling(scheme, tuple((s, mapping[s]) for s in scheme.rank))
         r._validate()
         return r
 
@@ -301,25 +273,23 @@ class Relabeling:
         return dict(self.mapping)
 
     def _validate(self) -> None:
-        m = self.as_dict()
+        m = self._table
         sch = self.scheme
-        if sorted(m, key=slot_key) != sch.slots or sorted(m.values(), key=slot_key) != sch.slots:
-            raise SchemeError("relabeling must be a bijection on the slots")
-        for s in sch.slots:
-            t = sch.partner.get(s)
+        partner = sch.partner
+        for s, image in self.mapping:
+            t = partner.get(s)
             if t is None:
-                if sch.is_glued(m[s]):
+                if image in partner:
                     raise SchemeError("relabeling maps a boundary slot to a glued one")
-            elif sch.partner.get(m[s]) != m[t]:
+            elif partner.get(image) != m[t]:
                 raise SchemeError("relabeling does not commute with the gluing")
         images = {tuple(m[s] for s in poly) for poly in sch.polygons}
         for img in images:
-            pi = sch.polygon_of(img[0])
+            pi, k = sch.location[img[0]]
             poly = sch.polygons[pi]
             if len(poly) != len(img):
                 raise SchemeError("relabeling does not preserve polygons")
-            k = poly.index(img[0])
-            if tuple(poly[(k + d) % len(poly)] for d in range(len(poly))) != img:
+            if poly[k:] + poly[:k] != img:
                 raise SchemeError("relabeling does not preserve polygon order")
 
     def __call__(self, slot: SlotId) -> SlotId:

@@ -17,6 +17,12 @@ word, empty for a one-token curve, is kept as
 ``SurgeryResult.standardization``, and every projected item is carried
 through it before it is read against the cut curve.
 
+A one-token curve whose edge's two sides are adjacent circles the corner
+between them.  When that corner is unpunctured, the curve bounds a disk on
+the surface, and ``round_surgery`` raises ``InessentialCurveError``, though
+homology and ``ClosedCurve.is_null``, which treat the corner as a puncture,
+call the curve essential (see :mod:`blfkit.schemes`).
+
 ``project`` pushes a curve or arc of the old surface into the new one.  An
 item that crosses the cut curve is obstructed: no band slide over the round
 handle removes a crossing, so none is tried.  An item that misses the cut

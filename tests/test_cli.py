@@ -221,6 +221,7 @@ class TestHandleSim:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "not allowed with argument --genus" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
 
 

@@ -136,6 +136,18 @@ MUTANTS = (
         "(location[t][1] - i)",
         ("tests/test_intersections.py", "tests/test_taut.py"),
     ),
+    Mutant(
+        "corner-walk-clockwise", "src/blfkit/schemes.py",
+        "zip(poly, poly[1:] + poly[:1])",
+        "zip(poly, poly[-1:] + poly[:-1])",
+        ("tests/test_schemes.py",),
+    ),
+    Mutant(
+        "truncate-the-corner-a-side-starts-at", "src/blfkit/schemes.py",
+        "corners = {(k + 1) % n for k in walk}",
+        "corners = {(k) % n for k in walk}",
+        ("tests/test_schemes.py",),
+    ),
 )
 
 
