@@ -18,16 +18,17 @@ memory does not grow with their number and its time grows linearly with
 it.  Each word starts from its head, its first one to ``HEAD_LENGTH``
 (three) generators, in a table kept once per process and filled on first
 use: the engine images of the base curves under the head, the head's
-automorphism, and both sides' actions on homology, the engine's
-transvections and the oracle's abelianization.  Only the rest of the word
-is twisted and composed, and the table never holds more than 6 + 36 + 216
-heads, about 0.9 MB when full.  A warm word of k twists costs the engine
-4(k - min(k, 3)) twists, and one that is its own head (k <= 3) compares
-its entry's two matrices, with no homology work.  The
-suite compares the engine's image of a curve with the oracle's by one
-rotation search on the two cyclically reduced words, and computes Duval
-keys (``conjugacy_key``) only for oracle images short enough to match a
-base curve's.
+automorphism, both sides' actions on homology (the engine's transvections
+and the oracle's abelianization), and the oracle's cyclically reduced
+images of the base words.  Only the rest of the word is twisted and
+composed, and the table never holds more than 6 + 36 + 216 heads, about
+1.2 MB when full.  A warm word of k twists costs the engine
+4(k - min(k, 3)) twists; one that is its own head (k <= 3) reads its
+oracle images and compares its entry's two matrices, with no free-group
+and no homology work.  The suite compares the engine's image of a curve
+with the oracle's by one rotation search on the two cyclically reduced
+words, and computes Duval keys (``conjugacy_key``) only for oracle images
+short enough to match a base curve's.
 
 Images grow exponentially with the number of twists composed, about
 threefold per twist.  An automorphism counts the letters of an image
@@ -58,8 +59,9 @@ Matrix = Tuple[Tuple[int, ...], ...]
 MAX_IMAGE_LETTERS = 1_000_000
 
 # the most generators of a word's head in the agreement suite's table: at
-# most 6 + 36 + 216 heads, about 0.9 MB traced when full; four-generator
-# heads would be up to 1,554 entries and 5.5-8.4 MB
+# most 6 + 36 + 216 heads, about 1.2 MB traced when full, of which the
+# oracle's base-word images are 0.27 MB; four-generator heads would be up
+# to 1,554 entries and 5.5-8.4 MB before those images
 HEAD_LENGTH = 3
 
 
@@ -113,7 +115,11 @@ def least_rotation(w: Word) -> Word:
 
 
 def conjugacy_key(word: Sequence[int], oriented: bool = True) -> Word:
-    w = cyclically_reduce(word)
+    return _rotation_key(cyclically_reduce(word), oriented)
+
+
+def _rotation_key(w: Word, oriented: bool) -> Word:
+    """``conjugacy_key`` of a word ``w`` that is already cyclically reduced."""
     if not w:
         return w
     best = least_rotation(w)
@@ -123,6 +129,13 @@ def conjugacy_key(word: Sequence[int], oriented: bool = True) -> Word:
 
 
 # -- automorphisms ---------------------------------------------------------
+
+
+def _letter_table(images: Tuple[Word, Word, Word]) -> Dict[int, Word]:
+    """The image of each letter and of its inverse under generator images."""
+    table = dict(zip((1, 2, 3), images))
+    table.update({-k: invert_word(w) for k, w in table.items()})
+    return table
 
 
 class FreeAutomorphism:
@@ -143,16 +156,11 @@ class FreeAutomorphism:
 
     @functools.cached_property
     def _letter_images(self) -> Dict[int, Word]:
-        images = dict(zip((1, 2, 3), self.images))
-        images.update({-k: invert_word(w) for k, w in images.items()})
-        return images
+        return _letter_table(self.images)
 
     @functools.cached_property
     def _letter_lengths(self) -> Dict[int, int]:
         return {k: len(w) for k, w in self._letter_images.items()}
-
-    def image_of(self, letter: int) -> Word:
-        return self._letter_images[letter]
 
     def apply(self, word: Sequence[int]) -> Word:
         """The reduced image of ``word``; past ``MAX_IMAGE_LETTERS`` letters
@@ -207,6 +215,17 @@ BASE_WORDS: Dict[str, Word] = {
     "C2": (-3, -2),
     "C3": (2, 1),
 }
+
+
+def _base_images(auto: FreeAutomorphism) -> Tuple[Word, ...]:
+    """The cyclically reduced images of ``BASE_WORDS`` under ``auto``, in
+    sorted name order.  The letter table is built here and dropped, so an
+    automorphism that the head table keeps holds none."""
+    letters = _letter_table(auto.images)
+    return tuple([
+        cyclically_reduce(chain.from_iterable(map(letters.__getitem__, word)))
+        for _, word in sorted(BASE_WORDS.items())
+    ])
 
 
 # -- token bridge ----------------------------------------------------------
@@ -282,23 +301,25 @@ def random_twist_words(count: int, seed: int, max_length: int) -> List[List[Tupl
 
 
 class _HeadTable(dict):
-    """Engine images of the base curves, the oracle automorphism, and both
-    sides' actions on homology under a word's head: its first one to
-    ``HEAD_LENGTH`` generators.
+    """Engine images of the base curves, the oracle automorphism, both
+    sides' actions on homology and the oracle images of the base words
+    under a word's head: its first one to ``HEAD_LENGTH`` generators.
 
     Key: the head, a tuple of generators, first acting first.  Value:
-    ``(images, auto, action, abelianization)``: the engine images of the
-    base curves in sorted name order, the head's automorphism, the
-    engine's homology action of the head (``TwistWord.act_on_homology``)
-    and the automorphism's abelianization, both matrices as tuples of
-    rows.  A one-generator head twists each base curve once by
+    ``(images, auto, action, abelianization, words)``: the engine images
+    of the base curves in sorted name order, the head's automorphism, the
+    engine's homology action of the head (``TwistWord.act_on_homology``),
+    the automorphism's abelianization, both matrices as tuples of rows,
+    and the cyclically reduced images of ``BASE_WORDS`` under the
+    automorphism in sorted name order (``_base_images``).  A
+    one-generator head twists each base curve once by
     ``twists.dehn_twist``; a longer head twists the images of the head one
-    generator shorter once more and composes one automorphism.  Both
-    matrices are computed from the head's own steps, at most three
-    transvections; only a word that is the head reads them.  Filled on
-    first use, so an entry is work that the word asking for it needs
-    anyway, but for the matrices of a shorter head; there are at most
-    6 + 36 + 216 heads.
+    generator shorter once more and composes one automorphism.  The
+    matrices and the words are computed from the head alone, and only a
+    word that is the head reads them, so such a word does no free-group
+    work.  Filled on first use, so an entry is work that the word asking
+    for it needs anyway, but for the matrices and words of a shorter
+    head; there are at most 6 + 36 + 216 heads.
     """
 
     def __init__(self, scheme: Scheme, base: List[ClosedCurve],
@@ -308,7 +329,7 @@ class _HeadTable(dict):
 
     def __missing__(
         self, head: Tuple[Tuple[str, int], ...]
-    ) -> Tuple[Tuple[ClosedCurve, ...], FreeAutomorphism, Matrix, Matrix]:
+    ) -> Tuple[Tuple[ClosedCurve, ...], FreeAutomorphism, Matrix, Matrix, Tuple[Word, ...]]:
         from . import twists
 
         *first, g = head
@@ -322,6 +343,7 @@ class _HeadTable(dict):
         action = twists.TwistWord(steps).act_on_homology(self.scheme)
         self[head] = entry = (
             images, auto, tuple(map(tuple, action)), tuple(map(tuple, auto.abelianization())),
+            _base_images(auto),
         )
         return entry
 
@@ -337,12 +359,13 @@ def _hexagon_fixture():
     ``BASE_WORDS`` are the oracle's side of every isotopy verdict.  The
     head table (``_HeadTable``) starts empty and maps the first one to
     three generators of a word to the engine images of the base curves,
-    the oracle automorphism, and the engine's and the oracle's actions on
-    homology under them; every word of the agreement suite starts from one
-    entry.  Built on first use and kept for the process, so that what
-    depends only on the scheme and these curves (the intersection form,
-    each generator's ``is_simple`` verdict, canonical forms, head images
-    and matrices) is computed once; ``cache_clear()`` drops it all.
+    the oracle automorphism, the engine's and the oracle's actions on
+    homology, and the oracle images of the base words under them; every
+    word of the agreement suite starts from one entry.  Built on first use
+    and kept for the process, so that what depends only on the scheme and
+    these curves (the intersection form, each generator's ``is_simple``
+    verdict, canonical forms, head images, matrices and words) is computed
+    once; ``cache_clear()`` drops it all.
     """
     from .scenarios import family_scenario
 
@@ -366,26 +389,29 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
     time grows linearly with it.  The scheme, curves and generators come
     from ``_hexagon_fixture``, built once per process, and each word starts
     from its head's entry in the fixture's head table, filled on first
-    use: the engine images of the base curves, the automorphism, and the
-    engine's homology action and the automorphism's abelianization, under
-    the word's first one to ``HEAD_LENGTH`` (three) generators.  The rest
-    of the word, as a ``TwistWord``, is applied to each of those images,
-    even when it is empty, and the oracle composes the rest onto the
-    head's automorphism, so a word of k twists costs the engine
-    4(k - min(k, 3)) twists and the oracle k - min(k, 3) compositions once
-    its head is in the table.  A word that is its own head (k <= 3)
-    compares the two matrices its entry keeps; a longer word's homology
-    check computes the whole word's action and abelianization.  Every
-    comparison runs for every word, and no verdict is kept.  Two
-    cyclically reduced words are conjugate exactly when one is a rotation
-    of the other (Magnus, Karrass and Solitar, section 1.3), so an engine
-    image agrees with the cyclically reduced oracle image when both, as
-    strings of hexagon tokens, have one length and the engine's occurs in
-    the oracle's doubled: one substring search, no key.  Only an oracle
-    image no longer than some base word can match a base key, so only
-    those get an unoriented ``conjugacy_key``.  A ``count`` below 1, which
-    would check nothing, or a ``max_length`` below 1 raises
-    ``BlfkitError``.
+    use: the engine images of the base curves, the automorphism, the
+    engine's homology action, the automorphism's abelianization and its
+    cyclically reduced images of the base words, under the word's first
+    one to ``HEAD_LENGTH`` (three) generators.  The rest of the word, as a
+    ``TwistWord``, is applied to each of those images, even when it is
+    empty, and the oracle composes the rest onto the head's automorphism,
+    so a word of k twists costs the engine 4(k - min(k, 3)) twists and the
+    oracle k - min(k, 3) compositions once its head is in the table.  A
+    word that is its own head (k <= 3) reads the oracle images and
+    compares the two matrices its entry keeps, so it does no free-group
+    work; a longer word reduces the base words' images under its whole
+    automorphism by the entry's own helper (``_base_images``), and its
+    homology check computes the whole word's action and abelianization.
+    Every comparison after the images runs for every word, and no verdict
+    is kept.  Two cyclically reduced words are conjugate exactly when one
+    is a rotation of the other (Magnus, Karrass and Solitar, section 1.3),
+    so an engine image agrees with the cyclically reduced oracle image when
+    both, as strings of hexagon tokens, have one length and the engine's
+    occurs in the oracle's doubled: one substring search, no key.  Only an
+    oracle image no longer than some base word can match a base key, so
+    only those get an unoriented ``conjugacy_key``, computed without
+    reducing the image again.  A ``count`` below 1, which would check
+    nothing, or a ``max_length`` below 1 raises ``BlfkitError``.
     """
     from .curves import curves_isotopic
     from .twists import TwistWord
@@ -400,19 +426,22 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
     words_ok = verdicts_ok = homology_ok = 0
     failures: List[dict] = []
     for idx, gens in enumerate(_twist_words(count, seed, max_length)):
-        # engine and oracle: the head's images, automorphism and matrices
-        # from the table, then the rest of the word in order
+        # engine and oracle: the head's images, automorphism, matrices and
+        # oracle images from the table, then the rest of the word in order
         steps = tuple(reversed([engine_gens[g] for g in gens]))
-        head_images, auto, head_action, head_abelianization = heads[tuple(gens[:HEAD_LENGTH])]
+        head_images, auto, head_action, head_abelianization, oracle_images = (
+            heads[tuple(gens[:HEAD_LENGTH])]
+        )
         rest = TwistWord(steps[:-HEAD_LENGTH])
-        for g in gens[HEAD_LENGTH:]:
-            auto = GENERATORS[g].compose(auto)
+        if len(gens) > HEAD_LENGTH:
+            for g in gens[HEAD_LENGTH:]:
+                auto = GENERATORS[g].compose(auto)
+            oracle_images = _base_images(auto)
 
         word_match = True
         images = []
-        for name, head_img in zip(base_names, head_images):
+        for head_img, oracle_img in zip(head_images, oracle_images):
             engine_img = rest.apply(head_img)
-            oracle_img = cyclically_reduce(chain.from_iterable(map(auto.image_of, BASE_WORDS[name])))
             # both words cyclically reduced, as bytes of hexagon tokens
             engine_str = bytes(engine_img.tokens)
             oracle_str = bytes(map(_LETTER_TOKENS.__getitem__, oracle_img))
@@ -420,7 +449,7 @@ def run_agreement_suite(count: int = 200, seed: int = 0, max_length: int = 5) ->
             oracle_key = None
             if len(oracle_img) <= longest:
                 # an image longer than every base word matches none
-                oracle_key = conjugacy_key(oracle_img, oriented=False)
+                oracle_key = _rotation_key(oracle_img, oriented=False)
             images.append((engine_img, oracle_key))
         verdict_match = all(
             curves_isotopic(engine_img, base_curves[other]) == (oracle_key == base_keys[other])

@@ -25,6 +25,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import SchemeError
@@ -190,8 +191,14 @@ class Scheme:
 
     # -- topology ----------------------------------------------------------
 
+    @functools.cached_property
+    def _walks(self) -> Tuple[Dict[SlotId, SlotId], List[List[SlotId]]]:
+        """``_corner_walks`` of the polygons, walked once and kept: χ, the
+        boundary circles and boundary-parallel words all read it."""
+        return _corner_walks(self.polygons, self.partner)
+
     def euler_characteristic(self) -> int:
-        v = len(_corner_walks(self.polygons, self.partner)[1])
+        v = len(self._walks[1])
         # one edge per glued pair and one per boundary slot
         e = len(self.location) - len(self.partner) // 2
         f = len(self.polygons)
@@ -199,7 +206,7 @@ class Scheme:
 
     def boundary_circles(self) -> List[Tuple[SlotId, ...]]:
         """Boundary components, each as the cyclic tuple of boundary slots."""
-        after, walks = _corner_walks(self.polygons, self.partner)
+        after, walks = self._walks
         # the chain from a boundary slot ends where the next one starts
         following = {w[0]: after[w[-1]] for w in walks if w[0] not in self.partner}
         circles = []
@@ -219,7 +226,7 @@ class Scheme:
         circle, exiting through the slot on the near side each time: the
         partner of each slot of a chain after its first.
         """
-        walks = _corner_walks(self.polygons, self.partner)[1]
+        walks = self._walks[1]
         chains = {w[0]: w[1:] for w in walks if w[0] not in self.partner}
         return tuple(self.partner[s] for u in circle for s in chains[u])
 
@@ -268,9 +275,6 @@ class Relabeling:
         r = Relabeling(scheme, tuple((s, mapping[s]) for s in scheme.rank))
         r._validate()
         return r
-
-    def as_dict(self) -> Dict[SlotId, SlotId]:
-        return dict(self.mapping)
 
     def _validate(self) -> None:
         m = self._table

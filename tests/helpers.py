@@ -1,8 +1,9 @@
-"""Reference counts shared by the test modules."""
+"""Reference counts, twists and random items shared by the test modules."""
 
 from collections import Counter
 
-from blfkit import ClosedCurve, curves, render
+from blfkit import Anchor, Arc, ClosedCurve, curves, render
+from blfkit.errors import CurveError
 
 
 def random_word(sch, rng, length):
@@ -111,3 +112,91 @@ def edge_order(items, table):
             where = chords[k][2] if t == e[0] else chords[(k + 1) % len(chords)][1]
             points.setdefault(e, []).append((where, name, k))
     return {e: [(name, k) for _, name, k in sorted(pts)] for e, pts in points.items()}
+
+
+def assert_isotopic(got, want):
+    """Equal oriented canonical forms for closed images, equal words rel endpoints for arcs."""
+    if isinstance(want, ClosedCurve):
+        assert isinstance(got, ClosedCurve) and got.canonical() == want.canonical(), (got, want)
+    else:
+        # an arc's reduced word is a complete invariant rel endpoints
+        assert (got.start, got.tokens, got.end) == (want.start, want.tokens, want.end), (got, want)
+
+
+def reference_on_passage(table, sizes, x_name, k, c_name):
+    """The crossings of passage k of x with c read off a position table, as
+    before the crossing table; ``sizes`` are the table's ``polygon_sizes``."""
+    pi, ax, bx = table.chords[x_name][k]
+    n = sizes[pi]
+    span = (bx - ax) % n
+    found = []
+    for j, (pj, a, b) in enumerate(table.chords[c_name]):
+        if pj != pi:
+            continue
+        da, db = (a - ax) % n, (b - ax) % n
+        inside = 0 < da < span
+        if inside != (0 < db < span):
+            found.append((da if inside else db, j, 1 if inside else -1))
+    found.sort()
+    return [(j, s) for _, j, s in found]
+
+
+def reference_insertion(c, kc, direction):
+    """``twists._insertion``, which the kept insertion words replaced."""
+    rot = list(c.tokens[kc:] + c.tokens[:kc])
+    if direction > 0:
+        return rot
+    partner = c.scheme.partner
+    return [partner[t] for t in reversed(rot)]
+
+
+def reference_insert_copies(x, c, copies):
+    """The insertion primitive as it read crossings off a two-item position table."""
+    table = position_table({"c": c, "x": x})
+    sizes = polygon_sizes(table)
+    closed = isinstance(x, ClosedCurve)
+    m = len(x.tokens)
+    new_tokens = []
+    for k in range(m if closed else m + 1):
+        for kc, sign in reference_on_passage(table, sizes, "x", k, "c"):
+            n = copies(k, kc, sign)
+            if n:
+                new_tokens.extend(reference_insertion(c, kc, n) * abs(n))
+        if k < m:
+            new_tokens.append(x.tokens[k])
+    if closed:
+        return ClosedCurve(x.scheme, new_tokens)
+    return Arc(x.scheme, x.start, new_tokens, x.end)
+
+
+def reference_twist(x, c, power):
+    if isinstance(x, ClosedCurve) and x.is_null:
+        return x
+    return reference_insert_copies(x, c, lambda k, kc, sign: sign * power)
+
+
+def random_items(sch, rng, count):
+    """Seeded closed curves and arcs (anchor indices 0-3) of up to 20 tokens on ``sch``."""
+    partner, location = sch.partner, sch.location
+    glued = sorted(partner, key=sch.rank.get)
+    boundary = sch.boundary_slots
+    out = []
+    while len(out) < count:
+        start = rng.choice(boundary) if boundary and rng.random() < 0.5 else None
+        here = location[start if start is not None else rng.choice(glued)][0]
+        word = []
+        for _ in range(rng.randint(0, 20)):
+            t = rng.choice([t for t in glued if location[t][0] == here])
+            word.append(t)
+            here = location[partner[t]][0]
+        try:
+            if start is None:
+                out.append(ClosedCurve(sch, word))
+            else:
+                ends = [b for b in boundary if location[b][0] == here]
+                if ends:
+                    out.append(Arc(sch, Anchor(start, rng.randint(0, 3)), word,
+                                   Anchor(rng.choice(ends), rng.randint(0, 3))))
+        except CurveError:
+            pass  # a closed word whose ends lie in different polygons
+    return out

@@ -18,6 +18,7 @@ from blfkit.errors import BlfkitError, ImageTooLargeError
 from blfkit.oracle import (
     BASE_WORDS,
     GENERATORS,
+    FreeAutomorphism,
     IDENTITY,
     RHO,
     RHO_INV,
@@ -158,14 +159,14 @@ class TestAutomorphismTables:
         back = GENERATORS[(name, -1)]
         both = fwd.compose(back)
         for g in (1, 2, 3):
-            assert reduce_word(both.image_of(g)) == (g,)
+            assert reduce_word(both.images[g - 1]) == (g,)
 
     def test_rho_has_order_three(self):
         cube = RHO.compose(RHO).compose(RHO)
         for g in (1, 2, 3):
-            assert reduce_word(cube.image_of(g)) == (g,)
+            assert reduce_word(cube.images[g - 1]) == (g,)
         for g in (1, 2, 3):
-            assert reduce_word(RHO.compose(RHO_INV).image_of(g)) == (g,)
+            assert reduce_word(RHO.compose(RHO_INV).images[g - 1]) == (g,)
 
     def test_twist_tables_fix_conjugacy_of_own_curve(self):
         # a twist along a curve fixes that curve's free homotopy class
@@ -196,6 +197,14 @@ class TestAutomorphismTables:
             assert auto.abelianization() == mat, word
         assert IDENTITY.abelianization() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         assert RHO.abelianization() == [[0, -1, 0], [0, 0, -1], [1, 0, 0]]
+
+    def test_base_images_are_cyclically_reduced(self):
+        # conjugation by b maps each base word to a conjugate of itself,
+        # and its reduced image of a, b a b^-1, is not cyclically reduced
+        inner = FreeAutomorphism(((2, 1, -2), (2,), (2, 3, -2)))
+        assert inner.apply(BASE_WORDS["C"]) == (2, 1, -2)
+        want = tuple(BASE_WORDS[name] for name in sorted(BASE_WORDS))
+        assert oracle._base_images(inner) == want
 
     def test_abelianization_matches_transvection(self):
         scheme = hexagon_scheme().build()
@@ -395,8 +404,9 @@ class TestSuiteDoesNoRepeatedWork:
     def test_fixture_keeps_every_first_twist(self, fresh_heads):
         # a fresh fixture has an empty head table; every entry is the
         # dehn_twist composition from the base curves, the compose of its
-        # generators' automorphisms, the head's homology action and the
-        # automorphism's abelianization, and is kept for later calls
+        # generators' automorphisms, the head's homology action, the
+        # automorphism's abelianization and the cyclically reduced images
+        # of the base words under it, and is kept for later calls
         scheme, base, gens, _, heads = _hexagon_fixture()
         assert len(heads) == 0
         names = sorted(BASE_WORDS)
@@ -404,13 +414,17 @@ class TestSuiteDoesNoRepeatedWork:
             head for n in (1, 2, 3) for head in itertools.product(sorted(GENERATORS), repeat=n)
         ]
         entries = {head: heads[head] for head in every}
-        for head, (images, auto, action, abelianization) in entries.items():
+        for head, (images, auto, action, abelianization, words) in entries.items():
             want, want_auto = [base[name] for name in names], IDENTITY
             for g in head:
                 want = [dehn_twist(x, *gens[g]) for x in want]
                 want_auto = GENERATORS[g].compose(want_auto)
             assert list(images) == want, head
             assert auto == want_auto, head
+            assert words == tuple(
+                cyclically_reduce(want_auto.apply(BASE_WORDS[name])) for name in names
+            ), head
+            assert type(words) is tuple and all(type(w) is tuple for w in words), head
             # both matrices are kept immutably, as tuples of rows
             word = TwistWord(tuple(reversed([gens[g] for g in head])))
             assert action == tuple(map(tuple, word.act_on_homology(scheme))), head
@@ -451,6 +465,38 @@ class TestSuiteDoesNoRepeatedWork:
         assert run_agreement_suite(1, seed, 5).ok
         assert len(calls) == 4 * (k - min(k, 3))
         assert len(actions) == (k > 3)
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_warm_head_word_does_no_free_group_work(self, monkeypatch, fresh_heads, seed):
+        # a word of at most three twists reads its oracle images from its
+        # head's entry: once the entry is filled, no word is reduced, and
+        # no automorphism is composed or applied; a longer word composes
+        # the rest of itself and reduces its images again
+        reductions = []
+        reduce = oracle.reduce_word
+        monkeypatch.setattr(oracle, "reduce_word", lambda w: reductions.append(w) or reduce(w))
+        assert run_agreement_suite(40, seed, 3).ok
+        assert reductions
+        reductions.clear()
+        with monkeypatch.context() as m:
+            for name in ("apply", "compose"):
+                m.setattr(FreeAutomorphism, name, None)
+            report = run_agreement_suite(40, seed, 3)
+        assert report.ok and report.word_agreements == 40
+        assert reductions == []
+        words = [w for w in random_twist_words(40, seed, 5) if len(w) > 3]
+        assert words
+        run_agreement_suite(40, seed, 5)
+        reductions.clear()
+        assert run_agreement_suite(40, seed, 5).ok
+        assert len(reductions) >= 4 * len(words)
+        # no kept automorphism was left with a letter table; a
+        # one-generator head's is the generator itself, which composes
+        heads = _hexagon_fixture()[4]
+        assert not any(
+            "_letter_images" in auto.__dict__ for head, (_, auto, *_) in heads.items()
+            if len(head) > 1
+        )
 
     def test_second_call_builds_no_taut_config(self, monkeypatch):
         builds = []

@@ -45,16 +45,16 @@ class TestRegistry:
 
     def test_family_builds_its_rotation_table_once(self, monkeypatch):
         # each cycle is relabeled through the rotation's kept table, so the
-        # build is linear in n, not a dict rebuilt per cycle
+        # build is linear in n, not a table rebuilt per cycle
         calls = []
-        as_dict = Relabeling.as_dict
-        monkeypatch.setattr(Relabeling, "as_dict", lambda r: calls.append(r) or as_dict(r))
-        counts = []
+        from_dict = Relabeling.from_dict
+        monkeypatch.setattr(Relabeling, "from_dict", staticmethod(
+            lambda scheme, mapping: calls.append(mapping) or from_dict(scheme, mapping)
+        ))
         for n in (10, 50):
             calls.clear()
             family_scenario(n)
-            counts.append(len(calls))
-        assert counts[0] == counts[1]
+            assert len(calls) == 1, n
 
     def test_get_scenario_unknown(self):
         with pytest.raises(KeyError):
@@ -187,6 +187,18 @@ class TestReducedMonodromy:
         assert report.boundary_circles == 2
         assert report.handedness == "left"
         assert report.cap_slides == 2
+
+    def test_cut_scheme_is_walked_once(self, monkeypatch):
+        # gamma's circle and word, chi and the circle count all read the
+        # cut scheme's one corner walk
+        from blfkit import schemes
+
+        sc = get_scenario("negative-modification")
+        walks = []
+        walk = schemes._corner_walks
+        monkeypatch.setattr(schemes, "_corner_walks", lambda *a: walks.append(a) or walk(*a))
+        assert verify_reduced_monodromy(sc).ok
+        assert len(walks) == 1
 
     def test_positive_modification_computes_left_despite_expectation(self):
         # The right-handed expectation recorded on this scenario is refuted:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from blfkit import schemes
 from blfkit.errors import SchemeError
 from blfkit.schemes import (
     PolygonScheme,
@@ -38,6 +39,21 @@ class TestHexagonBuild:
     def test_genus(self):
         s = hexagon_scheme().build()
         assert s.genus() == 1
+
+    def test_corners_walked_once(self, monkeypatch):
+        # the build walks the polygon's corners, and the built scheme walks
+        # its own once: chi, the circles, the boundary-parallel words and
+        # the genus all read that walk, however often they are asked
+        walks = []
+        walk = schemes._corner_walks
+        monkeypatch.setattr(schemes, "_corner_walks", lambda *a: walks.append(a) or walk(*a))
+        s = hexagon_scheme().build()
+        assert len(walks) == 1
+        for _ in range(2):
+            assert (s.euler_characteristic(), s.genus()) == (-2, 1)
+            words = {s.boundary_parallel_tokens(c) for c in s.boundary_circles()}
+            assert len(words) == 2
+        assert len(walks) == 2
 
 
 class TestSquareTorus:
@@ -102,8 +118,8 @@ class TestRelabeling:
         mapping = {k: (k + 2) % 6 for k in range(6)}
         mapping.update({f"u{k}": f"u{(k + 2) % 6}" for k in range(6)})
         r = Relabeling.from_dict(s, mapping)
-        assert r.as_dict()[0] == 2
-        assert r.inverse().as_dict()[2] == 0
+        assert r(0) == 2
+        assert r.inverse()(2) == 0
 
     def test_non_symmetry_rejected(self):
         s = hexagon_scheme().build()

@@ -2,10 +2,11 @@
 
 ``ReferenceOrder`` is the pairwise ray comparator that ordered crossing
 points along each edge before the key-based sort; the position table that
-``render`` draws from must give exactly its order.  The ``reference_*``
-functions are the twist and band slide code that read crossings off a
-two-item position table (``helpers.chord_crossings``) before the crossing
-table of ``curves.passage_crossings``.  The crossing table lists only the
+``render`` draws from must give exactly its order.  ``helpers.reference_twist``
+and the ``reference_*`` functions here are the twist and band slide code
+that read crossings off a two-item position table
+(``helpers.chord_crossings``) before the crossing table of
+``curves.passage_crossings``.  The crossing table lists only the
 crossings of a minimal position, where the position table may keep
 bigons, so twists must agree with the references up to isotopy, and the
 rows must count ``i(x, c)``.  ``reference_project`` runs the band-slide
@@ -20,8 +21,6 @@ from collections import defaultdict
 import itertools
 import random
 import signal
-import time
-import tracemalloc
 
 import pytest
 
@@ -38,7 +37,7 @@ from blfkit import (
     round_surgery,
     square_torus_scheme,
 )
-from blfkit import Projection, curves, oracle, render, twists
+from blfkit import Projection, curves, render
 from blfkit.curves import (
     insertion_words,
     intersection_form,
@@ -47,12 +46,15 @@ from blfkit.curves import (
 from blfkit.errors import CurveError, NotSimpleError, ProjectionObstructedError
 from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
 from helpers import (
+    assert_isotopic,
     chord_crossings,
     edge_order,
     linked_intersection,
-    polygon_sizes,
     position_table,
     random_curve,
+    random_items,
+    reference_insert_copies,
+    reference_twist,
 )
 
 _STOP = ("stop",)
@@ -316,15 +318,6 @@ def assert_taut_rows(x, c, rows, brute=None):
     assert signs == sum(sign for *_, sign in brute), (x, c)
 
 
-def assert_isotopic(got, want):
-    """Equal oriented canonical forms for closed images, equal words rel endpoints for arcs."""
-    if isinstance(want, ClosedCurve):
-        assert isinstance(got, ClosedCurve) and got.canonical() == want.canonical(), (got, want)
-    else:
-        # an arc's reduced word is a complete invariant rel endpoints
-        assert (got.start, got.tokens, got.end) == (want.start, want.tokens, want.end), (got, want)
-
-
 class TestCrossingQueries:
     def configs(self):
         return hexagon_configs()[:40] + family_configs()[:12] + anchored_arc_configs()[:8]
@@ -373,67 +366,6 @@ class TestCrossingQueries:
                 assert_taut_rows(x, c, got, brute)
                 checked += 1
         assert checked > 150
-
-
-def ladder_rung(start, rungs):
-    """(T_C T_C1^-1)^rungs applied to a curve of the negative modification."""
-    sc = get_scenario("negative-modification")
-    x = sc.curves[start]
-    for _ in range(rungs):
-        x = dehn_twist(dehn_twist(x, sc.curves["C1"], -1), sc.curves["C"], 1)
-    return sc, x
-
-
-def reference_on_passage(table, sizes, x_name, k, c_name):
-    """The crossings of passage k of x with c read off a position table, as
-    before the crossing table; ``sizes`` are the table's ``polygon_sizes``."""
-    pi, ax, bx = table.chords[x_name][k]
-    n = sizes[pi]
-    span = (bx - ax) % n
-    found = []
-    for j, (pj, a, b) in enumerate(table.chords[c_name]):
-        if pj != pi:
-            continue
-        da, db = (a - ax) % n, (b - ax) % n
-        inside = 0 < da < span
-        if inside != (0 < db < span):
-            found.append((da if inside else db, j, 1 if inside else -1))
-    found.sort()
-    return [(j, s) for _, j, s in found]
-
-
-def reference_insertion(c, kc, direction):
-    """``twists._insertion``, which the kept insertion words replaced."""
-    rot = list(c.tokens[kc:] + c.tokens[:kc])
-    if direction > 0:
-        return rot
-    partner = c.scheme.partner
-    return [partner[t] for t in reversed(rot)]
-
-
-def reference_insert_copies(x, c, copies):
-    """The insertion primitive as it read crossings off a two-item position table."""
-    table = position_table({"c": c, "x": x})
-    sizes = polygon_sizes(table)
-    closed = isinstance(x, ClosedCurve)
-    m = len(x.tokens)
-    new_tokens = []
-    for k in range(m if closed else m + 1):
-        for kc, sign in reference_on_passage(table, sizes, "x", k, "c"):
-            n = copies(k, kc, sign)
-            if n:
-                new_tokens.extend(reference_insertion(c, kc, n) * abs(n))
-        if k < m:
-            new_tokens.append(x.tokens[k])
-    if closed:
-        return ClosedCurve(x.scheme, new_tokens)
-    return Arc(x.scheme, x.start, new_tokens, x.end)
-
-
-def reference_twist(x, c, power):
-    if isinstance(x, ClosedCurve) and x.is_null:
-        return x
-    return reference_insert_copies(x, c, lambda k, kc, sign: sign * power)
 
 
 def reference_resolve_bands(sr, item):
@@ -642,148 +574,6 @@ class TestCrossingTable:
         assert (dehn_twist(sc.curves["C2"], c1), project(sr, arc)) == first
         assert dehn_twist(sc.curves["C3"], c1, -2) == dehn_twist(dehn_twist(sc.curves["C3"], c1, -1), c1, -1)
         assert builds == []
-
-
-def reference_ray_steps(item):
-    """``curves._ray_steps`` as it computed every step with a nested ``step``."""
-    scheme = item.scheme
-    partner, location, rank = scheme.partner, scheme.location, scheme.rank
-    polygons = scheme.polygons
-    width = len(rank)
-    toks = item.tokens
-    if isinstance(item, ClosedCurve):
-        nexts = toks[1:] + toks[:1]
-        prevs = [partner[t] for t in toks[-1:] + toks[:-1]]
-    else:
-        nexts = toks[1:] + (item.end.slot,)
-        prevs = [item.start.slot] + [partner[t] for t in toks[:-1]]
-
-    def step(s, t):
-        pi, ps = location[s]
-        return (location[t][1] - ps) % len(polygons[pi]) * width + rank[t] + 1
-
-    return (
-        [step(partner[s], t) for s, t in zip(toks, nexts)],
-        [step(s, t) for s, t in zip(toks, prevs)],
-    )
-
-
-def random_items(sch, rng, count):
-    """Seeded closed curves and arcs (anchor indices 0-3) of up to 20 tokens on ``sch``."""
-    partner, location = sch.partner, sch.location
-    glued = sorted(partner, key=sch.rank.get)
-    boundary = sch.boundary_slots
-    out = []
-    while len(out) < count:
-        start = rng.choice(boundary) if boundary and rng.random() < 0.5 else None
-        here = location[start if start is not None else rng.choice(glued)][0]
-        word = []
-        for _ in range(rng.randint(0, 20)):
-            t = rng.choice([t for t in glued if location[t][0] == here])
-            word.append(t)
-            here = location[partner[t]][0]
-        try:
-            if start is None:
-                out.append(ClosedCurve(sch, word))
-            else:
-                ends = [b for b in boundary if location[b][0] == here]
-                if ends:
-                    out.append(Arc(sch, Anchor(start, rng.randint(0, 3)), word,
-                                   Anchor(rng.choice(ends), rng.randint(0, 3))))
-        except CurveError:
-            pass  # a closed word whose ends lie in different polygons
-    return out
-
-
-def suite_twists(seed):
-    """Every distinct (x, c) pair that ``run_agreement_suite(200, seed)`` twists.
-
-    The suite runs from a cleared head table, so the pairs do not depend
-    on the heads earlier runs filled, and the table it fills is dropped."""
-    seen = {}
-    twist = twists.dehn_twist
-
-    def recording(x, c, power=1, **kwargs):
-        seen.setdefault((x.tokens, c.tokens), (x, c))
-        return twist(x, c, power, **kwargs)
-
-    oracle._hexagon_fixture.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(twists, "dehn_twist", recording)
-            oracle.run_agreement_suite(200, seed)
-    finally:
-        oracle._hexagon_fixture.cache_clear()
-    return list(seen.values())
-
-
-class TestTwistKernel:
-    def test_steps_match_nested_step(self):
-        rng = random.Random(17)
-        hexagon = get_scenario("negative-modification")
-        schemes = [hexagon.scheme, square_torus_scheme().build()] + [
-            family_scenario(n).scheme for n in (2, 3, 4, 32)
-        ] + [round_surgery(hexagon.scheme, hexagon.curves["C"]).scheme]
-        arcs, indices = 0, set()
-        for sch in schemes:
-            for item in random_items(sch, rng, 60):
-                assert curves._ray_steps(item) == reference_ray_steps(item), item
-                if isinstance(item, Arc):
-                    arcs += 1
-                    indices.update((item.start.index, item.end.index))
-        # the surgered scheme has two polygons
-        assert len(schemes[-1].polygons) > 1
-        assert arcs > 100 and indices == {0, 1, 2, 3}
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_suite_twists_match_configuration(self, seed):
-        pairs = suite_twists(seed)
-        assert len(pairs) > 400
-        for x, c in pairs:
-            for power in (1, -1, 2, -2):
-                assert_isotopic(dehn_twist(x, c, power), reference_twist(x, c, power))
-
-
-class TestCost:
-    def test_long_word_twist(self):
-        # the pairwise comparator took 1.7-3.3 s for this twist
-        sc, x = ladder_rung("C2", 7)
-        assert len(x.tokens) == 2407
-        start = time.perf_counter()
-        y = dehn_twist(x, sc.curves["C1"], -1)
-        assert time.perf_counter() - start < 1.0
-        assert len(y.tokens) == 4559
-
-    def test_many_parallel_copies(self):
-        # 50 copies of C1 run beside it: 3.5 s with the pairwise comparator
-        sc, x = ladder_rung("C2", 3)
-        c = sc.curves["C1"]
-        z = dehn_twist(x, c, 50)
-        assert len(z.tokens) == 2250
-        start = time.perf_counter()
-        table = render.position_table(sc.scheme, {"c": c, "x": z})
-        assert time.perf_counter() - start < 0.5
-        assert len(chord_crossings(table, "x", "c")) == len(chord_crossings(table, "c", "x"))
-
-
-    def test_long_near_parallel_word(self):
-        # T_c^2(C3) runs beside c for most of its 46,168 tokens: the
-        # position table's order listed 34,219 crossings here, walking rays
-        # with a memo that peaked at 121 MB under tracemalloc
-        sc, c = ladder_rung("C2", 4)
-        x = dehn_twist(sc.curves["C3"], c, 2)
-        assert (len(c.tokens), len(x.tokens)) == (135, 46168)
-        tracemalloc.start()
-        try:
-            rows = passage_crossings(x, c)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16_000_000
-        start = time.perf_counter()
-        assert passage_crossings(x, c) == rows
-        assert time.perf_counter() - start < 1.0
-        assert sum(map(len, rows)) == 171 == linked_intersection(x, c)
 
 
 def shared_step_words(c, rng, count):

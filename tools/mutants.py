@@ -125,6 +125,18 @@ MUTANTS = (
         ("tests/test_oracle.py",),
     ),
     Mutant(
+        "head-keeps-shorter-head-images", "src/blfkit/oracle.py",
+        "            _base_images(auto),\n",
+        "            self[tuple(first)][4] if first else _base_images(auto),\n",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "base-images-not-cyclically-reduced", "src/blfkit/oracle.py",
+        "        cyclically_reduce(chain.from_iterable(map(letters.__getitem__, word)))",
+        "        reduce_word(chain.from_iterable(map(letters.__getitem__, word)))",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
         "end-of-slot-count-bisect-left", "src/blfkit/curves.py",
         "self.before(s, bisect_right)",
         "self.before(s, bisect_left)",
@@ -134,12 +146,18 @@ MUTANTS = (
         "step-without-wrap", "src/blfkit/curves.py",
         "(location[t][1] - i) % len(scheme.polygons[pi])",
         "(location[t][1] - i)",
-        ("tests/test_intersections.py", "tests/test_taut.py"),
+        ("tests/test_intersections.py", "tests/test_twist_kernel.py"),
     ),
     Mutant(
         "corner-walk-clockwise", "src/blfkit/schemes.py",
         "zip(poly, poly[1:] + poly[:1])",
         "zip(poly, poly[-1:] + poly[:-1])",
+        ("tests/test_schemes.py",),
+    ),
+    Mutant(
+        "corner-walks-not-kept", "src/blfkit/schemes.py",
+        "    @functools.cached_property\n    def _walks(",
+        "    @property\n    def _walks(",
         ("tests/test_schemes.py",),
     ),
     Mutant(
