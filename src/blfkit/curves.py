@@ -14,8 +14,9 @@ taut positions are bigon cancellations, which the reduction performs.
 The canonical form of a closed curve is the least rotation of its reduced
 word, comparing tokens in ``slot_key`` order (``Scheme.rank``); unoriented,
 it is the lesser of that and the least rotation of the reversed word.
-Booth's algorithm finds a least rotation in time and memory linear in the
-word length, and a curve, which is never mutated, computes each form once.
+Duval's Lyndon factorization finds a least rotation in time and memory
+linear in the word length, and a curve, which is never mutated, computes
+each form once.
 
 Crossings are signed by the counterclockwise orientation of the polygons:
 a crossing of a chord of ``x`` with a chord of ``c`` is +1 when the four
@@ -102,7 +103,8 @@ TokenWord = Tuple[SlotId, ...]
 
 
 def _reduce_linear(partner: Dict[SlotId, SlotId], tokens: Iterable[SlotId]) -> List[SlotId]:
-    # tokens are glued slots; ``back`` is the token that would cancel out[-1]
+    # ``back`` is the token that would cancel out[-1], a glued slot, so the
+    # first token that is not one fails its lookup as it is appended
     out: List[SlotId] = []
     back = None
     for t in tokens:
@@ -111,7 +113,10 @@ def _reduce_linear(partner: Dict[SlotId, SlotId], tokens: Iterable[SlotId]) -> L
             back = partner[out[-1]] if out else None
         else:
             out.append(t)
-            back = partner[t]
+            try:
+                back = partner[t]
+            except KeyError:
+                raise CurveError(f"token {t!r} is not a glued slot") from None
     return out
 
 
@@ -126,36 +131,25 @@ def _reduce_cyclic(partner: Dict[SlotId, SlotId], tokens: Iterable[SlotId]) -> L
     return toks[i:j + 1]
 
 
-def _booth(seq: Sequence[int]) -> int:
-    """Start of the lexicographically least rotation of ``seq`` (Booth 1980).
-
-    A Knuth-Morris-Pratt failure function over ``seq`` doubled, restarted at
-    each smaller candidate start: linear time.
-    """
-    s = list(seq) * 2
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        c = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != s[k + i + 1]:  # i == -1: no border of the candidate extends
-            if c < s[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
-
-
 def _least_rotation(rank: Dict[SlotId, int], word: TokenWord) -> Tuple[List[int], TokenWord]:
-    """The least rotation of ``word`` under ``rank``, with its rank sequence."""
-    seq = [rank[t] for t in word]
-    k = _booth(seq)
-    return seq[k:] + seq[:k], word[k:] + word[:k]
+    """The least rotation of ``word`` under ``rank``, with its rank sequence.
+
+    Duval's Lyndon factorization (Duval 1983) of the rank sequence doubled:
+    the last Lyndon factor that starts in the first copy starts the least
+    rotation.  Linear time.
+    """
+    n = len(word)
+    s = [rank[t] for t in word] * 2
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and s[k] <= s[j]:
+            k = i if s[k] < s[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return s[start:start + n], word[start:] + word[:start]
 
 
 def _reverse_word(partner: Dict[SlotId, SlotId], word: TokenWord) -> TokenWord:
@@ -165,19 +159,12 @@ def _reverse_word(partner: Dict[SlotId, SlotId], word: TokenWord) -> TokenWord:
     return tuple([partner[t] for t in reversed(word)])
 
 
-def _require_glued(partner: Dict[SlotId, SlotId], tokens: Sequence[SlotId]) -> None:
-    if not partner.keys() >= set(tokens):
-        bad = next(t for t in tokens if t not in partner)
-        raise CurveError(f"token {bad!r} is not a glued slot")
-
-
 class ClosedCurve:
     """A free homotopy class of closed curves, stored as a reduced word."""
 
-    def __init__(self, scheme: Scheme, tokens: Sequence[SlotId]):
+    def __init__(self, scheme: Scheme, tokens: Iterable[SlotId]):
         self.scheme = scheme
         partner, location = scheme.partner, scheme.location
-        _require_glued(partner, tokens)
         reduced = tuple(_reduce_cyclic(partner, tokens))
         # on one polygon every passage stays in it
         if len(scheme.polygons) > 1:
@@ -262,7 +249,7 @@ class Anchor(NamedTuple):
 class Arc:
     """An embedded-arc homotopy class rel its two boundary anchors."""
 
-    def __init__(self, scheme: Scheme, start: Anchor, tokens: Sequence[SlotId], end: Anchor):
+    def __init__(self, scheme: Scheme, start: Anchor, tokens: Iterable[SlotId], end: Anchor):
         self.scheme = scheme
         self.start = start
         self.end = end
@@ -274,7 +261,6 @@ class Arc:
                 raise CurveError(f"anchor slot {a.slot!r} unknown")
         if start == end:
             raise CurveError(f"anchor ({start.slot!r}, {start.index}) ends the arc twice")
-        _require_glued(partner, tokens)
         reduced = tuple(_reduce_linear(partner, tokens))
         if len(scheme.polygons) > 1:
             entries = [start.slot] + [partner[t] for t in reduced]

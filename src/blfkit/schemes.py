@@ -176,10 +176,6 @@ class Scheme:
         return list(self.rank)
 
     @property
-    def boundary_slots(self) -> List[SlotId]:
-        return [s for s in self.slots if s not in self.partner]
-
-    @property
     def glued_classes(self) -> List[Tuple[SlotId, SlotId]]:
         """Edge classes as (primary, partner) with primary = smaller id."""
         out = []

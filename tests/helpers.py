@@ -2,7 +2,7 @@
 
 from collections import Counter
 
-from blfkit import Anchor, Arc, ClosedCurve, curves, render
+from blfkit import Anchor, Arc, ClosedCurve, algebraic_intersection, curves, render
 from blfkit.errors import CurveError
 
 
@@ -179,7 +179,7 @@ def random_items(sch, rng, count):
     """Seeded closed curves and arcs (anchor indices 0-3) of up to 20 tokens on ``sch``."""
     partner, location = sch.partner, sch.location
     glued = sorted(partner, key=sch.rank.get)
-    boundary = sch.boundary_slots
+    boundary = [s for s in sch.slots if s not in partner]
     out = []
     while len(out) < count:
         start = rng.choice(boundary) if boundary and rng.random() < 0.5 else None
@@ -199,4 +199,49 @@ def random_items(sch, rng, count):
                                    Anchor(rng.choice(ends), rng.randint(0, 3))))
         except CurveError:
             pass  # a closed word whose ends lie in different polygons
+    return out
+
+
+def assert_taut_rows(x, c, rows, brute=None):
+    """Rows of ``passage_crossings(x, c)`` against invariants of the pair.
+
+    A closed ``x`` has ``i(x, c)`` rows, counted from linked runs
+    (``linked_intersection``), none when its primitive root is ``c`` up
+    to orientation.  Its rows, or an arc's, are no more than ``brute``,
+    the position table's crossings of it with ``c`` (each ending in its
+    sign), and have the same sum of signs, which is invariant (rel
+    endpoints for an arc): for a closed ``x``, ``algebraic_intersection``,
+    which reads neither the rows nor a position table.
+    """
+    count = sum(map(len, rows))
+    signs = sum(sign for row in rows for _, sign in row)
+    if brute is None:
+        brute = chord_crossings(position_table({"c": c, "x": x}), "x", "c")
+    if isinstance(x, ClosedCurve):
+        assert count == linked_intersection(x, c), (x, c)
+        assert signs == algebraic_intersection(x, c), (x, c)
+    assert count <= len(brute), (x, c)
+    assert signs == sum(sign for *_, sign in brute), (x, c)
+
+
+def shared_step_words(c, rng, count):
+    """Closed words each of whose steps ``c`` or its reverse takes.
+
+    Random walks on the pairs of consecutive tokens of ``c`` and of its
+    reverse, closed when the last token may precede the first: powers of
+    ``c`` and of its reverse, and pieces of the two glued where ``c``
+    visits a token twice.
+    """
+    follow = {}
+    for w in (c.tokens, c.reversed().tokens):
+        for a, b in zip(w, w[1:] + w[:1]):
+            follow.setdefault(a, set()).add(b)
+    out = []
+    for _ in range(count):
+        word = [rng.choice(c.tokens)]
+        for _ in range(rng.randint(1, 4 * len(c.tokens))):
+            word.append(rng.choice(sorted(follow[word[-1]])))
+            if word[0] in follow[word[-1]] and rng.random() < 0.2:
+                out.append(ClosedCurve(c.scheme, word))
+                break
     return out

@@ -301,15 +301,26 @@ class TestConstructionChecks:
             Arc(annulus, Anchor("u1"), (2,), Anchor("u2"))
         assert Arc(annulus, Anchor("u1"), (2,), Anchor("u0")).tokens == (2,)
 
-    @pytest.mark.parametrize("tokens, bad", [(("u0",), "u0"), ((1, "u3", 99), "u3"), ((1, 99), 99)])
+    @pytest.mark.parametrize("tokens, bad", [
+        (("u0",), "u0"), ((1, "u3", 99), "u3"), ((1, 99), 99), ((1, 4, "u0"), "u0"),
+    ])
     def test_unglued_token_is_named(self, hexagon, annulus, tokens, bad):
-        # the first token that is not a glued slot is named, before reduction
+        # the first token that is not a glued slot is named, also after a
+        # pair that cancels
         for sch in (hexagon, annulus):
             message = f"token {bad!r} is not a glued slot"
             with pytest.raises(CurveError, match=message):
                 ClosedCurve(sch, tokens)
             with pytest.raises(CurveError, match=message):
                 Arc(sch, Anchor("u1"), tokens, Anchor("u2"))
+
+    def test_words_read_from_iterators(self, hexagon, annulus):
+        # a word is read once, so a one-pass iterator gives the same curve
+        # as its tuple
+        assert ClosedCurve(hexagon, iter([0, 1])).tokens == (0, 1)
+        assert Arc(hexagon, Anchor("u1"), iter([0]), Anchor("u2")).tokens == (0,)
+        assert ClosedCurve(annulus, iter([1, 5])).tokens == (1, 5)
+        assert Arc(annulus, Anchor("u1"), (t for t in (2,)), Anchor("u0")).tokens == (2,)
 
     def test_one_polygon_words_of_every_length(self, hexagon):
         rng = random.Random(5)

@@ -18,7 +18,6 @@ from bisect import bisect_right
 import contextlib
 import functools
 from collections import defaultdict
-import itertools
 import random
 import signal
 
@@ -29,32 +28,26 @@ from blfkit import (
     Arc,
     ClosedCurve,
     TwistWord,
-    algebraic_intersection,
     dehn_twist,
     hexagon_scheme,
-    is_simple,
     project,
     round_surgery,
-    square_torus_scheme,
 )
 from blfkit import Projection, curves, render
-from blfkit.curves import (
-    insertion_words,
-    intersection_form,
-    passage_crossings,
-)
-from blfkit.errors import CurveError, NotSimpleError, ProjectionObstructedError
+from blfkit.curves import intersection_form, passage_crossings
+from blfkit.errors import CurveError, ProjectionObstructedError
 from blfkit.scenarios import SCENARIOS, family_scenario, get_scenario
 from helpers import (
     assert_isotopic,
+    assert_taut_rows,
     chord_crossings,
     edge_order,
     linked_intersection,
     position_table,
-    random_curve,
     random_items,
     reference_insert_copies,
     reference_twist,
+    shared_step_words,
 )
 
 _STOP = ("stop",)
@@ -296,28 +289,6 @@ def brute_on_passage(table, x_name, k, c_name):
     return [(kc, sign) for _, kc, sign in sorted(found)]
 
 
-def assert_taut_rows(x, c, rows, brute=None):
-    """Rows of ``passage_crossings(x, c)`` against invariants of the pair.
-
-    A closed ``x`` has ``i(x, c)`` rows, counted from linked runs
-    (``linked_intersection``), none when its primitive root is ``c`` up
-    to orientation.  Its rows, or an arc's, are no more than ``brute``,
-    the position table's crossings of it with ``c`` (each ending in its
-    sign), and have the same sum of signs, which is invariant (rel
-    endpoints for an arc): for a closed ``x``, ``algebraic_intersection``,
-    which reads neither the rows nor a position table.
-    """
-    count = sum(map(len, rows))
-    signs = sum(sign for row in rows for _, sign in row)
-    if brute is None:
-        brute = chord_crossings(position_table({"c": c, "x": x}), "x", "c")
-    if isinstance(x, ClosedCurve):
-        assert count == linked_intersection(x, c), (x, c)
-        assert signs == algebraic_intersection(x, c), (x, c)
-    assert count <= len(brute), (x, c)
-    assert signs == sum(sign for *_, sign in brute), (x, c)
-
-
 class TestCrossingQueries:
     def configs(self):
         return hexagon_configs()[:40] + family_configs()[:12] + anchored_arc_configs()[:8]
@@ -528,7 +499,7 @@ class TestCrossingTable:
         # the hexagon cut along C
         h = hexagon_scheme().build()
         sr = round_surgery(h, ClosedCurve(h, (0,)))
-        ends = h.boundary_slots
+        ends = [s for s in h.slots if s not in h.partner]
         items = [
             Arc(h, Anchor(a), w, Anchor(b, int(a == b)))
             for w in short_words(h.partner, 3) for a in ends for b in ends
@@ -574,29 +545,6 @@ class TestCrossingTable:
         assert (dehn_twist(sc.curves["C2"], c1), project(sr, arc)) == first
         assert dehn_twist(sc.curves["C3"], c1, -2) == dehn_twist(dehn_twist(sc.curves["C3"], c1, -1), c1, -1)
         assert builds == []
-
-
-def shared_step_words(c, rng, count):
-    """Closed words each of whose steps ``c`` or its reverse takes.
-
-    Random walks on the pairs of consecutive tokens of ``c`` and of its
-    reverse, closed when the last token may precede the first: powers of
-    ``c`` and of its reverse, and pieces of the two glued where ``c``
-    visits a token twice.
-    """
-    follow = {}
-    for w in (c.tokens, c.reversed().tokens):
-        for a, b in zip(w, w[1:] + w[:1]):
-            follow.setdefault(a, set()).add(b)
-    out = []
-    for _ in range(count):
-        word = [rng.choice(c.tokens)]
-        for _ in range(rng.randint(1, 4 * len(c.tokens))):
-            word.append(rng.choice(sorted(follow[word[-1]])))
-            if word[0] in follow[word[-1]] and rng.random() < 0.2:
-                out.append(ClosedCurve(c.scheme, word))
-                break
-    return out
 
 
 def reference_rows(x, c):
@@ -671,97 +619,6 @@ class TestTautStress:
                 assert_isotopic(dehn_twist(x, c, power), reference_twist(x, c, power))
         closed = sum(isinstance(x, ClosedCurve) for x, _ in pairs)
         assert closed > 250 and len(pairs) - closed > 100 and shared > 50
-
-
-def fresh(x):
-    """A copy of ``x`` with nothing kept on it."""
-    if isinstance(x, ClosedCurve):
-        return ClosedCurve(x.scheme, x.tokens)
-    return Arc(x.scheme, x.start, x.tokens, x.end)
-
-
-class TestPairTable:
-    def test_rows_keep_their_references(self):
-        # one entry of c's token-pair table per point of x: on families 1-3,
-        # closed words and arcs, T_c^k(y), which runs beside c for long
-        # stretches, and words each of whose steps c takes; and on the cut
-        # hexagon, whose two polygons tell the entries' polygons apart
-        rng = random.Random(43)
-        pairs = []
-        for n in (1, 2, 3):
-            fam = family_scenario(n)
-            names = sorted(fam.curves)
-            for _ in range(4):
-                word = TwistWord(tuple(
-                    (fam.curves[rng.choice(names)], rng.choice((1, -1)))
-                    for _ in range(rng.randint(1, 3))
-                ))
-                c = fresh(word.apply(fam.curves[rng.choice(names)]))
-                ys = random_items(fam.scheme, rng, 8)
-                near = [dehn_twist(y, c, rng.choice((2, 3, -2, -3))) for y in ys[:4]]
-                walks = shared_step_words(c, rng, 4)
-                powers = [ClosedCurve(c.scheme, c.tokens * 2), c.reversed()]
-                pairs += [(x, c) for x in ys + near + walks + powers]
-        hexagon = get_scenario("negative-modification")
-        cut = round_surgery(hexagon.scheme, hexagon.curves["C"]).scheme
-        c = ClosedCurve(cut, (1, 5))
-        pairs += [(x, c) for x in random_items(cut, rng, 40)]
-        closed = arcs = long = shared = 0
-        for x, c in pairs:
-            x = fresh(x)
-            rows = passage_crossings(x, c)
-            assert x._steps is None
-            assert_taut_rows(x, c, rows)
-            closed += isinstance(x, ClosedCurve)
-            arcs += isinstance(x, Arc)
-            long += len(x.tokens) >= 10 * len(c.tokens)
-            # c takes the step of every point of x
-            fwd, bwd = curves._ray_steps(c)
-            shared += bool(x.tokens) and set(curves._ray_steps(x)[0]) <= set(fwd + bwd)
-        assert closed > 120 and arcs > 60 and long > 30 and shared > 50
-
-
-    def test_points_of_c_match_a_configuration(self):
-        # c's chords, read off the trace of its arrangement, sit where a
-        # position table of c alone puts them, whichever way the trace runs
-        # along c: every simple reduced word of up to four tokens on the
-        # hexagon, and seeded simple curves on the two-polygon surfaces
-        # round surgery leaves of families 1-3 and on the square torus
-        hexagon = hexagon_scheme().build()
-        glued = sorted(hexagon.partner, key=hexagon.rank.get)
-        cs = [ClosedCurve(hexagon, w) for n in range(1, 5) for w in itertools.product(glued, repeat=n)]
-        rng = random.Random(8)
-        for sch in [square_torus_scheme().build()] + [
-            round_surgery(sc.scheme, sc.curves[sc.surgery_name]).scheme
-            for sc in map(family_scenario, (1, 2, 3))
-        ]:
-            cs += [random_curve(sch, rng, 8) for _ in range(150)]
-        backward = forward = 0
-        for c in cs:
-            if not is_simple(c):
-                continue
-            c = fresh(c)
-            table = curves._crossing_data(c)[1]
-            got = sorted((k, pi, a, b) for pi, chords in table.chords.items() for k, a, b in chords)
-            chords = render.position_table(c.scheme, {"c": c}).chords["c"]
-            assert got == sorted((k,) + chord for k, chord in enumerate(chords)), c
-            runs_back = curves._traces_once(c)[1][2]
-            backward += runs_back
-            forward += not runs_back
-        assert backward > 10 and forward > 100, (backward, forward)
-
-
-class TestNotSimple:
-    @pytest.mark.parametrize("word", [(0, 1, 3, 1), (0, 0)])
-    def test_crossing_data_raises(self, word):
-        # (0, 1, 3, 1) crosses itself, and (0, 0) is a power
-        sc = get_scenario("negative-modification")
-        c = ClosedCurve(sc.scheme, word)
-        assert not is_simple(c)
-        with pytest.raises(NotSimpleError):
-            passage_crossings(sc.curves["C1"], c)
-        with pytest.raises(NotSimpleError):
-            insertion_words(c)
 
 
 class TestIntersectionFormCache:

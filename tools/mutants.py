@@ -143,6 +143,18 @@ MUTANTS = (
         ("tests/test_intersections.py", "tests/test_taut.py"),
     ),
     Mutant(
+        "least-rotation-resets-on-ties", "src/blfkit/curves.py",
+        "k = i if s[k] < s[j] else k + 1",
+        "k = i if s[k] <= s[j] else k + 1",
+        ("tests/test_curves.py",),
+    ),
+    Mutant(
+        "unglued-token-raises-key-error", "src/blfkit/curves.py",
+        'raise CurveError(f"token {t!r} is not a glued slot") from None',
+        "raise",
+        ("tests/test_curves.py",),
+    ),
+    Mutant(
         "step-without-wrap", "src/blfkit/curves.py",
         "(location[t][1] - i) % len(scheme.polygons[pi])",
         "(location[t][1] - i)",
